@@ -50,18 +50,6 @@ _KINDS = {
     "threshold": FluidSystemKind.THRESHOLD,
 }
 
-PAPER_DEFAULTS = {
-    "alpha": 0.125,
-    "k": 0.75,
-    "beta": 0.5,
-    "gamma": 1e-4,
-    "b_min": 50.0,
-    "b_max": 550.0,
-    "p_max": 0.1,
-    "c": 100.0,
-}
-
-
 def _parse_sweep(text: str):
     """name=start:stop:count -> (name, [values])."""
     try:
@@ -90,21 +78,26 @@ def _red(args) -> RedParams:
     )
 
 
-def _write_params_sidecar(args, path_hint: str | None):
-    if getattr(args, "profile", "desk") != "paper":
+def _write_params_sidecar(args, path_hint: str | None, **resolved):
+    """Under --profile paper, record every option the run resolved, one
+    `key = value` per line, in params.txt next to the output. `resolved`
+    adds values the command settled itself, such as a scenario's seed."""
+    if args.profile != "paper":
         return
     out = path_hint or "params.txt"
     base = os.path.dirname(out) or "."
     side = os.path.join(base, "params.txt")
     with open(side, "w") as fh:
-        for key, val in PAPER_DEFAULTS.items():
-            fh.write(f"{key} = {val:g}\n")
-        for key in ("tau", "qth", "seed"):
-            if getattr(args, key, None) is not None:
-                fh.write(f"{key} = {getattr(args, key)}\n")
+        for key, val in {**vars(args), **resolved}.items():
+            if key == "func" or val is None:
+                continue
+            if key == "sweep":
+                name, xs = val
+                val = f"{name}={xs[0]!r}:{xs[-1]!r}:{len(xs)}"
+            fh.write(f"{key} = {val}\n")
 
 
-def _add_common(p, tau_default=None):
+def _add_common(p, tau_default):
     p.add_argument("--c", type=float, default=100.0, help="per-flow capacity, pkts/s")
     p.add_argument("--tau", type=float, default=tau_default, help="round-trip time, s")
     p.add_argument("--alpha", type=float, default=0.125)
@@ -151,7 +144,7 @@ def _cmd_stability_chart(args) -> int:
     name, values = args.sweep
     name = _SWEEP_ALIASES.get(name, name)
     spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau or 0.1, kappa=args.kappa)
+    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
     red = _red(args) if kind is not FluidSystemKind.THRESHOLD else None
     th = ThresholdParams(args.qth) if kind is FluidSystemKind.THRESHOLD else None
     points = trace_stability_chart(
@@ -173,7 +166,7 @@ def _cmd_stability_chart(args) -> int:
 def _cmd_hopf_classify(args) -> int:
     spec = _protocol(args)
     red = _red(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau or 0.1, kappa=args.kappa)
+    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
     result, _, _ = classify_at_hopf(
         spec, red, net, tau_c=args.at_tau, tau_bracket=(args.tau_min, args.tau_max)
     )
@@ -225,7 +218,7 @@ def _cmd_bifurcation(args) -> int:
         print("bifurcation-diagram sweeps qth", file=sys.stderr)
         return 2
     spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau or 1.0, kappa=args.kappa)
+    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
     rows = threshold_bifurcation_sweep(
         spec, net, values,
         horizon_delays=args.horizon, transient_delays=args.transient,
@@ -273,7 +266,7 @@ def _cmd_packet_sim(args) -> int:
         f"{metrics.throughput_bps / 1e6:.3f} Mbps  "
         f"mean queueing delay = {metrics.mean_queueing_delay * 1e3:.3f} ms"
     )
-    _write_params_sidecar(args, os.path.join(outdir, "x"))
+    _write_params_sidecar(args, os.path.join(outdir, "x"), seed=cfg.seed)
     return 0
 
 
@@ -340,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve", required=True,
                    choices=("tau", "c", "gamma", "b_min", "q_th", "alpha", "kappa"))
     p.add_argument("--workers", type=int, default=None)
-    _add_common(p)
+    _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_stability_chart)
 
     p = sub.add_parser("hopf-classify", help="normal-form classification at the "
@@ -349,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classify at this delay instead of solving for it")
     p.add_argument("--tau-min", type=float, default=1e-3)
     p.add_argument("--tau-max", type=float, default=5.0)
-    _add_common(p)
+    _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_hopf_classify)
 
     p = sub.add_parser("fluid-sim", help="integrate one fluid system")

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, IntegrationError, InternalConsistencyError
-from .numerics import bisect, hermite_eval, is_finite_tuple
+from .numerics import bisect, hermite_eval
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams, Variant
 from .protocols import (
     decrease_rate,
@@ -185,77 +185,127 @@ def _power_law_constants(spec: ProtocolSpec) -> tuple[float, float, float]:
     raise DomainError("AFRICA has no power-law form")
 
 
-def make_rhs(
-    kind: FluidSystemKind,
-    spec: ProtocolSpec,
-    net: NetworkParams,
-    red: RedParams | None = None,
-    th: ThresholdParams | None = None,
-):
-    """Build f(state_now, state_delayed) -> derivative tuple for one system."""
+def _window_rate(spec: ProtocolSpec, net: NetworkParams):
+    """(w, w_d, p_d) -> dw/dt, the window equation of all three systems.
+
+    The law is chosen once per spec. The power-law family is written out as
+    alpha*w^(k-1) and beta*w, the same floating-point operations that
+    increase_rate/decrease_rate perform, without their per-call dispatch on
+    the variant; AFRICA calls them. The comparisons below clamp the windows at
+    the floor as max() would, and let NaN through to the finiteness check.
+    """
+    kappa = net.kappa
+    tau = net.rtt
+    floor = _W_FLOOR
+
+    if spec.variant is Variant.AFRICA:
+
+        def rate(w, w_d, p_d):
+            if w < floor:
+                w = floor
+            if w_d < floor:
+                w_d = floor
+            gain = increase_rate(spec, w) * (1.0 - p_d)
+            loss = decrease_rate(spec, w) * p_d
+            return kappa * (gain - loss) * w_d / tau
+
+        return rate
+
+    alpha, k, beta = _power_law_constants(spec)
+    expo = k - 1.0
+
+    def rate(w, w_d, p_d):
+        if w < floor:
+            w = floor
+        if w_d < floor:
+            w_d = floor
+        return kappa * (alpha * w**expo * (1.0 - p_d) - beta * w * p_d) * w_d / tau
+
+    return rate
+
+
+def _queue_rate(net: NetworkParams):
+    """(q, w, p) -> dq/dt, one-sided at an empty queue and at a full buffer."""
     kappa = net.kappa
     tau = net.rtt
     cap = net.c_per_flow
     buf = net.buffer
 
-    def window_dot(w, w_d, p_d):
-        w = max(w, _W_FLOOR)
-        w_d = max(w_d, _W_FLOOR)
-        gain = increase_rate(spec, w) * (1.0 - p_d)
-        loss = decrease_rate(spec, w) * p_d
-        return kappa * (gain - loss) * w_d / tau
-
-    def queue_dot(q, w, p):
-        rate = kappa * ((1.0 - p) * w / tau - cap)
-        if q <= 0.0 and rate < 0.0:
+    def rate(q, w, p):
+        r = kappa * ((1.0 - p) * w / tau - cap)
+        if q <= 0.0 and r < 0.0:
             return 0.0
-        if buf is not None and q >= buf and rate > 0.0:
+        if buf is not None and q >= buf and r > 0.0:
             return 0.0
-        return rate
+        return r
 
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        if red is None:
-            raise DomainError("with-averaging system needs RedParams")
-        gC = red.gamma * cap
-        rho = red.rho
-        b_min = red.b_min
+    return rate
 
-        def f(now, delayed):
-            w, q, p = now
-            w_d, _, p_d = delayed
-            return (
-                window_dot(w, w_d, p_d),
-                queue_dot(q, w, p),
-                -kappa * gC * (p + rho * b_min - rho * q),
-            )
 
-        return f
+def _with_averaging_rhs(spec, net, red):
+    """(w, q, p, w_d, p_d) -> (dw, dq, dp) of the averaged-queue system."""
+    window = _window_rate(spec, net)
+    queue = _queue_rate(net)
+    relax = -net.kappa * (red.gamma * net.c_per_flow)
+    rho = red.rho
+    rho_b_min = rho * red.b_min
 
-    if kind is FluidSystemKind.NO_AVERAGING:
-        if red is None:
-            raise DomainError("no-averaging system needs RedParams")
-        rho = red.rho
-        b_min = red.b_min
-
-        def f(now, delayed):
-            w, q = now
-            w_d, q_d = delayed
-            p_d = rho * (q_d - b_min)
-            p = rho * (q - b_min)
-            return (window_dot(w, w_d, p_d), queue_dot(q, w, p))
-
-        return f
-
-    if th is None:
-        raise DomainError("threshold system needs ThresholdParams")
-
-    def f(now, delayed):
-        (w,) = now
-        (w_d,) = delayed
-        p_d = threshold_drop_probability(max(w_d, _W_FLOOR), net, th)
-        return (window_dot(w, w_d, p_d),)
+    def f(w, q, p, w_d, p_d):
+        return (
+            window(w, w_d, p_d),
+            queue(q, w, p),
+            relax * (p + rho_b_min - rho * q),
+        )
 
     return f
+
+
+def _no_averaging_rhs(spec, net, red):
+    """(w, q, w_d, q_d) -> (dw, dq) of the instantaneous-queue system."""
+    window = _window_rate(spec, net)
+    queue = _queue_rate(net)
+    rho = red.rho
+    b_min = red.b_min
+
+    def f(w, q, w_d, q_d):
+        return (
+            window(w, w_d, rho * (q_d - b_min)),
+            queue(q, w, rho * (q - b_min)),
+        )
+
+    return f
+
+
+def _threshold_rhs(spec, net, th):
+    """(w, w_d) -> dw of the threshold system.
+
+    The drop probability is threshold_drop_probability written out:
+    (w_d / (C*rtt))^q_th, capped at 1 from the bandwidth-delay product on.
+    """
+    window = _window_rate(spec, net)
+    bdp = net.c_per_flow * net.rtt
+    q_th = th.q_th
+    floor = _W_FLOOR
+
+    def f(w, w_d):
+        if w_d < floor:
+            w_d = floor
+        ratio = w_d / bdp
+        return window(w, w_d, 1.0 if ratio >= 1.0 else ratio**q_th)
+
+    return f
+
+
+def _system_rhs(kind, spec, net, red, th):
+    if kind is FluidSystemKind.THRESHOLD:
+        if th is None:
+            raise DomainError("threshold system needs ThresholdParams")
+        return _threshold_rhs(spec, net, th)
+    if red is None:
+        raise DomainError(f"{kind.value} system needs RedParams")
+    if kind is FluidSystemKind.NO_AVERAGING:
+        return _no_averaging_rhs(spec, net, red)
+    return _with_averaging_rhs(spec, net, red)
 
 
 def rhs(
@@ -267,8 +317,14 @@ def rhs(
     red: RedParams | None = None,
     th: ThresholdParams | None = None,
 ):
-    """One-off evaluation of the system right-hand side."""
-    return make_rhs(kind, spec, net, red, th)(tuple(state_now), tuple(state_delayed))
+    """One-off evaluation of the system right-hand side: one derivative per
+    state, from the same equations the integrator steps."""
+    f = _system_rhs(kind, spec, net, red, th)
+    if kind is FluidSystemKind.THRESHOLD:
+        return (f(state_now[0], state_delayed[0]),)
+    if kind is FluidSystemKind.NO_AVERAGING:
+        return f(*state_now, *state_delayed)
+    return f(*state_now, state_delayed[0], state_delayed[2])
 
 
 @dataclass
@@ -285,12 +341,137 @@ class Trajectory:
         return self.states[:, self.kind.columns.index(name)]
 
     def to_csv(self, path) -> None:
-        header = "t," + ",".join(self.kind.columns)
+        row = "%.12g" + ",%.12g" * self.kind.dim + "\n"
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [f"{t:.12g}"] + [f"{v:.12g}" for v in row]
-                fh.write(",".join(cells) + "\n")
+            fh.write("t," + ",".join(self.kind.columns) + "\n")
+            fh.writelines(
+                row % (t, *y)
+                for t, y in zip(self.times.tolist(), self.states.tolist())
+            )
+
+
+# The three RK4 kernels below advance one system each, with every state
+# component in its own list of floats. Each step reads the delayed state at
+# its midpoint from the midpoint list and at its end from the node m steps
+# back, then appends the new node and the cubic Hermite midpoint of the
+# interval it closes. With theta = 1/2 the Hermite weights are exactly
+# 1/2, h/8, 1/2 and -h/8 (numerics.hermite_eval computes the same values), so
+# a midpoint is 0.5*y0 + h/8*f0 + 0.5*y1 - h/8*f1, summed left to right.
+
+
+def _blowup(steps: int, h: float) -> IntegrationError:
+    t = steps * h
+    return IntegrationError(f"non-finite state at t={t:.6g}", time=t)
+
+
+def _rk4_threshold(f, cols, mids, m, n_steps, h, buf):
+    (ws,) = cols
+    (mws,) = mids
+    half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
+    floor = _W_FLOOR
+    isfinite = math.isfinite
+    k1 = f(ws[m], ws[0])
+    for i in range(m, m + n_steps):
+        j = i - m
+        w = ws[i]
+        wh = mws[j]
+        w1 = ws[j + 1]
+        k2 = f(w + half * k1, wh)
+        k3 = f(w + half * k2, wh)
+        k4 = f(w + h * k3, w1)
+        wn = w + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if wn < floor:
+            wn = floor
+        if not isfinite(wn):
+            raise _blowup(j + 1, h)
+        kn = f(wn, w1)
+        ws.append(wn)
+        mws.append(0.5 * w + c1 * k1 + 0.5 * wn + c3 * kn)
+        k1 = kn
+
+
+def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
+    ws, qs = cols
+    mws, mqs = mids
+    half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
+    floor = _W_FLOOR
+    isfinite = math.isfinite
+    k1w, k1q = f(ws[m], qs[m], ws[0], qs[0])
+    for i in range(m, m + n_steps):
+        j = i - m
+        w = ws[i]
+        q = qs[i]
+        wh = mws[j]
+        qh = mqs[j]
+        w1 = ws[j + 1]
+        q1 = qs[j + 1]
+        k2w, k2q = f(w + half * k1w, q + half * k1q, wh, qh)
+        k3w, k3q = f(w + half * k2w, q + half * k2q, wh, qh)
+        k4w, k4q = f(w + h * k3w, q + h * k3q, w1, q1)
+        wn = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+        qn = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
+        if wn < floor:
+            wn = floor
+        if qn < 0.0:
+            qn = 0.0
+        if buf is not None and qn > buf:
+            qn = buf
+        if not (isfinite(wn) and isfinite(qn)):
+            raise _blowup(j + 1, h)
+        knw, knq = f(wn, qn, w1, q1)
+        ws.append(wn)
+        qs.append(qn)
+        mws.append(0.5 * w + c1 * k1w + 0.5 * wn + c3 * knw)
+        mqs.append(0.5 * q + c1 * k1q + 0.5 * qn + c3 * knq)
+        k1w, k1q = knw, knq
+
+
+def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
+    ws, qs, ps = cols
+    mws, _, mps = mids  # the delayed queue is never read
+    half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
+    floor = _W_FLOOR
+    isfinite = math.isfinite
+    k1w, k1q, k1p = f(ws[m], qs[m], ps[m], ws[0], ps[0])
+    for i in range(m, m + n_steps):
+        j = i - m
+        w = ws[i]
+        q = qs[i]
+        p = ps[i]
+        wh = mws[j]
+        ph = mps[j]
+        w1 = ws[j + 1]
+        p1 = ps[j + 1]
+        k2w, k2q, k2p = f(w + half * k1w, q + half * k1q, p + half * k1p, wh, ph)
+        k3w, k3q, k3p = f(w + half * k2w, q + half * k2q, p + half * k2p, wh, ph)
+        k4w, k4q, k4p = f(w + h * k3w, q + h * k3q, p + h * k3p, w1, p1)
+        wn = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
+        qn = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
+        pn = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+        if wn < floor:
+            wn = floor
+        if qn < 0.0:
+            qn = 0.0
+        if buf is not None and qn > buf:
+            qn = buf
+        if pn < 0.0:
+            pn = 0.0
+        if not (isfinite(wn) and isfinite(qn) and isfinite(pn)):
+            raise _blowup(j + 1, h)
+        knw, knq, knp = f(wn, qn, pn, w1, p1)
+        ws.append(wn)
+        qs.append(qn)
+        ps.append(pn)
+        mws.append(0.5 * w + c1 * k1w + 0.5 * wn + c3 * knw)
+        mps.append(0.5 * p + c1 * k1p + 0.5 * pn + c3 * knp)
+        k1w, k1q, k1p = knw, knq, knp
+
+
+_KERNELS = {
+    FluidSystemKind.THRESHOLD: _rk4_threshold,
+    FluidSystemKind.NO_AVERAGING: _rk4_no_averaging,
+    FluidSystemKind.WITH_AVERAGING: _rk4_with_averaging,
+}
 
 
 def integrate_dde(
@@ -323,7 +504,7 @@ def integrate_dde(
     h = tau / m
     n_steps = int(math.ceil(horizon / h - 1e-12))
     dim = kind.dim
-    f = make_rhs(kind, spec, net, red, th)
+    f = _system_rhs(kind, spec, net, red, th)
 
     if callable(initial_history):
         hist = initial_history
@@ -334,7 +515,9 @@ def integrate_dde(
         hist = lambda t: const  # noqa: E731
 
     ys = [tuple(float(v) for v in hist(-tau + j * h)) for j in range(m + 1)]
-    # one-sided history derivatives (for interpolation left of t=0)
+    # one-sided history derivatives, for interpolation left of t=0; from
+    # t=0 on, the kernels take node derivatives from the system's own
+    # right-hand side, so t=0 has a left and a right derivative
     eps = h * 1e-3
     fs = []
     for j in range(m + 1):
@@ -345,52 +528,17 @@ def integrate_dde(
         fs.append(
             tuple((bv - av) / dt if dt > 0 else 0.0 for av, bv in zip(a, b))
         )
-    f_left_at_0 = fs[m]
-    # from t=0 on, node derivatives are the system's own right-hand side
-    fs[m] = f(ys[m], ys[0])
-
-    def clamp(y):
-        out = list(y)
-        out[0] = max(out[0], _W_FLOOR)
-        for j in range(1, dim):
-            out[j] = max(out[j], 0.0)
-        if net.buffer is not None and dim >= 2:
-            out[1] = min(out[1], net.buffer)
-        return tuple(out)
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    zero_node = m  # index of t = 0, whose left/right derivatives differ
-
-    def interp_half(j):
-        fr = f_left_at_0 if j + 1 == zero_node else fs[j + 1]
-        return hermite_eval(0.5, ys[j], ys[j + 1], fs[j], fr, h)
-
-    for i in range(m, m + n_steps):
-        y = ys[i]
-        j = i - m
-        d0 = ys[j]
-        dh = interp_half(j)
-        d1 = ys[j + 1]
-        k1 = fs[i]
-        k2 = f(tuple(a + half * b for a, b in zip(y, k1)), dh)
-        k3 = f(tuple(a + half * b for a, b in zip(y, k2)), dh)
-        k4 = f(tuple(a + h * b for a, b in zip(y, k3)), d1)
-        ynew = clamp(
-            tuple(
-                a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            )
-        )
-        if not is_finite_tuple(ynew):
-            raise IntegrationError(
-                f"non-finite state at t={(i - m + 1) * h:.6g}", time=(i - m + 1) * h
-            )
-        ys.append(ynew)
-        fs.append(f(ynew, ys[j + 1]))
+    cols = [list(c) for c in zip(*ys)]
+    # Hermite midpoints of the history intervals
+    c1, c3 = 0.125 * h, -0.125 * h
+    mids = [
+        [0.5 * y[j] + c1 * d[j] + 0.5 * y[j + 1] + c3 * d[j + 1] for j in range(m)]
+        for y, d in zip(cols, zip(*fs))
+    ]
+    _KERNELS[kind](f, cols, mids, m, n_steps, h, net.buffer)
 
     times = np.arange(n_steps + 1) * h
-    states = np.asarray(ys[m:], dtype=float)
+    states = np.array([c[m:] for c in cols], dtype=float).T.copy()
     meta = {
         "kind": kind.value,
         "steps_per_delay": m,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from .errors import BracketError, ConvergenceError
 
 
@@ -85,7 +83,3 @@ def hermite_eval(theta: float, y0, y1, f0, f1, h: float):
         h00 * a + h10 * h * da + h01 * b + h11 * h * db
         for a, b, da, db in zip(y0, y1, f0, f1)
     )
-
-
-def is_finite_tuple(x) -> bool:
-    return all(math.isfinite(v) for v in x)

@@ -128,6 +128,18 @@ def test_paper_profile_writes_sidecar(tmp_path):
     assert "b_max = 550" in text
 
 
+def test_paper_profile_sidecar_records_values_used(tmp_path):
+    out = tmp_path / "eq.txt"
+    assert run(["equilibrium", "--system", "with-averaging", "--c", "100",
+                "--tau", "0.1", "--alpha", "0.3", "--gamma", "0.03",
+                "--profile", "paper", "--out", str(out)]) == 0
+    lines = (tmp_path / "params.txt").read_text().splitlines()
+    assert "alpha = 0.3" in lines
+    assert "gamma = 0.03" in lines
+    assert "tau = 0.1" in lines
+    assert "alpha = 0.125" not in lines
+
+
 def test_compare_policies_output(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run(["compare-policies", "--rtt-ms", "40", "--seeds", "1",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -300,16 +301,136 @@ def test_history_interpolates_and_guards_domain():
 
 
 def test_blowup_reported_with_time(compound, red_defaults):
-    # an absurd rate multiplier overflows the power-law window update
-    net = NetworkParams(c_per_flow=100.0, rtt=0.1, kappa=1e155)
-    eq = equilibrium_no_averaging(compound, red_defaults, net)
-    with pytest.raises(IntegrationError) as err:
-        integrate_dde(
-            K.NO_AVERAGING, compound, net, red=red_defaults,
-            initial_history=default_history(eq, 1.5), horizon=5.0,
-            steps_per_delay=200,
-        )
-    assert err.value.time is not None
+    # an absurd rate multiplier overflows the power-law window update; the
+    # threshold system, whose window is floored and whose drop probability is
+    # capped at 1, needs a larger one and a steep threshold before a stage
+    # reaches inf - inf
+    for kind in K:
+        if kind is K.THRESHOLD:
+            net = NetworkParams(c_per_flow=100.0, rtt=0.1, kappa=1e250)
+            th = ThresholdParams(60.0)
+            eq = equilibrium_threshold(compound, net, th)
+            kw = {"th": th}
+        else:
+            net = NetworkParams(c_per_flow=100.0, rtt=0.1, kappa=1e155)
+            solver = (
+                equilibrium_with_averaging if kind is K.WITH_AVERAGING
+                else equilibrium_no_averaging
+            )
+            eq = solver(compound, red_defaults, net)
+            kw = {"red": red_defaults}
+        with pytest.raises(IntegrationError) as err:
+            integrate_dde(
+                kind, compound, net, initial_history=default_history(eq, 1.5),
+                horizon=5.0, steps_per_delay=200, **kw,
+            )
+        assert err.value.time is not None, kind
+
+
+# -- exactness ----------------------------------------------------------------
+
+# sha256 of traj.states.tobytes(), recorded with the generic tuple-based loop
+# that the per-system kernels replaced: a drift of one ulp in one sample
+# changes the digest. They were recorded on x86-64 Linux; `**` is the C
+# library's pow, so a libm that rounds it differently gives other digests.
+_DIGESTS = {
+    "with-averaging/compound":
+        "c6ec1067e62f711660508377b30b04dd8e6a953d18bdc87017998e37d27318fc",
+    "with-averaging/reno":
+        "30b81a7a2a5d5a6443e33f9e46760147774b5f82f9663b7b624447825fca2d72",
+    "with-averaging/illinois":
+        "3f27357e9dd4f4d97c67ef5eb221c51755213a7e93fd4f653da225177a430f2d",
+    "with-averaging/africa":
+        "cc0e09f5bec5413aa1762562fa936310941e6b0fee855941cfe5e0a260d59307",
+    "no-averaging/compound":
+        "3cedd2f8203631612c9ae4a4761500c4c533f633d9982b5beccbcd64a7805ac9",
+    "no-averaging/reno":
+        "3ce1fd37e3d7524e1848959ceb2fbc1a89a6a431f579b9dd724995dd92e8a9c7",
+    "no-averaging/illinois":
+        "b1ff6e689954cf81070740dff044e02a4979efabfd392271716107c20b671072",
+    "no-averaging/africa":
+        "aa28d3e47fbbc64afb9870b8ef0f52bb46be60c7fd2b499389fef4954a48c064",
+    "threshold/compound":
+        "6eefaad55eef32ec2484647d69b0820df882cb5474cda1c1d7e6db793f758cd9",
+    "threshold/reno":
+        "973d0234bfeb7783b7d1d21c46d96fa0e5e1056c0d5ff7cd16dc33050e5e8bf9",
+    "threshold/illinois":
+        "26826d03c565ee8b4b44e3e410305d39ff84603e61f766800c21ed2c5340d76b",
+    "threshold/africa":
+        "bcfe8bf2e9fc10d93980c6af6cfaf996ec9157b0970d29263bb692be50752e5d",
+    "warm-restart":
+        "1636557fdb3ddd267ac366c30146655532d54acfaf28b5fba894215e29ee7bd6",
+    "delay-2tau":
+        "1d2606bed54e4223884146b530e7bab72c68ddab7959a9cd7481c52fbdbdadf6",
+}
+
+_EXACT_SPECS = {
+    "compound": ProtocolSpec.compound_tcp(),
+    "reno": ProtocolSpec.reno(),
+    "illinois": ProtocolSpec.illinois_tcp(),
+    "africa": ProtocolSpec.africa_tcp(),
+}
+_EXACT_RED = RedParams(gamma=0.028)
+# the 1.5x perturbation drives the queue into this buffer
+_EXACT_NET = NetworkParams(c_per_flow=100.0, rtt=0.171, buffer=110.0)
+_EXACT_TH_NET = NetworkParams(c_per_flow=100.0, rtt=1.0)
+_EXACT_TH = ThresholdParams(45.0)
+
+
+def _exact_setup(kind, variant):
+    spec = _EXACT_SPECS[variant]
+    if kind is K.THRESHOLD:
+        eq = equilibrium_threshold(spec, _EXACT_TH_NET, _EXACT_TH)
+        return spec, _EXACT_TH_NET, {"th": _EXACT_TH}, eq
+    solver = (
+        equilibrium_with_averaging if kind is K.WITH_AVERAGING
+        else equilibrium_no_averaging
+    )
+    with warnings.catch_warnings():
+        # the illinois fixed point lies above b_max; the dynamics still run
+        warnings.simplefilter("ignore", OperatingRegionWarning)
+        eq = solver(spec, _EXACT_RED, _EXACT_NET)
+    return spec, _EXACT_NET, {"red": _EXACT_RED}, eq
+
+
+def _digest(traj):
+    return hashlib.sha256(traj.states.tobytes()).hexdigest()
+
+
+def _exact_digests():
+    """Every digest in _DIGESTS, recomputed with the current integrator."""
+    out = {}
+    for kind in K:
+        for variant in _EXACT_SPECS:
+            spec, net, kw, eq = _exact_setup(kind, variant)
+            traj = integrate_dde(
+                kind, spec, net, initial_history=default_history(eq, 1.5),
+                horizon=20 * net.rtt, steps_per_delay=200, **kw,
+            )
+            out[f"{kind.value}/{variant}"] = _digest(traj)
+    spec, net, kw, eq = _exact_setup(K.WITH_AVERAGING, "compound")
+    first = integrate_dde(
+        K.WITH_AVERAGING, spec, net, initial_history=default_history(eq, 1.5),
+        horizon=10 * net.rtt, steps_per_delay=200, **kw,
+    )
+    resumed = integrate_dde(
+        K.WITH_AVERAGING, spec, net,
+        initial_history=History.from_trajectory(first, net.rtt),
+        horizon=10 * net.rtt, steps_per_delay=200, **kw,
+    )
+    out["warm-restart"] = _digest(resumed)
+    # a window 0.4x the fixed point drains the queue to its floor at 0
+    spec, net, kw, eq = _exact_setup(K.NO_AVERAGING, "compound")
+    slow = integrate_dde(
+        K.NO_AVERAGING, spec, net, initial_history=default_history(eq, 0.4),
+        horizon=20 * net.rtt, steps_per_delay=200, delay=2 * net.rtt, **kw,
+    )
+    out["delay-2tau"] = _digest(slow)
+    return out
+
+
+def test_trajectories_bit_identical_to_recorded_digests():
+    assert _exact_digests() == _DIGESTS
 
 
 # -- oscillation metrics ------------------------------------------------------
@@ -372,3 +493,8 @@ def test_trajectory_csv_roundtrip(tmp_path, compound, red_defaults):
     assert len(lines) == len(traj.times) + 1
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.allclose(back[:, 1:], traj.states, rtol=1e-11)
+    expected = "t,w,q,p\n" + "".join(
+        ",".join(f"{v:.12g}" for v in (t, *row)) + "\n"
+        for t, row in zip(traj.times, traj.states)
+    )
+    assert path.read_text() == expected

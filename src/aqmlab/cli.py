@@ -35,9 +35,11 @@ from .packetsim import (
     PacketRed,
     PacketThreshold,
     compute_afct,
+    config_digest,
     desk_config,
     paper_config,
     parse_scenario,
+    run_batch,
     run_simulation,
     write_metrics_csv,
 )
@@ -249,6 +251,12 @@ def _packet_policy(args):
     return DropTail()
 
 
+# the packet-sim options that only build a run when no scenario file does
+_SCENARIO_OVERRIDES = (
+    "policy", "rtt_ms", "red_bmin", "red_bmax", "red_pmax", "red_wq", "qth",
+)
+
+
 def _cmd_packet_sim(args) -> int:
     if args.scenario:
         with open(args.scenario) as fh:
@@ -256,7 +264,8 @@ def _cmd_packet_sim(args) -> int:
         cfg = replace(cfg, seed=args.seed if args.seed is not None else cfg.seed)
     else:
         builder = paper_config if args.profile == "paper" else desk_config
-        cfg = builder(_packet_policy(args), args.rtt_ms / 1e3, args.seed or 1)
+        seed = args.seed if args.seed is not None else 1
+        cfg = builder(_packet_policy(args), args.rtt_ms / 1e3, seed)
     metrics = run_simulation(cfg)
     outdir = args.out or "packet-sim-out"
     write_metrics_csv(metrics, outdir)
@@ -266,7 +275,10 @@ def _cmd_packet_sim(args) -> int:
         f"{metrics.throughput_bps / 1e6:.3f} Mbps  "
         f"mean queueing delay = {metrics.mean_queueing_delay * 1e3:.3f} ms"
     )
-    _write_params_sidecar(args, os.path.join(outdir, "x"), seed=cfg.seed)
+    # a scenario file sets the policy and the flows itself, so the options
+    # that would have built them are left out (None is not written)
+    overridden = dict.fromkeys(_SCENARIO_OVERRIDES) if args.scenario else {}
+    _write_params_sidecar(args, os.path.join(outdir, "x"), **overridden, seed=cfg.seed)
     return 0
 
 
@@ -277,23 +289,27 @@ def _cmd_compare(args) -> int:
     )
     th = PacketThreshold(q_th=int(args.qth))
     seeds = [int(s) for s in args.seeds.split(",")]
+    runs = [
+        (name, desk_config(
+            pol, args.rtt_ms / 1e3, seed=seed,
+            bytes_to_send=args.mb_per_flow * 1_000_000 if args.mb_per_flow else None,
+            duration=args.duration, overload=args.overload,
+        ))
+        for seed in seeds
+        for name, pol in (("red", red), ("threshold", th))
+    ]
+    results = run_batch([cfg for _, cfg in runs])
     rows = []
-    for seed in seeds:
-        for name, pol in (("red", red), ("threshold", th)):
-            cfg = desk_config(
-                pol, args.rtt_ms / 1e3, seed=seed,
-                bytes_to_send=args.mb_per_flow * 1_000_000 if args.mb_per_flow else None,
-                duration=args.duration, overload=args.overload,
+    for name, cfg in runs:
+        m = results[(config_digest(cfg), cfg.seed)]
+        afct = compute_afct(m) if args.mb_per_flow else None
+        rows.append(
+            (
+                cfg.seed, name, m.loss_pct, m.throughput_bps / 1e6,
+                m.mean_queueing_delay * 1e3,
+                max(max(q) for q in m.queue_len), afct,
             )
-            m = run_simulation(cfg)
-            afct = compute_afct(m) if args.mb_per_flow else None
-            rows.append(
-                (
-                    seed, name, m.loss_pct, m.throughput_bps / 1e6,
-                    m.mean_queueing_delay * 1e3,
-                    max(max(q) for q in m.queue_len), afct,
-                )
-            )
+        )
     out = args.out or "compare.csv"
     with open(out, "w") as fh:
         fh.write("seed,policy,loss_pct,throughput_mbps,mean_qd_ms,max_queue,afct_s\n")
@@ -393,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--overload", type=float, default=1.4)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     p.set_defaults(func=_cmd_compare)
     return ap

@@ -499,6 +499,8 @@ def integrate_dde(
     """
     if steps_per_delay < 200:
         raise DomainError("steps_per_delay must be at least 200")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     tau = net.rtt if delay is None else delay
     m = steps_per_delay
     h = tau / m

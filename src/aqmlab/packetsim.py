@@ -12,23 +12,15 @@ is deliberately not reproduced.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import os
 import random
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .protocols import red_drop_probability
-
-# event kinds
-_START = 0
-_ARRIVE = 1
-_SERVICE = 2
-_ACK = 3
-_LOSS = 4
-_SAMPLE = 5
-_UDP_SEND = 6
-_SPAWN = 7
 
 COMPOUND_DEFAULTS = dict(alpha=0.125, k=0.75, beta=0.5, gamma_thresh=30.0, zeta=0.5)
 CUBIC_C = 0.4
@@ -68,6 +60,10 @@ class PacketThreshold:
     def __post_init__(self):
         if self.q_th < 1:
             raise ConfigError("q_th must be >= 1")
+
+    def limit(self, buffer: int) -> int:
+        """Queue length from which arrivals are dropped."""
+        return min(self.q_th, buffer)
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,17 @@ class SimConfig:
             raise ConfigError("capacity and duration must be positive")
         if self.buffer < 1:
             raise ConfigError("buffer must hold at least one packet")
-        n_queues = 1 if self.topology == "dumbbell" else 2
-        for f in self.flows:
-            if any(q >= n_queues for q in f.route):
-                raise ConfigError(f"route {f.route} exceeds queue count {n_queues}")
+        routes = [f.route for f in self.flows]
+        if self.short_flows is not None:
+            routes.append(self.short_flows.route)
+        n_queues = self.n_queues
+        for route in routes:
+            if not route:
+                raise ConfigError("a route needs at least one queue")
+            if not all(isinstance(q, int) and 0 <= q < n_queues for q in route):
+                raise ConfigError(f"route {route} names a queue outside [0, {n_queues})")
+            if len(set(route)) != len(route):
+                raise ConfigError(f"route {route} visits a queue twice")
 
     @property
     def n_queues(self) -> int:
@@ -172,14 +175,19 @@ class Metrics:
 
 
 class _Flow:
+    """A source's sending state, with what its spec fixes for the whole run:
+    the protocol's window laws and the propagation constants. `Simulator`
+    adds the route's first queue index and next-hop table."""
+
     __slots__ = (
         "fid", "spec", "cwnd", "dwnd", "ssthresh", "slow_start", "in_flight",
         "bytes_unsent", "bytes_acked", "base_rtt", "next_seq", "recover_seq",
         "access_free", "completed_at", "wmax_cubic", "k_cubic", "t_loss",
-        "started", "is_short",
+        "started", "udp", "on_ack", "on_loss", "access_rate", "rtt", "half_rtt",
+        "first_hop", "next_hop",
     )
 
-    def __init__(self, fid, spec: FlowSpec, is_short=False):
+    def __init__(self, fid, spec: FlowSpec):
         self.fid = fid
         self.spec = spec
         self.cwnd = float(spec.initial_cwnd)
@@ -198,11 +206,11 @@ class _Flow:
         self.k_cubic = 0.0
         self.t_loss = -math.inf
         self.started = False
-        self.is_short = is_short
-
-    @property
-    def window(self):
-        return self.cwnd + self.dwnd
+        self.udp = spec.protocol == "udp"
+        self.on_ack, self.on_loss = _WINDOW_LAWS[spec.protocol]
+        self.access_rate = spec.access_rate
+        self.rtt = spec.rtt_propagation
+        self.half_rtt = spec.rtt_propagation / 2.0
 
 
 def compound_window_update(flow, event: str, rtt_sample: float | None = None,
@@ -241,6 +249,52 @@ def compound_window_update(flow, event: str, rtt_sample: float | None = None,
     return flow
 
 
+# Congestion-avoidance ack laws and loss laws, (flow, rtt sample or window at
+# the loss, now); slow start and loss recovery are common to all protocols.
+
+def _compound_ack(fl, rtt_sample, now):
+    compound_window_update(fl, "ack", rtt_sample)
+
+
+def _compound_loss(fl, win, now):
+    compound_window_update(fl, "loss")
+
+
+def _reno_ack(fl, rtt_sample, now):
+    fl.base_rtt = min(fl.base_rtt, rtt_sample)
+    fl.cwnd += 1.0 / fl.cwnd
+
+
+def _reno_loss(fl, win, now):
+    fl.cwnd = max(win / 2.0, 1.0)
+
+
+def _cubic_ack(fl, rtt_sample, now):
+    fl.base_rtt = min(fl.base_rtt, rtt_sample)
+    if fl.wmax_cubic <= 0:
+        fl.cwnd += 1.0 / fl.cwnd
+    else:
+        t = now - fl.t_loss
+        target = fl.wmax_cubic + CUBIC_C * (t - fl.k_cubic) ** 3
+        fl.cwnd += max(target - fl.cwnd, 0.1) / fl.cwnd
+
+
+def _cubic_loss(fl, win, now):
+    fl.wmax_cubic = win
+    fl.cwnd = max(win * CUBIC_BETA, 1.0)
+    fl.k_cubic = (fl.wmax_cubic * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
+    fl.t_loss = now
+
+
+# udp is not ack-clocked: it never sees an ack or a loss
+_WINDOW_LAWS = {
+    "compound": (_compound_ack, _compound_loss),
+    "reno": (_reno_ack, _reno_loss),
+    "cubic": (_cubic_ack, _cubic_loss),
+    "udp": (None, None),
+}
+
+
 def red_enqueue_decision(queue_len: int, avg: float, red: PacketRed,
                          buffer: int, rng: random.Random):
     """(admit?, new_avg): EWMA update then a Bernoulli drop draw."""
@@ -255,309 +309,303 @@ def red_enqueue_decision(queue_len: int, avg: float, red: PacketRed,
 
 def threshold_enqueue_decision(queue_len: int, th: PacketThreshold, buffer: int):
     """Deterministic drop once the queue reaches the threshold."""
-    return queue_len < min(th.q_th, buffer)
+    return queue_len < th.limit(buffer)
 
 
 class _Queue:
-    __slots__ = ("idx", "policy", "buffer", "pkts", "busy", "avg", "counters",
-                 "bits_interval", "bits_total")
+    """A bottleneck queue and its counters. The admit rule is fixed for the
+    run: a RED queue (`red` set) makes `red_enqueue_decision`, the others
+    admit below `limit` (the threshold capped by the buffer, or the buffer)."""
+
+    __slots__ = ("idx", "red", "limit", "buffer", "pkts", "busy", "avg",
+                 "arrivals", "drops", "served", "sojourn_sum", "bits_interval",
+                 "bits_total")
 
     def __init__(self, idx, policy, buffer):
         self.idx = idx
-        self.policy = policy
+        self.red = policy if isinstance(policy, PacketRed) else None
+        self.limit = policy.limit(buffer) if isinstance(policy, PacketThreshold) else buffer
         self.buffer = buffer
-        self.pkts = deque()
+        self.pkts = deque()  # (arrival time, packet)
         self.busy = False
         self.avg = 0.0
-        self.counters = QueueCounters()
+        self.arrivals = 0
+        self.drops = 0
+        self.served = 0
+        self.sojourn_sum = 0.0
         self.bits_interval = 0
         self.bits_total = 0
 
 
 class Simulator:
+    """One run of one configuration.
+
+    A packet is the tuple (flow, seq, size bytes, send time) and an event is
+    (time, tie, handler, a, b) on one heap, run as handler(a, b); the shared
+    tie counter breaks equal times by insertion order. `run` settles before
+    the first event what the handlers would otherwise look up per packet:
+    each queue's admit rule, each flow's window laws and each route's
+    next-hop table.
+    """
+
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.rng = random.Random(config.seed)
         self.now = 0.0
-        self._heap = []
-        self._tie = 0
         self.queues = [_Queue(i, config.policy, config.buffer)
                        for i in range(config.n_queues)]
-        self.flows: dict[int, _Flow] = {}
-        self._next_fid = 0
-        self.pkt_bits = config.packet_size * 8
-        self.tx_time = self.pkt_bits / config.capacity
+        self.flows: list[_Flow] = []  # indexed by flow id
         self.sample_times: list[float] = []
         self.queue_len_trace = [[] for _ in self.queues]
         self.queue_avg_trace = [[] for _ in self.queues]
         self.util_trace = [[] for _ in self.queues]
-        self.window_trace: dict[int, list[float]] = {}
-        self._long_fids: list[int] = []
-        self._pending_sized = 0
-
-    # -- event plumbing -----------------------------------------------------
-    def _push(self, t, kind, a=None, b=None):
-        self._tie += 1
-        heapq.heappush(self._heap, (t, self._tie, kind, a, b))
+        self.window_trace: dict[int, list[float]] = {}  # long flows only
+        self._hops: dict[tuple[int, ...], tuple] = {}
 
     def _add_flow(self, spec: FlowSpec, is_short=False) -> _Flow:
-        fid = self._next_fid
-        self._next_fid += 1
-        fl = _Flow(fid, spec, is_short)
-        self.flows[fid] = fl
-        if spec.bytes_to_send is not None:
-            self._pending_sized += 1
+        fl = _Flow(len(self.flows), spec)
+        route = spec.route
+        hops = self._hops.get(route)
+        if hops is None:
+            # next queue index by queue index, None after the last hop;
+            # SimConfig has checked that the route is non-empty, in range and
+            # visits no queue twice
+            nxt = [None] * len(self.queues)
+            for a, b in zip(route, route[1:]):
+                nxt[a] = b
+            hops = self._hops[route] = (route[0], nxt)
+        fl.first_hop, fl.next_hop = hops
+        self.flows.append(fl)
         if not is_short:
-            self._long_fids.append(fid)
-            self.window_trace[fid] = []
+            self.window_trace[fl.fid] = []
         return fl
 
-    # -- sending ------------------------------------------------------------
-    def _try_send(self, fl: _Flow):
-        spec = fl.spec
-        if spec.protocol == "udp":
-            return
-        size = self.cfg.packet_size
-        while fl.in_flight < fl.window and (fl.bytes_unsent is None or fl.bytes_unsent > 0):
-            if fl.bytes_unsent is not None:
-                size = min(self.cfg.packet_size, fl.bytes_unsent)
-                fl.bytes_unsent -= size
-            depart = max(self.now, fl.access_free) + size * 8 / spec.access_rate
-            fl.access_free = depart
-            arrive_t = depart + spec.rtt_propagation / 2.0
-            fl.in_flight += 1
-            seq = fl.next_seq
-            fl.next_seq += 1
-            self._push(arrive_t, _ARRIVE, (fl.fid, seq, size, self.now), spec.route[0])
-
-    def _udp_send(self, fid):
-        fl = self.flows[fid]
-        spec = fl.spec
-        size = self.cfg.packet_size
-        arrive_t = self.now + size * 8 / spec.access_rate + spec.rtt_propagation / 2.0
-        seq = fl.next_seq
-        fl.next_seq += 1
-        self._push(arrive_t, _ARRIVE, (fl.fid, seq, size, self.now), spec.route[0])
-        self._push(self.now + size * 8 / spec.access_rate, _UDP_SEND, fid)
-
-    # -- queue events --------------------------------------------------------
-    def _arrive(self, pkt, qidx):
-        q = self.queues[qidx]
-        q.counters.arrivals += 1
-        policy = q.policy
-        if isinstance(policy, PacketRed):
-            admit, q.avg = red_enqueue_decision(len(q.pkts), q.avg, policy,
-                                                q.buffer, self.rng)
-        elif isinstance(policy, PacketThreshold):
-            admit = threshold_enqueue_decision(len(q.pkts), policy, q.buffer)
-        else:
-            admit = len(q.pkts) < q.buffer
-        if not admit:
-            q.counters.drops += 1
-            fl = self.flows[pkt[0]]
-            if fl.spec.protocol != "udp":
-                self._push(self.now + fl.spec.rtt_propagation, _LOSS,
-                           (pkt[0], pkt[1], pkt[2]))
-            return
-        q.pkts.append((self.now,) + pkt)
-        if not q.busy:
-            q.busy = True
-            self._push(self.now + pkt[2] * 8 / self.cfg.capacity, _SERVICE, qidx)
-
-    def _service(self, qidx):
-        q = self.queues[qidx]
-        arrived_at, fid, seq, size, send_time = q.pkts.popleft()
-        q.counters.served += 1
-        q.counters.sojourn_sum += self.now - arrived_at
-        q.counters.sojourn_count += 1
-        q.bits_interval += size * 8
-        fl = self.flows[fid]
-        route = fl.spec.route
-        pos = route.index(qidx)
-        if pos + 1 < len(route):
-            self._push(self.now, _ARRIVE, (fid, seq, size, send_time), route[pos + 1])
-        else:
-            q.bits_total += size * 8
-            if fl.spec.protocol != "udp":
-                self._push(self.now + fl.spec.rtt_propagation / 2.0, _ACK,
-                           (fid, seq, size, send_time))
-        if q.pkts:
-            self._push(self.now + q.pkts[0][3] * 8 / self.cfg.capacity, _SERVICE, qidx)
-        else:
-            q.busy = False
-
-    # -- source events --------------------------------------------------------
-    def _ack(self, fid, seq, size, send_time):
-        fl = self.flows.get(fid)
-        if fl is None or fl.completed_at is not None:
-            return
-        fl.in_flight -= 1
-        fl.bytes_acked += size
-        rtt_sample = self.now - send_time
-        proto = fl.spec.protocol
-        if fl.slow_start:
-            fl.base_rtt = min(fl.base_rtt, rtt_sample)
-            fl.cwnd += 1.0
-            if fl.cwnd >= fl.ssthresh:
-                fl.slow_start = False
-        elif proto == "compound":
-            compound_window_update(fl, "ack", rtt_sample)
-        elif proto == "reno":
-            fl.base_rtt = min(fl.base_rtt, rtt_sample)
-            fl.cwnd += 1.0 / fl.cwnd
-        elif proto == "cubic":
-            fl.base_rtt = min(fl.base_rtt, rtt_sample)
-            if fl.wmax_cubic <= 0:
-                fl.cwnd += 1.0 / fl.cwnd
-            else:
-                t = self.now - fl.t_loss
-                target = fl.wmax_cubic + CUBIC_C * (t - fl.k_cubic) ** 3
-                fl.cwnd += max(target - fl.cwnd, 0.1) / fl.cwnd
-        spec_bytes = fl.spec.bytes_to_send
-        if spec_bytes is not None and fl.bytes_acked >= spec_bytes:
-            fl.completed_at = self.now
-            self._pending_sized -= 1
-            return
-        self._try_send(fl)
-
-    def _loss(self, fid, seq, size):
-        fl = self.flows.get(fid)
-        if fl is None or fl.completed_at is not None:
-            return
-        fl.in_flight -= 1
-        if fl.bytes_unsent is not None:
-            fl.bytes_unsent += size  # the dropped payload must be resent
-        if seq > fl.recover_seq:
-            fl.recover_seq = fl.next_seq
-            win = fl.window
-            if fl.slow_start:
-                fl.slow_start = False
-                fl.ssthresh = max(win / 2.0, 2.0)
-            proto = fl.spec.protocol
-            if proto == "compound":
-                compound_window_update(fl, "loss")
-            elif proto == "reno":
-                fl.cwnd = max(win / 2.0, 1.0)
-            elif proto == "cubic":
-                fl.wmax_cubic = win
-                fl.cwnd = max(win * CUBIC_BETA, 1.0)
-                fl.k_cubic = (fl.wmax_cubic * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
-                fl.t_loss = self.now
-        self._try_send(fl)
-
-    # -- sampling ---------------------------------------------------------------
-    def _sample(self):
-        dt = self.cfg.sample_interval
-        self.sample_times.append(self.now)
-        for q in self.queues:
-            self.queue_len_trace[q.idx].append(len(q.pkts))
-            self.queue_avg_trace[q.idx].append(
-                q.avg if isinstance(q.policy, PacketRed) else float(len(q.pkts))
-            )
-            self.util_trace[q.idx].append(
-                min(100.0 * q.bits_interval / (self.cfg.capacity * dt), 100.0)
-            )
-            q.bits_interval = 0
-        for fid in self._long_fids:
-            fl = self.flows[fid]
-            self.window_trace[fid].append(fl.window if fl.started else 0.0)
-        if self.now + dt <= self.cfg.duration + 1e-9:
-            self._push(self.now + dt, _SAMPLE)
-
-    def _spawn_short(self):
-        prof = self.cfg.short_flows
-        spec = FlowSpec(
-            protocol="reno",
-            access_rate=prof.access_rate,
-            rtt_propagation=prof.rtt_propagation,
-            start_time=self.now,
-            bytes_to_send=prof.bytes_per_flow,
-            route=prof.route,
-        )
-        fl = self._add_flow(spec, is_short=True)
-        fl.started = True
-        self._try_send(fl)
-        gap = self.rng.expovariate(prof.rate_per_s)
-        if self.now + gap < self.cfg.duration:
-            self._push(self.now + gap, _SPAWN)
-
-    # -- main loop -----------------------------------------------------------
     def run(self) -> Metrics:
         cfg = self.cfg
+        rng = random.Random(cfg.seed)
+        queues = self.queues
+        heap = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        tick = itertools.count(1).__next__
+        capacity = cfg.capacity
+        packet_size = cfg.packet_size
+        duration = cfg.duration
+        dt = cfg.sample_interval
+        prof = cfg.short_flows
+        now = 0.0
+        pending = 0  # sized flows not yet complete
+
+        def try_send(fl):
+            size = packet_size
+            win = fl.cwnd + fl.dwnd
+            while fl.in_flight < win and (fl.bytes_unsent is None or fl.bytes_unsent > 0):
+                if fl.bytes_unsent is not None:
+                    size = min(packet_size, fl.bytes_unsent)
+                    fl.bytes_unsent -= size
+                free = fl.access_free
+                depart = (free if free > now else now) + size * 8 / fl.access_rate
+                fl.access_free = depart
+                fl.in_flight += 1
+                seq = fl.next_seq
+                fl.next_seq = seq + 1
+                heappush(heap, (depart + fl.half_rtt, tick(), arrive,
+                                (fl, seq, size, now), queues[fl.first_hop]))
+
+        def udp_send(fl, _=None):
+            tx = packet_size * 8 / fl.access_rate
+            seq = fl.next_seq
+            fl.next_seq = seq + 1
+            heappush(heap, (now + tx + fl.half_rtt, tick(), arrive,
+                            (fl, seq, packet_size, now), queues[fl.first_hop]))
+            heappush(heap, (now + tx, tick(), udp_send, fl, None))
+
+        def arrive(pkt, q):
+            q.arrivals += 1
+            pkts = q.pkts
+            if q.red is not None:
+                admit, q.avg = red_enqueue_decision(len(pkts), q.avg, q.red,
+                                                    q.buffer, rng)
+            else:
+                admit = len(pkts) < q.limit
+            if not admit:
+                q.drops += 1
+                fl = pkt[0]
+                if not fl.udp:
+                    heappush(heap, (now + fl.rtt, tick(), loss, pkt, None))
+                return
+            pkts.append((now, pkt))
+            if not q.busy:
+                q.busy = True
+                heappush(heap, (now + pkt[2] * 8 / capacity, tick(), service, q, None))
+
+        def service(q, _):
+            pkts = q.pkts
+            arrived_at, pkt = pkts.popleft()
+            q.served += 1
+            q.sojourn_sum += now - arrived_at
+            bits = pkt[2] * 8
+            q.bits_interval += bits
+            fl = pkt[0]
+            nxt = fl.next_hop[q.idx]
+            if nxt is not None:
+                heappush(heap, (now, tick(), arrive, pkt, queues[nxt]))
+            else:
+                q.bits_total += bits
+                if not fl.udp:
+                    heappush(heap, (now + fl.half_rtt, tick(), ack, pkt, None))
+            if pkts:
+                heappush(heap, (now + pkts[0][1][2] * 8 / capacity, tick(),
+                                service, q, None))
+            else:
+                q.busy = False
+
+        def ack(pkt, _):
+            nonlocal pending
+            fl, _, size, send_time = pkt
+            if fl.completed_at is not None:
+                return
+            fl.in_flight -= 1
+            fl.bytes_acked += size
+            rtt_sample = now - send_time
+            if fl.slow_start:
+                fl.base_rtt = min(fl.base_rtt, rtt_sample)
+                fl.cwnd += 1.0
+                if fl.cwnd >= fl.ssthresh:
+                    fl.slow_start = False
+            else:
+                fl.on_ack(fl, rtt_sample, now)
+            goal = fl.spec.bytes_to_send
+            if goal is not None and fl.bytes_acked >= goal:
+                fl.completed_at = now
+                pending -= 1
+                return
+            try_send(fl)
+
+        def loss(pkt, _):
+            fl, seq, size, _ = pkt
+            if fl.completed_at is not None:
+                return
+            fl.in_flight -= 1
+            if fl.bytes_unsent is not None:
+                fl.bytes_unsent += size  # the dropped payload must be resent
+            if seq > fl.recover_seq:
+                fl.recover_seq = fl.next_seq
+                win = fl.cwnd + fl.dwnd
+                if fl.slow_start:
+                    fl.slow_start = False
+                    fl.ssthresh = max(win / 2.0, 2.0)
+                fl.on_loss(fl, win, now)
+            try_send(fl)
+
+        def start(fl, _):
+            fl.started = True
+            if fl.udp:
+                udp_send(fl)
+            else:
+                try_send(fl)
+
+        samples = list(zip(self.queues, self.queue_len_trace,
+                           self.queue_avg_trace, self.util_trace))
+
+        def sample(_, __):
+            self.sample_times.append(now)
+            for q, lens, avgs, utils in samples:
+                lens.append(len(q.pkts))
+                avgs.append(q.avg if q.red is not None else float(len(q.pkts)))
+                utils.append(min(100.0 * q.bits_interval / (capacity * dt), 100.0))
+                q.bits_interval = 0
+            for fl, trace in windows:
+                trace.append(fl.cwnd + fl.dwnd if fl.started else 0.0)
+            if now + dt <= duration + 1e-9:
+                heappush(heap, (now + dt, tick(), sample, None, None))
+
+        def spawn_short(_, __):
+            nonlocal pending
+            spec = FlowSpec(
+                protocol="reno",
+                access_rate=prof.access_rate,
+                rtt_propagation=prof.rtt_propagation,
+                start_time=now,
+                bytes_to_send=prof.bytes_per_flow,
+                route=prof.route,
+            )
+            fl = self._add_flow(spec, is_short=True)
+            if spec.bytes_to_send is not None:
+                pending += 1
+            fl.started = True
+            try_send(fl)
+            gap = rng.expovariate(prof.rate_per_s)
+            if now + gap < duration:
+                heappush(heap, (now + gap, tick(), spawn_short, None, None))
+
         for spec in cfg.flows:
             fl = self._add_flow(spec)
-            self._push(spec.start_time, _START, fl.fid)
-        self._push(0.0, _SAMPLE)
-        if cfg.short_flows is not None:
-            self._push(self.rng.expovariate(cfg.short_flows.rate_per_s), _SPAWN)
+            if spec.bytes_to_send is not None:
+                pending += 1
+            heappush(heap, (spec.start_time, tick(), start, fl, None))
+        windows = [(self.flows[fid], trace) for fid, trace in self.window_trace.items()]
+        heappush(heap, (0.0, tick(), sample, None, None))
+        if prof is not None:
+            heappush(heap, (rng.expovariate(prof.rate_per_s), tick(), spawn_short, None, None))
 
-        heap = self._heap
-        hard_stop = cfg.duration if not cfg.run_to_completion else math.inf
+        to_completion = cfg.run_to_completion
+        hard_stop = math.inf if to_completion else duration
         max_events = int(5e8)
         n = 0
-        while heap:
-            t, _, kind, a, b = heapq.heappop(heap)
-            if t > hard_stop:
-                break
-            if cfg.run_to_completion and self._pending_sized == 0:
-                break
-            self.now = t
-            if kind == _ARRIVE:
-                self._arrive(a, b)
-            elif kind == _SERVICE:
-                self._service(a)
-            elif kind == _ACK:
-                self._ack(*a)
-            elif kind == _LOSS:
-                self._loss(*a)
-            elif kind == _SAMPLE:
-                self._sample()
-            elif kind == _UDP_SEND:
-                self._udp_send(a)
-            elif kind == _START:
-                fl = self.flows[a]
-                fl.started = True
-                if fl.spec.protocol == "udp":
-                    self._udp_send(a)
-                else:
-                    self._try_send(fl)
-            elif kind == _SPAWN:
-                self._spawn_short()
-            n += 1
-            if n > max_events:
-                raise ConfigError("event budget exceeded; runaway configuration")
+        try:
+            while heap:
+                t, _, handler, a, b = heappop(heap)
+                if t > hard_stop:
+                    break
+                if to_completion and pending == 0:
+                    break
+                now = t
+                handler(a, b)
+                n += 1
+                if n > max_events:
+                    raise ConfigError("event budget exceeded; runaway configuration")
+        finally:
+            # the handlers refer to one another and queued events refer to
+            # them: emptying both frees the run's state on return, not at the
+            # next full garbage collection
+            heap.clear()
+            del try_send, udp_send, arrive, service, ack, loss, start, sample, spawn_short
+        self.now = now
         return self._collect()
 
     # -- metrics ------------------------------------------------------------
     def _collect(self) -> Metrics:
         cfg = self.cfg
         t0 = cfg.transient if cfg.transient is not None else 0.5 * cfg.duration
-        for q in self.queues:
-            q.counters.final_occupancy = len(q.pkts)
-        arrivals = sum(q.counters.arrivals for q in self.queues)
-        drops = sum(q.counters.drops for q in self.queues)
+        counters = [
+            QueueCounters(
+                arrivals=q.arrivals, drops=q.drops, served=q.served,
+                final_occupancy=len(q.pkts), sojourn_sum=q.sojourn_sum,
+                sojourn_count=q.served,
+            )
+            for q in self.queues
+        ]
+        arrivals = sum(c.arrivals for c in counters)
+        drops = sum(c.drops for c in counters)
         loss_pct = 100.0 * drops / arrivals if arrivals else 0.0
         horizon = min(self.now, cfg.duration)
         delivered_bits = sum(q.bits_total for q in self.queues)
         throughput = delivered_bits / horizon if horizon > 0 else 0.0
 
         completions = {
-            fid: fl.completed_at
-            for fid, fl in self.flows.items()
+            fl.fid: fl.completed_at
+            for fl in self.flows
             if fl.completed_at is not None and fl.spec.bytes_to_send is not None
         }
-        starts = {fid: fl.spec.start_time for fid, fl in self.flows.items()}
-        sized = [f for f in self.flows.values() if f.spec.bytes_to_send is not None]
+        starts = {fl.fid: fl.spec.start_time for fl in self.flows}
+        sized = [f for f in self.flows if f.spec.bytes_to_send is not None]
         afct = None
         if sized and all(f.completed_at is not None for f in sized):
             afct = sum(f.completed_at - f.spec.start_time for f in sized) / len(sized)
 
         sync = None
         post = [i for i, t in enumerate(self.sample_times) if t >= t0]
-        if self._long_fids and len(post) > 4:
-            series = [
-                [self.window_trace[fid][i] for i in post] for fid in self._long_fids
-            ]
+        if self.window_trace and len(post) > 4:
+            series = [[trace[i] for i in post] for trace in self.window_trace.values()]
             n = len(post)
             means = [sum(s) / n for s in series]
             stds = [
@@ -570,8 +618,8 @@ class Simulator:
             denom = sum(stds) / len(stds)
             sync = agg_std / denom if denom > 0 else 0.0
 
-        soj = sum(q.counters.sojourn_sum for q in self.queues)
-        soj_n = sum(q.counters.sojourn_count for q in self.queues)
+        soj = sum(c.sojourn_sum for c in counters)
+        soj_n = sum(c.sojourn_count for c in counters)
         return Metrics(
             config_seed=cfg.seed,
             transient=t0,
@@ -580,7 +628,7 @@ class Simulator:
             queue_avg=self.queue_avg_trace,
             utilization_pct=self.util_trace,
             windows=self.window_trace,
-            counters=[q.counters for q in self.queues],
+            counters=counters,
             throughput_bps=throughput,
             loss_pct=loss_pct,
             afct=afct,
@@ -606,14 +654,42 @@ def config_digest(cfg: SimConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _run_in_worker(config: SimConfig) -> Metrics:
+    # what the pool sends to a worker, by name; run_simulation itself may be
+    # rebound (wrapped for tracing, say) to something a worker cannot import
+    return Simulator(config).run()
+
+
 def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
-    """Independent runs keyed by (config digest, seed); order-insensitive."""
-    return {(config_digest(cfg), cfg.seed): run_simulation(cfg) for cfg in configs}
+    """Independent runs keyed by (config digest, seed); order-insensitive.
+
+    The runs are spread over worker processes, at most one per CPU; each
+    result is bit-identical to `run_simulation` of its config in this
+    process. With one config, one CPU or no `fork` start method, the runs
+    are made here, one after another.
+    """
+    configs = list(configs)
+    workers = min(len(configs), os.cpu_count() or 1)
+    results = None
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # forked workers start with the program already imported; they run
+            # only the pure-Python simulator, never numpy or another thread
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                results = list(pool.map(_run_in_worker, configs))
+    if results is None:
+        results = [run_simulation(cfg) for cfg in configs]
+    return {(config_digest(cfg), cfg.seed): m for cfg, m in zip(configs, results)}
 
 
 def compute_afct(metrics: Metrics) -> float:
     """Mean completion time of the sized flows; raises if any are unfinished."""
-    sized = [fid for fid in metrics.flow_starts if fid in metrics.completions]
     expected = metrics.afct
     if expected is None:
         stragglers = sorted(

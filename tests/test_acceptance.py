@@ -21,7 +21,9 @@ from aqmlab.packetsim import (
     PacketRed,
     PacketThreshold,
     compute_afct,
+    config_digest,
     desk_config,
+    run_batch,
     run_simulation,
 )
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
@@ -282,16 +284,21 @@ def test_criterion_09_reno_equivalence():
                   f"the q_th/w* < pi/2 form")
 
 
+def _batch(configs: dict) -> dict:
+    """run_batch over independent runs, keyed back by the caller's keys."""
+    out = run_batch(list(configs.values()))
+    return {key: out[(config_digest(cfg), cfg.seed)] for key, cfg in configs.items()}
+
+
 @pytest.fixture(scope="module")
 def red_desk_runs():
-    runs = {}
-    for rtt in (0.01, 0.2):
-        for seed in SEEDS:
-            cfg = desk_config(
-                PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002), rtt, seed=seed
-            )
-            runs[(rtt, seed)] = run_simulation(cfg)
-    return runs
+    return _batch({
+        (rtt, seed): desk_config(
+            PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002), rtt, seed=seed
+        )
+        for rtt in (0.01, 0.2)
+        for seed in SEEDS
+    })
 
 
 def test_criterion_10_packet_level_rtt_dichotomy(red_desk_runs):
@@ -328,19 +335,20 @@ def test_criterion_11_threshold_policy_comparison():
     t0 = time.monotonic()
     ok = True
     details = []
-    for seed in SEEDS:
-        metrics = {}
+    runs = _batch({
+        (name, seed): desk_config(
+            pol, 0.15, seed=seed, bytes_to_send=50_000_000,
+            duration=4000.0, overload=1.4,
+        )
+        for seed in SEEDS
         for name, pol in (
             ("red", PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4)),
             ("threshold", PacketThreshold(q_th=15)),
-        ):
-            cfg = desk_config(
-                pol, 0.15, seed=seed, bytes_to_send=50_000_000,
-                duration=4000.0, overload=1.4,
-            )
-            metrics[name] = run_simulation(cfg)
-        th = metrics["threshold"]
-        rd = metrics["red"]
+        )
+    })
+    for seed in SEEDS:
+        th = runs[("threshold", seed)]
+        rd = runs[("red", seed)]
         cap_ok = max(max(q) for q in th.queue_len) <= 15
         afct_ok = compute_afct(th) <= compute_afct(rd)
         qd_ok = th.mean_queueing_delay < rd.mean_queueing_delay

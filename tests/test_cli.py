@@ -1,9 +1,12 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import aqmlab.cli
 from aqmlab.cli import main
+from aqmlab.packetsim import run_simulation
 
 
 def run(args):
@@ -138,6 +141,42 @@ def test_paper_profile_sidecar_records_values_used(tmp_path):
     assert "gamma = 0.03" in lines
     assert "tau = 0.1" in lines
     assert "alpha = 0.125" not in lines
+
+
+def test_packet_sim_scenario_sidecar_leaves_out_overridden_options(tmp_path):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text(
+        "topology = dumbbell\ncapacity_mbps = 10\nbuffer_pkts = 400\n"
+        "packet_bytes = 1500\nduration_s = 2\nseed = 3\n"
+        "policy = threshold\nthreshold.qth = 10\n"
+        "flow.0.protocol = reno\nflow.0.access_mbps = 12\nflow.0.rtt_ms = 30\n"
+    )
+    outdir = tmp_path / "out"
+    assert run(["packet-sim", "--scenario", str(scenario), "--profile", "paper",
+                "--out", str(outdir)]) == 0
+    lines = (outdir / "params.txt").read_text().splitlines()
+    assert f"scenario = {scenario}" in lines
+    assert "seed = 3" in lines
+    for key in ("policy", "qth", "rtt_ms", "red_bmin", "red_bmax", "red_pmax", "red_wq"):
+        assert not any(ln.startswith(f"{key} =") for ln in lines), key
+
+
+def test_packet_sim_honours_seed_zero(tmp_path, monkeypatch):
+    seen = []
+
+    def short_run(cfg):
+        seen.append(cfg.seed)
+        return run_simulation(replace(cfg, duration=1.0))
+
+    monkeypatch.setattr(aqmlab.cli, "run_simulation", short_run)
+    assert run(["packet-sim", "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    assert seen == [0]
+
+
+def test_fluid_sim_negative_horizon_is_domain_error(capsys):
+    assert run(["fluid-sim", "--system", "threshold", "--tau", "1",
+                "--horizon", "-3"]) == 1
+    assert "horizon must be positive" in capsys.readouterr().err
 
 
 def test_compare_policies_output(tmp_path, capsys):

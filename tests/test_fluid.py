@@ -288,6 +288,17 @@ def test_warm_restart_from_stored_window(compound, red_defaults):
     assert np.abs(resumed.states - full.states[-n:]).max() < 1e-6
 
 
+@pytest.mark.parametrize("horizon", [-3.0, 0.0, math.nan, math.inf])
+def test_horizon_must_be_positive_and_finite(compound, red_defaults, horizon):
+    net = NetworkParams(c_per_flow=100.0, rtt=0.1)
+    eq = equilibrium_no_averaging(compound, red_defaults, net)
+    with pytest.raises(DomainError, match="horizon"):
+        integrate_dde(
+            K.NO_AVERAGING, compound, net, red=red_defaults,
+            initial_history=eq.state(), horizon=horizon, steps_per_delay=200,
+        )
+
+
 def test_history_interpolates_and_guards_domain():
     hist = History(0.5, [(0.0,), (1.0,), (4.0,)])
     assert hist(-1.0) == (0.0,)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,6 +17,7 @@ from aqmlab.packetsim import (
     _Flow,
     compound_window_update,
     compute_afct,
+    config_digest,
     desk_config,
     format_scenario,
     parse_scenario,
@@ -176,6 +178,22 @@ def test_conservation_across_policies_and_topologies():
     m = run_simulation(cfg)
     assert _conservation_ok(m)
     assert max(max(q) for q in m.queue_len) <= 15
+
+
+@pytest.mark.parametrize("route", [(), (-1,), (0, 0), (2,), (0.0,)],
+                         ids=["empty", "negative", "repeated", "beyond", "float"])
+@pytest.mark.parametrize("owner", ["flow", "short-flows"])
+def test_bad_routes_are_config_errors(route, owner):
+    # a route must be non-empty, name queues in [0, n_queues) and visit each
+    # at most once: the next-hop table of a run relies on it
+    flow_route = route if owner == "flow" else (0,)
+    short = ShortFlowProfile(route=route) if owner == "short-flows" else None
+    with pytest.raises(ConfigError, match="route"):
+        SimConfig(
+            topology="parking-lot", capacity=1e6, buffer=10, packet_size=1500,
+            flows=(FlowSpec("reno", 1e6, 0.05, route=flow_route),),
+            policy=DropTail(), duration=1.0, seed=1, short_flows=short,
+        )
 
 
 def test_threshold_hard_cap_long_run():
@@ -343,3 +361,86 @@ def test_metrics_csv_files(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "loss_pct,throughput_mbps,afct_s,min_util_pct"
     assert len(summary) == 2
+
+
+# -- bit-identical runs --------------------------------------------------------
+
+_METRIC_FIELDS = (
+    "config_seed", "transient", "sample_times", "queue_len", "queue_avg",
+    "utilization_pct", "windows", "counters", "throughput_bps", "loss_pct",
+    "afct", "completions", "flow_starts", "sync_index", "mean_queueing_delay",
+)
+
+
+def _metrics_digest(m: Metrics) -> str:
+    text = repr([getattr(m, f) for f in _METRIC_FIELDS])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _golden_configs() -> dict[str, SimConfig]:
+    out = {}
+    for name, pol in (("red", PacketRed(b_min=20, b_max=60, p_max=0.1)),
+                      ("threshold", PacketThreshold(q_th=15)), ("droptail", DropTail())):
+        for seed in (1, 2):
+            out[f"{name}-dumbbell-{seed}"] = desk_config(
+                pol, 0.05, seed=seed, n_flows=8, capacity=10e6, duration=8.0)
+    two_hop = tuple(
+        FlowSpec("compound", 2e6, 0.05, start_time=0.5 * i, route=(0, 1))
+        for i in range(4)
+    ) + tuple(
+        FlowSpec("compound", 2e6, 0.05, start_time=0.3 * i, route=(1,))
+        for i in range(4)
+    )
+    out["parking-lot-short"] = SimConfig(
+        topology="parking-lot", capacity=8e6, buffer=200, packet_size=1500,
+        flows=two_hop, policy=PacketThreshold(q_th=15), duration=15.0, seed=3,
+        short_flows=ShortFlowProfile(rate_per_s=20.0, rtt_propagation=0.06,
+                                     route=(0, 1)),
+    )
+    for name, pol in (("threshold", PacketThreshold(q_th=15)),
+                      ("red", PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4))):
+        out[f"sized-{name}"] = desk_config(
+            pol, 0.05, seed=4, n_flows=8, capacity=10e6, bytes_to_send=1_000_000,
+            duration=400.0, overload=1.4)
+    # reno, cubic and udp over both hops, with a sized flow and short flows
+    mix = (
+        FlowSpec("reno", 3e6, 0.04, route=(0, 1)),
+        FlowSpec("cubic", 3e6, 0.06, start_time=0.2, route=(0, 1)),
+        FlowSpec("cubic", 3e6, 0.03, start_time=0.4, route=(1,)),
+        FlowSpec("udp", 1e6, 0.05, start_time=1.0, route=(0, 1)),
+        FlowSpec("reno", 3e6, 0.08, start_time=0.1, route=(1,), bytes_to_send=300_000),
+        FlowSpec("compound", 3e6, 0.05, start_time=0.3, route=(0, 1)),
+        FlowSpec("reno", 3e6, 0.07, start_time=0.5, route=(0, 1)),
+    )
+    out["mix-parking-lot-red"] = SimConfig(
+        topology="parking-lot", capacity=4e6, buffer=150, packet_size=1500,
+        flows=mix, policy=PacketRed(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
+        duration=20.0, seed=5,
+        short_flows=ShortFlowProfile(rate_per_s=10.0, rtt_propagation=0.04, route=(1,)),
+    )
+    return out
+
+
+# sha256 of the Metrics fields, recorded before the event loop bound its
+# handlers once per run; any change to event or random-draw order shows here
+_GOLDEN_DIGESTS = {
+    "red-dumbbell-1": "9d50d4eda6dc18b33fc1aab32f377180176cccc0abb3fc77ba4b47bfb7e84835",
+    "red-dumbbell-2": "227887f39473ab26e473a3ea27e16fd2b1159fc847cb14b4cd2fca821cff87d8",
+    "threshold-dumbbell-1": "69ce4d1369c9f06d1d593dc4a3a8ef685fa6e62d3057959db31a15903252188e",
+    "threshold-dumbbell-2": "7a2f39ca3cc6ce9752f90eecbc1072c585b6967cdd102e974cd68ecbd6238d97",
+    "droptail-dumbbell-1": "8960dc8f024a7adc884b3ab9ca4e339ec4826460d9e762303ea6d45700b85a1d",
+    "droptail-dumbbell-2": "756021d548ab098be9c872f0bee191a8449c40a2f0247cf95901ff615ad13285",
+    "parking-lot-short": "a8d4a9d0d2c99049ea99b5cf7154841a68502eab3829fbf2b8d1cf734d8664ba",
+    "sized-threshold": "c9dbd3aed95d9e96ff389ddf0293eac9320cd1d94c80725ef03b938a6d295f80",
+    "sized-red": "870eb6c26ebfbe8ed89dd71a94be815c64279a2433c3d1fcc4eb0586c071d5dd",
+    "mix-parking-lot-red": "cb326c74ceec478b4dbaaa8325a8bb4282c7897cad275bac0069684017b99f0a",
+}
+
+
+def test_metrics_bit_identical_to_recorded_digests():
+    configs = _golden_configs()
+    runs = {name: run_simulation(cfg) for name, cfg in configs.items()}
+    assert {name: _metrics_digest(m) for name, m in runs.items()} == _GOLDEN_DIGESTS
+    batch = run_batch(list(configs.values()))
+    for name, cfg in configs.items():
+        assert _metrics_digest(batch[(config_digest(cfg), cfg.seed)]) == _GOLDEN_DIGESTS[name]

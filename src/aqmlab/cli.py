@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .errors import (
     BracketError,
@@ -251,13 +252,7 @@ def _packet_policy(args):
     return DropTail()
 
 
-# the packet-sim options that only build a run when no scenario file does
-_SCENARIO_OVERRIDES = (
-    "policy", "rtt_ms", "red_bmin", "red_bmax", "red_pmax", "red_wq", "qth",
-)
-
-
-def _cmd_packet_sim(args) -> int:
+def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
     if args.scenario:
         with open(args.scenario) as fh:
             cfg = parse_scenario(fh.read())
@@ -277,7 +272,7 @@ def _cmd_packet_sim(args) -> int:
     )
     # a scenario file sets the policy and the flows itself, so the options
     # that would have built them are left out (None is not written)
-    overridden = dict.fromkeys(_SCENARIO_OVERRIDES) if args.scenario else {}
+    overridden = dict.fromkeys(replaced_by_scenario) if args.scenario else {}
     _write_params_sidecar(args, os.path.join(outdir, "x"), **overridden, seed=cfg.seed)
     return 0
 
@@ -383,18 +378,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("packet-sim", help="run the packet-level simulator")
     p.add_argument("--scenario", type=str, default=None,
                    help="flat key = value scenario file")
-    p.add_argument("--policy", choices=("red", "threshold", "droptail"),
-                   default="red")
-    p.add_argument("--rtt-ms", type=float, default=10.0)
-    p.add_argument("--red-bmin", type=float, default=50.0)
-    p.add_argument("--red-bmax", type=float, default=100.0)
-    p.add_argument("--red-pmax", type=float, default=0.1)
-    p.add_argument("--red-wq", type=float, default=0.002)
-    p.add_argument("--qth", type=float, default=15.0)
+    g = p.add_argument_group("run options", "build the run when no "
+                             "--scenario is given; a scenario file replaces them")
+    run_options = (
+        g.add_argument("--policy", choices=("red", "threshold", "droptail"),
+                       default="red"),
+        g.add_argument("--rtt-ms", type=float, default=10.0),
+        g.add_argument("--red-bmin", type=float, default=50.0),
+        g.add_argument("--red-bmax", type=float, default=100.0),
+        g.add_argument("--red-pmax", type=float, default=0.1),
+        g.add_argument("--red-wq", type=float, default=0.002),
+        g.add_argument("--qth", type=float, default=15.0),
+    )
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")
-    p.set_defaults(func=_cmd_packet_sim)
+    p.set_defaults(func=partial(
+        _cmd_packet_sim, replaced_by_scenario=[a.dest for a in run_options]
+    ))
 
     p = sub.add_parser("compare-policies", help="RED vs threshold at matched "
                        "desk-scale configurations")

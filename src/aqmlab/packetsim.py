@@ -61,10 +61,6 @@ class PacketThreshold:
         if self.q_th < 1:
             raise ConfigError("q_th must be >= 1")
 
-    def limit(self, buffer: int) -> int:
-        """Queue length from which arrivals are dropped."""
-        return min(self.q_th, buffer)
-
 
 @dataclass(frozen=True)
 class DropTail:
@@ -309,22 +305,23 @@ def red_enqueue_decision(queue_len: int, avg: float, red: PacketRed,
 
 def threshold_enqueue_decision(queue_len: int, th: PacketThreshold, buffer: int):
     """Deterministic drop once the queue reaches the threshold."""
-    return queue_len < th.limit(buffer)
+    return queue_len < min(th.q_th, buffer)
 
 
 class _Queue:
     """A bottleneck queue and its counters. The admit rule is fixed for the
-    run: a RED queue (`red` set) makes `red_enqueue_decision`, the others
-    admit below `limit` (the threshold capped by the buffer, or the buffer)."""
+    run: a RED queue (`red` set) makes `red_enqueue_decision`, a threshold
+    queue (`threshold` set) `threshold_enqueue_decision`, and a drop-tail
+    queue admits below the buffer."""
 
-    __slots__ = ("idx", "red", "limit", "buffer", "pkts", "busy", "avg",
+    __slots__ = ("idx", "red", "threshold", "buffer", "pkts", "busy", "avg",
                  "arrivals", "drops", "served", "sojourn_sum", "bits_interval",
                  "bits_total")
 
     def __init__(self, idx, policy, buffer):
         self.idx = idx
         self.red = policy if isinstance(policy, PacketRed) else None
-        self.limit = policy.limit(buffer) if isinstance(policy, PacketThreshold) else buffer
+        self.threshold = policy if isinstance(policy, PacketThreshold) else None
         self.buffer = buffer
         self.pkts = deque()  # (arrival time, packet)
         self.busy = False
@@ -424,8 +421,10 @@ class Simulator:
             if q.red is not None:
                 admit, q.avg = red_enqueue_decision(len(pkts), q.avg, q.red,
                                                     q.buffer, rng)
+            elif q.threshold is not None:
+                admit = threshold_enqueue_decision(len(pkts), q.threshold, q.buffer)
             else:
-                admit = len(pkts) < q.limit
+                admit = len(pkts) < q.buffer
             if not admit:
                 q.drops += 1
                 fl = pkt[0]
@@ -663,13 +662,17 @@ def _run_in_worker(config: SimConfig) -> Metrics:
 def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
     """Independent runs keyed by (config digest, seed); order-insensitive.
 
-    The runs are spread over worker processes, at most one per CPU; each
-    result is bit-identical to `run_simulation` of its config in this
-    process. With one config, one CPU or no `fork` start method, the runs
-    are made here, one after another.
+    The runs are spread over worker processes, at most one per CPU this
+    process may run on; each result is bit-identical to `run_simulation` of
+    its config in this process. With one config, one CPU or no `fork` start
+    method, the runs are made here, one after another.
     """
     configs = list(configs)
-    workers = min(len(configs), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(len(configs), cpus)
     results = None
     if workers > 1:
         import multiprocessing
@@ -677,8 +680,12 @@ def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            # forked workers start with the program already imported; they run
-            # only the pure-Python simulator, never numpy or another thread
+            # fork, not spawn or forkserver: those re-run the caller's main
+            # script in every worker (which then needs a __main__ guard) and
+            # import the package and numpy again, at no gain. The parent
+            # may hold idle BLAS threads when it forks; a forked child has
+            # only the forking thread, and the simulator it runs is pure
+            # Python that takes no lock those threads could have held.
             with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")
             ) as pool:

@@ -117,6 +117,9 @@ def test_threshold_decision_boundary():
     th = PacketThreshold(q_th=15)
     assert threshold_enqueue_decision(14, th, buffer=100)
     assert not threshold_enqueue_decision(15, th, buffer=100)
+    # a buffer below the threshold caps it
+    assert threshold_enqueue_decision(9, th, buffer=10)
+    assert not threshold_enqueue_decision(10, th, buffer=10)
 
 
 # -- whole runs ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from aqmlab.errors import DomainError, IntegrationError
 from aqmlab.fluid import (
+    Equilibrium,
     FluidSystemKind,
     History,
     OperatingRegionWarning,
@@ -23,6 +24,7 @@ from aqmlab.fluid import (
     threshold_bifurcation_sweep,
 )
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
+from aqmlab.protocols import threshold_drop_probability
 
 from conftest import solve_red_fixed_point
 
@@ -388,20 +390,53 @@ _EXACT_TH_NET = NetworkParams(c_per_flow=100.0, rtt=1.0)
 _EXACT_TH = ThresholdParams(45.0)
 
 
+# The fixed points the digests start from, (w*, q*, p*) for the RED systems
+# and w* for the threshold system, as the equilibrium solver returned them
+# when the digests were recorded. They are literals so that a solver change
+# that moves a root in its last bits leaves the digests alone;
+# test_exact_fixed_points_match_solver ties them to the solver.
+_EXACT_RED_EQ = {
+    "compound": ("0x1.138cb5bea2db0p+4", "0x1.55827f8265399p+6", "0x1.cfb2fd29d898ap-8"),
+    "reno": ("0x1.137243702a06ep+4", "0x1.4e0fd1ae9d1b1p+6", "0x1.b74b2ee1a70dcp-8"),
+    "illinois": ("0x1.463ebf721b485p+4", "0x1.ac6ab639eb878p+9", "0x1.4a7aa4d8340b1p-3"),
+    "africa": ("0x1.1290d44e9e21ep+4", "0x1.0e58c0ae451f3p+6", "0x1.cd06295347a8ep-9"),
+}
+_EXACT_TH_EQ = {
+    "compound": "0x1.56c06562edc24p+6",
+    "reno": "0x1.4db3211562632p+6",
+    "illinois": "0x1.68df834aebf0ap+6",
+    "africa": "0x1.51bbcaaf90fa0p+6",
+}
+
+
 def _exact_setup(kind, variant):
     spec = _EXACT_SPECS[variant]
     if kind is K.THRESHOLD:
-        eq = equilibrium_threshold(spec, _EXACT_TH_NET, _EXACT_TH)
-        return spec, _EXACT_TH_NET, {"th": _EXACT_TH}, eq
-    solver = (
-        equilibrium_with_averaging if kind is K.WITH_AVERAGING
-        else equilibrium_no_averaging
-    )
-    with warnings.catch_warnings():
-        # the illinois fixed point lies above b_max; the dynamics still run
-        warnings.simplefilter("ignore", OperatingRegionWarning)
-        eq = solver(spec, _EXACT_RED, _EXACT_NET)
-    return spec, _EXACT_NET, {"red": _EXACT_RED}, eq
+        w = float.fromhex(_EXACT_TH_EQ[variant])
+        p = threshold_drop_probability(w, _EXACT_TH_NET, _EXACT_TH)
+        return spec, _EXACT_TH_NET, {"th": _EXACT_TH}, Equilibrium(kind, w, p)
+    w, q, p = (float.fromhex(h) for h in _EXACT_RED_EQ[variant])
+    return spec, _EXACT_NET, {"red": _EXACT_RED}, Equilibrium(kind, w, p, q)
+
+
+def test_exact_fixed_points_match_solver():
+    for variant, spec in _EXACT_SPECS.items():
+        for kind in K:
+            _, net, kw, fixed = _exact_setup(kind, variant)
+            if kind is K.THRESHOLD:
+                eq = equilibrium_threshold(spec, net, kw["th"])
+            else:
+                solver = (
+                    equilibrium_with_averaging if kind is K.WITH_AVERAGING
+                    else equilibrium_no_averaging
+                )
+                with warnings.catch_warnings():
+                    # the illinois fixed point lies above b_max
+                    warnings.simplefilter("ignore", OperatingRegionWarning)
+                    eq = solver(spec, kw["red"], net)
+            assert eq.state() == pytest.approx(fixed.state(), rel=1e-14, abs=0.0), (
+                kind, variant
+            )
 
 
 def _digest(traj):

@@ -2,34 +2,80 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .errors import BracketError, ConvergenceError
+
+_RTOL_FLOOR = 4.0 * sys.float_info.epsilon
 
 
 def bisect(f, lo: float, hi: float, *, xtol: float = 0.0, rtol: float = 1e-15,
            max_iter: int = 200) -> float:
-    """Bisection on a sign change of f over [lo, hi]."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
+    """Root of f on a sign change over [lo, hi], by Brent's method.
+
+    This is Brent's zeroin (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): inverse quadratic or secant steps inside a bracket
+    that always keeps the sign change, with a bisection step whenever the
+    interpolated step would not shrink the bracket fast enough. It stops when
+    the bracket is no wider than xtol + rtol * |x| at the best point x.
+    rtol is raised to 4 * machine epsilon: below that the step falls under
+    half an ulp and the stopping test can no longer be met.
+
+    The name stays ``bisect`` because callers look it up as a module global
+    (``from .numerics import bisect``) and the benchmark tracer binds it
+    there to count evaluations per root.
+    """
+    rtol = max(rtol, _RTOL_FLOOR)
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if (fb > 0) == (fc > 0):
+            # keep the sign change between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            # b is the best point so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-        if hi - lo <= xtol + rtol * max(abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
 
 
 def find_bracket(f, lo: float, hi: float, n: int = 128, log_spaced: bool = False):

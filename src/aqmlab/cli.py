@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 from .errors import (
     BracketError,
@@ -150,10 +150,7 @@ def _cmd_stability_chart(args) -> int:
     net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
     red = _red(args) if kind is not FluidSystemKind.THRESHOLD else None
     th = ThresholdParams(args.qth) if kind is FluidSystemKind.THRESHOLD else None
-    points = trace_stability_chart(
-        kind, name, values, args.solve, spec, net, red=red, th=th,
-        workers=args.workers,
-    )
+    points = trace_stability_chart(kind, name, values, args.solve, spec, net, red=red, th=th)
     failures = [p for p in points if p.error is not None]
     out = args.out or "chart.csv"
     chart_to_csv(points, out)
@@ -343,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="name=start:stop:count")
     p.add_argument("--solve", required=True,
                    choices=("tau", "c", "gamma", "b_min", "q_th", "alpha", "kappa"))
-    p.add_argument("--workers", type=int, default=None)
     _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_stability_chart)
 
@@ -415,9 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import: parsing
+    keeps no state in it, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BracketError, ConvergenceError, IntegrationError) as exc:

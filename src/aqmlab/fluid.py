@@ -153,13 +153,12 @@ def equilibrium_threshold(
     wk1_closed = None
     if spec.variant is not Variant.AFRICA:
         alpha, k, beta = _power_law_constants(spec)
-        expo = (k - 1.0) / (th.q_th + 2.0 - k)
-        wk1_closed = (alpha * bdp**th.q_th / beta) ** expo
+        # in logarithms: bdp**q_th overflows for long delays and high q_th
+        log_base = math.log(alpha / beta) + th.q_th * math.log(bdp)
+        wk1_closed = math.exp(log_base * (k - 1.0) / (th.q_th + 2.0 - k))
         # The same rearrangement with (1 - p*) retained is exact algebra, so
-        # it must agree with the bisection root; this guards the solver.
-        w_exact = (alpha * (1.0 - p_star) * bdp**th.q_th / beta) ** (
-            1.0 / (th.q_th + 2.0 - k)
-        )
+        # it must agree with the root; this guards the solver.
+        w_exact = math.exp((log_base + math.log1p(-p_star)) / (th.q_th + 2.0 - k))
         lhs = w_exact ** (k - 1.0)
         rhs = w_star ** (k - 1.0)
         if abs(lhs - rhs) > 1e-6 * abs(rhs):

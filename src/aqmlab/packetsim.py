@@ -95,6 +95,14 @@ class ShortFlowProfile:
     access_rate: float = 10e6
     route: tuple[int, ...] = (0,)
 
+    def __post_init__(self):
+        # a rate <= 0 schedules arrivals back in time (or divides by zero),
+        # and an empty transfer never completes
+        if not 0 < self.rate_per_s < math.inf:
+            raise ConfigError("short-flow rate must be positive and finite")
+        if self.bytes_per_flow <= 0:
+            raise ConfigError("short-flow size must be positive")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -789,21 +797,23 @@ def parse_scenario(text: str) -> SimConfig:
         else:
             raise ConfigError(f"unknown key {key!r}")
 
-    def need(key):
-        if key not in scalars:
+    def get(key, kind, default=None):
+        if key in scalars:
+            return _scenario_value(key, scalars[key], kind)
+        if default is None:
             raise ConfigError(f"missing key {key!r}")
-        return scalars[key]
+        return default
 
-    policy_name = need("policy").lower()
+    policy_name = get("policy", str).lower()
     if policy_name == "red":
         policy = PacketRed(
-            b_min=float(need("red.bmin")),
-            b_max=float(need("red.bmax")),
-            p_max=float(need("red.pmax")),
-            w_q=float(scalars.get("red.wq", "0.002")),
+            b_min=get("red.bmin", float),
+            b_max=get("red.bmax", float),
+            p_max=get("red.pmax", float),
+            w_q=get("red.wq", float, 0.002),
         )
     elif policy_name == "threshold":
-        policy = PacketThreshold(q_th=int(need("threshold.qth")))
+        policy = PacketThreshold(q_th=get("threshold.qth", int))
     elif policy_name == "droptail":
         policy = DropTail()
     else:
@@ -815,26 +825,39 @@ def parse_scenario(text: str) -> SimConfig:
         for req in ("protocol", "access_mbps", "rtt_ms"):
             if req not in kv:
                 raise ConfigError(f"flow.{idx} is missing {req}")
+        num = {
+            name: _scenario_value(f"flow.{idx}.{name}", text, int if name == "bytes" else float)
+            for name, text in kv.items() if name != "protocol"
+        }
         flows.append(
             FlowSpec(
                 protocol=kv["protocol"],
-                access_rate=float(kv["access_mbps"]) * 1e6,
-                rtt_propagation=float(kv["rtt_ms"]) / 1e3,
-                start_time=float(kv.get("start_s", "0")),
-                bytes_to_send=int(kv["bytes"]) if "bytes" in kv else None,
+                access_rate=num["access_mbps"] * 1e6,
+                rtt_propagation=num["rtt_ms"] / 1e3,
+                start_time=num.get("start_s", 0.0),
+                bytes_to_send=num.get("bytes"),
             )
         )
     return SimConfig(
-        topology=need("topology"),
-        capacity=float(need("capacity_mbps")) * 1e6,
-        buffer=int(need("buffer_pkts")),
-        packet_size=int(need("packet_bytes")),
+        topology=get("topology", str),
+        capacity=get("capacity_mbps", float) * 1e6,
+        buffer=get("buffer_pkts", int),
+        packet_size=get("packet_bytes", int),
         flows=tuple(flows),
         policy=policy,
-        duration=float(need("duration_s")),
-        seed=int(need("seed")),
-        sample_interval=float(scalars.get("sample_interval_s", "0.1")),
+        duration=get("duration_s", float),
+        seed=get("seed", int),
+        sample_interval=get("sample_interval_s", float, 0.1),
     )
+
+
+def _scenario_value(key: str, text: str, kind):
+    """A scenario value as str, int or float; a malformed number is a
+    ConfigError naming its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text!r} is not a valid {kind.__name__}") from None
 
 
 def format_scenario(cfg: SimConfig) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -780,34 +779,14 @@ def trace_stability_chart(
     red: RedParams | None = None,
     th: ThresholdParams | None = None,
     y_bracket: tuple[float, float] | None = None,
-    workers: int | None = None,
 ) -> list[CurvePoint]:
-    """Hopf boundary curve y_critical(x) over a grid of x values.
-
-    Sequential tracing seeds each bracket from the previous solution;
-    with workers > 1 the grid points are solved independently (full-range
-    bracketing) and merged by index, so the result is identical either way
-    up to solver path.
-    """
+    """Hopf boundary curve y_critical(x) over a grid of x values; each
+    point's bracket is seeded from the previous solution."""
     if y_bracket is None:
         y_bracket = DEFAULT_BRACKETS[solve_for]
-    xs = list(x_values)
     points: list[CurvePoint] = []
-    if workers and workers > 1:
-        def solve_one(x):
-            try:
-                return _solve_chart_point(
-                    kind, x_param, x, solve_for, spec, net, red, th, y_bracket, None
-                )
-            except (ConvergenceError, DomainError) as exc:
-                return CurvePoint(x_param, x, solve_for, None, None, None, None, str(exc))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve_one, xs))
-        return points
-
     seed = None
-    for x in xs:
+    for x in x_values:
         try:
             pt = _solve_chart_point(
                 kind, x_param, x, solve_for, spec, net, red, th, y_bracket, seed

@@ -119,6 +119,32 @@ def test_packet_sim_unknown_scenario_key_exit_two(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_packet_sim_malformed_scenario_number_exit_two(tmp_path, capsys):
+    scenario = tmp_path / "bad.txt"
+    scenario.write_text(
+        "topology = dumbbell\ncapacity_mbps = abc\nbuffer_pkts = 400\n"
+        "packet_bytes = 1500\nduration_s = 5\nseed = 3\npolicy = droptail\n"
+    )
+    assert run(["packet-sim", "--scenario", str(scenario)]) == 2
+    assert "capacity_mbps = 'abc'" in capsys.readouterr().err
+
+
+def test_threshold_equilibrium_with_long_delay_and_high_qth(capsys):
+    # (c * tau)**q_th overflows a float here; the closed form is taken in
+    # logarithms
+    assert run(["equilibrium", "--system", "threshold", "--qth", "200",
+                "--tau", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "w_star = " in out and "wk1_closed_form = " in out
+
+
+def test_threshold_tau_chart_over_qth(tmp_path, capsys):
+    out = tmp_path / "chart.csv"
+    assert run(["stability-chart", "--system", "threshold", "--sweep", "qth=10:90:17",
+                "--solve", "tau", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 18
+
+
 def test_paper_profile_writes_sidecar(tmp_path):
     out = tmp_path / "eq.txt"
     assert run(["equilibrium", "--system", "with-averaging", "--c", "100",
@@ -199,3 +225,24 @@ def test_cli_determinism(tmp_path):
                     "--seed", "9", "--out", str(outdir)]) == 0
         outs.append((outdir / "queue.csv").read_text())
     assert outs[0] == outs[1]
+
+
+def test_repeated_main_calls_keep_no_state(tmp_path, capsys, monkeypatch):
+    # main() reuses one parser; each call must still start from the defaults
+    run(["equilibrium", "--system", "no-averaging", "--tau", "0.2"])
+    with_tau = capsys.readouterr().out
+    run(["equilibrium", "--system", "no-averaging"])
+    default = capsys.readouterr().out
+    run(["equilibrium", "--system", "no-averaging", "--tau", "0.1"])
+    assert default == capsys.readouterr().out != with_tau
+
+    seen = []
+
+    def short_run(cfg):
+        seen.append(cfg.seed)
+        return run_simulation(replace(cfg, duration=0.5))
+
+    monkeypatch.setattr(aqmlab.cli, "run_simulation", short_run)
+    assert run(["packet-sim", "--seed", "0", "--out", str(tmp_path / "a")]) == 0
+    assert run(["packet-sim", "--out", str(tmp_path / "b")]) == 0
+    assert seen == [0, 1]

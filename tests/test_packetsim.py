@@ -199,6 +199,21 @@ def test_bad_routes_are_config_errors(route, owner):
         )
 
 
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+def test_short_flow_rate_must_be_positive_and_finite(rate):
+    # a negative rate scheduled arrivals back in time and never ended; zero
+    # divided by zero
+    with pytest.raises(ConfigError, match="rate"):
+        ShortFlowProfile(rate_per_s=rate)
+
+
+@pytest.mark.parametrize("size", [0, -5000])
+def test_short_flow_size_must_be_positive(size):
+    # an empty transfer started flows that never completed
+    with pytest.raises(ConfigError, match="size"):
+        ShortFlowProfile(bytes_per_flow=size)
+
+
 def test_threshold_hard_cap_long_run():
     cfg = desk_config(PacketThreshold(q_th=15), 0.08, seed=4, duration=60.0)
     m = run_simulation(cfg)
@@ -352,6 +367,16 @@ def test_scenario_rejects_unknown_keys():
         parse_scenario("topology = dumbbell\nbogus_key = 3\n")
     with pytest.raises(ConfigError):
         parse_scenario(SCENARIO + "flow.0.nonsense = 1\n")
+
+
+@pytest.mark.parametrize("key, text", [
+    ("capacity_mbps", "abc"), ("buffer_pkts", "1.5"), ("seed", ""),
+    ("red.wq", "fast"), ("flow.1.rtt_ms", "forty"), ("flow.1.bytes", "1e6"),
+])
+def test_scenario_malformed_number_is_config_error(key, text):
+    scenario = SCENARIO + f"{key} = {text}\n"
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_scenario(scenario)
 
 
 def test_metrics_csv_files(tmp_path):

@@ -452,17 +452,6 @@ def test_chart_gamma_sweep_increasing(compound, red_defaults):
     assert all(a < b for a, b in zip(taus, taus[1:]))
 
 
-def test_chart_parallel_matches_sequential(compound, red_defaults):
-    net = NetworkParams(c_per_flow=100.0, rtt=0.05)
-    xs = [100.0, 250.0, 400.0]
-    seq = trace_stability_chart(K.WITH_AVERAGING, "c", xs, "tau", compound, net,
-                                red=red_defaults)
-    par = trace_stability_chart(K.WITH_AVERAGING, "c", xs, "tau", compound, net,
-                                red=red_defaults, workers=3)
-    for a, b in zip(seq, par):
-        assert a.y_critical == pytest.approx(b.y_critical, rel=1e-9)
-
-
 def test_averaging_destabilizes_pointwise(compound, red_defaults):
     net = NetworkParams(c_per_flow=100.0, rtt=0.05)
     for c in (100.0, 300.0, 500.0):

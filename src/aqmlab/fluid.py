@@ -83,7 +83,7 @@ def _window_balance_residual(spec, w, p):
 def _solve_red_equilibrium(spec, red, net):
     """Common fixed point of the averaged and instantaneous RED systems.
 
-    Solves i(w)(1-p) = d(w) p with w = C*rtt/(1-p) by bisection on p."""
+    Solves i(w)(1-p) = d(w) p with w = C*rtt/(1-p) as a bracketed root in p."""
     bdp = net.c_per_flow * net.rtt
 
     def g(p):

@@ -708,7 +708,7 @@ def solve_hopf_boundary(
     *,
     phase_tol: float = 1e-10,
 ) -> HopfPoint:
-    """Locate a Hopf point in one free parameter by bisecting the phase
+    """Locate a Hopf point in one free parameter as the root of the phase
     residual; the stability verdict must differ at the bracket ends."""
 
     def phi(v):

@@ -59,26 +59,14 @@ def _workload_names():
     """Every aqmlab name workloads.py imports or reaches by attribute."""
     tree = ast.parse((BENCHMARK / "workloads.py").read_text())
     imported = {"aqmlab": "aqmlab"}  # local name -> dotted aqmlab name
-    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("aqmlab"):
             for alias in node.names:
-                full = f"{node.module}.{alias.name}"
-                imported[alias.asname or alias.name] = full
-                names.add(full)
-        elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names if a.name.startswith("aqmlab"))
-    inner = set()
+                imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    names = set(imported.values())
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node not in inner:
-            dotted = _dotted(node)
-            # only the outermost attribute of a chain: aqmlab.cli.main, not aqmlab.cli
-            sub = node.value
-            while isinstance(sub, ast.Attribute):
-                inner.add(sub)
-                sub = sub.value
-            if dotted is None:
-                continue
+        dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if dotted is not None:
             head, _, rest = dotted.partition(".")
             if head in imported:
                 names.add(f"{imported[head]}.{rest}")

@@ -3,13 +3,10 @@ under RED and threshold queue policies, their stability and bifurcation
 structure, and a packet-level discrete-event simulator for validation."""
 
 from .params import (
-    CompoundParams,
-    IllinoisParams,
     NetworkParams,
     ProtocolSpec,
     RedParams,
     ThresholdParams,
-    Variant,
 )
 from .fluid import (
     Equilibrium,
@@ -24,13 +21,10 @@ from .fluid import (
 )
 
 __all__ = [
-    "CompoundParams",
-    "IllinoisParams",
     "NetworkParams",
     "ProtocolSpec",
     "RedParams",
     "ThresholdParams",
-    "Variant",
     "Equilibrium",
     "FluidSystemKind",
     "History",

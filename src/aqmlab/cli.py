@@ -71,14 +71,21 @@ def _parse_sweep(text: str):
     return name.strip(), [start + i * step for i in range(count)]
 
 
-def _protocol(args) -> ProtocolSpec:
-    return ProtocolSpec.compound_tcp(alpha=args.alpha, k=args.k, beta=args.beta)
-
-
-def _red(args) -> RedParams:
-    return RedParams(
-        gamma=args.gamma, b_min=args.b_min, b_max=args.b_max, p_max=args.p_max
-    )
+def _fluid_params(args):
+    """(spec, red, th, net) from the options of _add_common. A value outside
+    its domain is a usage error (exit 2); a DomainError raised later, by a
+    computation, is a numerical failure (exit 1)."""
+    try:
+        return (
+            ProtocolSpec.compound_tcp(alpha=args.alpha, k=args.k, beta=args.beta),
+            RedParams(
+                gamma=args.gamma, b_min=args.b_min, b_max=args.b_max, p_max=args.p_max
+            ),
+            ThresholdParams(args.qth),
+            NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa),
+        )
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_params_sidecar(args, path_hint: str | None, **resolved):
@@ -101,16 +108,17 @@ def _write_params_sidecar(args, path_hint: str | None, **resolved):
 
 
 def _add_common(p, tau_default):
+    spec, red, th = ProtocolSpec(), RedParams(), ThresholdParams()
     p.add_argument("--c", type=float, default=100.0, help="per-flow capacity, pkts/s")
     p.add_argument("--tau", type=float, default=tau_default, help="round-trip time, s")
-    p.add_argument("--alpha", type=float, default=0.125)
-    p.add_argument("--k", type=float, default=0.75)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1e-4)
-    p.add_argument("--b-min", type=float, default=50.0)
-    p.add_argument("--b-max", type=float, default=550.0)
-    p.add_argument("--p-max", type=float, default=0.1)
-    p.add_argument("--qth", type=float, default=15.0)
+    p.add_argument("--alpha", type=float, default=spec.alpha)
+    p.add_argument("--k", type=float, default=spec.k)
+    p.add_argument("--beta", type=float, default=spec.beta)
+    p.add_argument("--gamma", type=float, default=red.gamma)
+    p.add_argument("--b-min", type=float, default=red.b_min)
+    p.add_argument("--b-max", type=float, default=red.b_max)
+    p.add_argument("--p-max", type=float, default=red.p_max)
+    p.add_argument("--qth", type=float, default=th.q_th)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed", type=int, default=1)
@@ -119,14 +127,13 @@ def _add_common(p, tau_default):
 
 def _cmd_equilibrium(args) -> int:
     kind = _KINDS[args.system]
-    spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
+    spec, red, th, net = _fluid_params(args)
     if kind is FluidSystemKind.THRESHOLD:
-        eq = equilibrium_threshold(spec, net, ThresholdParams(args.qth))
+        eq = equilibrium_threshold(spec, net, th)
     elif kind is FluidSystemKind.NO_AVERAGING:
-        eq = equilibrium_no_averaging(spec, _red(args), net)
+        eq = equilibrium_no_averaging(spec, red, net)
     else:
-        eq = equilibrium_with_averaging(spec, _red(args), net)
+        eq = equilibrium_with_averaging(spec, red, net)
     print(f"w_star = {eq.w_star:.12g}")
     if eq.q_star is not None:
         print(f"q_star = {eq.q_star:.12g}")
@@ -146,10 +153,13 @@ def _cmd_stability_chart(args) -> int:
     kind = _KINDS[args.system]
     name, values = args.sweep
     name = _SWEEP_ALIASES.get(name, name)
-    spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
-    red = _red(args) if kind is not FluidSystemKind.THRESHOLD else None
-    th = ThresholdParams(args.qth) if kind is FluidSystemKind.THRESHOLD else None
+    spec, red, th, net = _fluid_params(args)
+    # only the system's own policy parameters are passed: a sweep of the
+    # other policy's then fails instead of charting a constant
+    if kind is FluidSystemKind.THRESHOLD:
+        red = None
+    else:
+        th = None
     points = trace_stability_chart(kind, name, values, args.solve, spec, net, red=red, th=th)
     failures = [p for p in points if p.error is not None]
     out = args.out or "chart.csv"
@@ -164,9 +174,7 @@ def _cmd_stability_chart(args) -> int:
 
 
 def _cmd_hopf_classify(args) -> int:
-    spec = _protocol(args)
-    red = _red(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
+    spec, red, _, net = _fluid_params(args)
     result, _, _ = classify_at_hopf(
         spec, red, net, tau_c=args.at_tau, tau_bracket=(args.tau_min, args.tau_max)
     )
@@ -181,10 +189,7 @@ def _cmd_hopf_classify(args) -> int:
 
 def _cmd_fluid_sim(args) -> int:
     kind = _KINDS[args.system]
-    spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
-    red = _red(args) if kind is not FluidSystemKind.THRESHOLD else None
-    th = ThresholdParams(args.qth) if kind is FluidSystemKind.THRESHOLD else None
+    spec, red, th, net = _fluid_params(args)
     if kind is FluidSystemKind.THRESHOLD:
         eq = equilibrium_threshold(spec, net, th)
     elif kind is FluidSystemKind.NO_AVERAGING:
@@ -217,8 +222,7 @@ def _cmd_bifurcation(args) -> int:
     if name != "qth":
         print("bifurcation-diagram sweeps qth", file=sys.stderr)
         return 2
-    spec = _protocol(args)
-    net = NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa)
+    spec, _, _, net = _fluid_params(args)
     rows = threshold_bifurcation_sweep(
         spec, net, values,
         horizon_delays=args.horizon, transient_delays=args.transient,
@@ -426,7 +430,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        # invalid scenario/configuration content is a usage error
+        # invalid scenario content or parameter value is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OSError) as exc:

@@ -30,4 +30,5 @@ class InternalConsistencyError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid simulation or scenario configuration."""
+    """Invalid simulation or scenario configuration, or a command-line
+    parameter value outside its domain."""

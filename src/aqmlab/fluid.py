@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, IntegrationError, InternalConsistencyError
 from .numerics import bisect, hermite_eval
-from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams, Variant
+from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import (
     decrease_rate,
     increase_rate,
@@ -91,9 +91,6 @@ def _solve_red_equilibrium(spec, red, net):
         return increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
 
     lo, hi = 1e-16, 1.0 - 1e-12
-    if spec.variant is Variant.AFRICA:
-        # keep w inside the AFRICA validity range
-        hi = min(hi, 1.0 - bdp / (_AFRICA_W_MAX * 0.999))
     if g(lo) <= 0 or g(hi) >= 0:
         raise ConvergenceError("no drop-probability root in (0, 1)")
     p_star = bisect(g, lo, hi, rtol=1e-16)
@@ -112,10 +109,6 @@ def _solve_red_equilibrium(spec, red, net):
             stacklevel=3,
         )
     return w_star, q_star, p_star, residual, in_band
-
-
-# AFRICA's log-based decrease fraction leaves (0, 2) beyond this window
-_AFRICA_W_MAX = 38.0 * math.exp(0.5 * (math.log(83000.0) - math.log(38.0)) / 0.4)
 
 
 def equilibrium_with_averaging(
@@ -150,67 +143,37 @@ def equilibrium_threshold(
     p_star = threshold_drop_probability(w_star, net, th)
     residual = _window_balance_residual(spec, w_star, p_star)
 
-    wk1_closed = None
-    if spec.variant is not Variant.AFRICA:
-        alpha, k, beta = _power_law_constants(spec)
-        # in logarithms: bdp**q_th overflows for long delays and high q_th
-        log_base = math.log(alpha / beta) + th.q_th * math.log(bdp)
-        wk1_closed = math.exp(log_base * (k - 1.0) / (th.q_th + 2.0 - k))
-        # The same rearrangement with (1 - p*) retained is exact algebra, so
-        # it must agree with the root; this guards the solver.
-        w_exact = math.exp((log_base + math.log1p(-p_star)) / (th.q_th + 2.0 - k))
-        lhs = w_exact ** (k - 1.0)
-        rhs = w_star ** (k - 1.0)
-        if abs(lhs - rhs) > 1e-6 * abs(rhs):
-            raise InternalConsistencyError(
-                f"threshold equilibrium closed-form check failed: {lhs} vs {rhs}"
-            )
+    alpha, k, beta = spec.alpha, spec.k, spec.beta
+    # in logarithms: bdp**q_th overflows for long delays and high q_th
+    log_base = math.log(alpha / beta) + th.q_th * math.log(bdp)
+    wk1_closed = math.exp(log_base * (k - 1.0) / (th.q_th + 2.0 - k))
+    # The same rearrangement with (1 - p*) retained is exact algebra, so
+    # it must agree with the root; this guards the solver.
+    w_exact = math.exp((log_base + math.log1p(-p_star)) / (th.q_th + 2.0 - k))
+    lhs = w_exact ** (k - 1.0)
+    rhs = w_star ** (k - 1.0)
+    if abs(lhs - rhs) > 1e-6 * abs(rhs):
+        raise InternalConsistencyError(
+            f"threshold equilibrium closed-form check failed: {lhs} vs {rhs}"
+        )
     return Equilibrium(
         FluidSystemKind.THRESHOLD, w_star, p_star, None, residual, True, wk1_closed
     )
 
 
-def _power_law_constants(spec: ProtocolSpec) -> tuple[float, float, float]:
-    """(alpha, k, beta) of the power-law family; RENO and ILLINOIS are k=0."""
-    v = spec.variant
-    if v is Variant.COMPOUND:
-        c = spec.compound
-        return c.alpha, c.k, c.beta
-    if v is Variant.RENO:
-        return 1.0, 0.0, 0.5
-    if v is Variant.ILLINOIS:
-        il = spec.illinois
-        return il.alpha_max, 0.0, il.beta_min
-    raise DomainError("AFRICA has no power-law form")
-
-
 def _window_rate(spec: ProtocolSpec, net: NetworkParams):
     """(w, w_d, p_d) -> dw/dt, the window equation of all three systems.
 
-    The law is chosen once per spec. The power-law family is written out as
-    alpha*w^(k-1) and beta*w, the same floating-point operations that
-    increase_rate/decrease_rate perform, without their per-call dispatch on
-    the variant; AFRICA calls them. The comparisons below clamp the windows at
-    the floor as max() would, and let NaN through to the finiteness check.
+    The law is written out as alpha*w^(k-1) and beta*w, the same
+    floating-point operations that increase_rate/decrease_rate perform,
+    without their per-call argument checks. The comparisons below clamp the
+    windows at the floor as max() would, and let NaN through to the
+    finiteness check.
     """
     kappa = net.kappa
     tau = net.rtt
     floor = _W_FLOOR
-
-    if spec.variant is Variant.AFRICA:
-
-        def rate(w, w_d, p_d):
-            if w < floor:
-                w = floor
-            if w_d < floor:
-                w_d = floor
-            gain = increase_rate(spec, w) * (1.0 - p_d)
-            loss = decrease_rate(spec, w) * p_d
-            return kappa * (gain - loss) * w_d / tau
-
-        return rate
-
-    alpha, k, beta = _power_law_constants(spec)
+    alpha, k, beta = spec.alpha, spec.k, spec.beta
     expo = k - 1.0
 
     def rate(w, w_d, p_d):

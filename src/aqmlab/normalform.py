@@ -16,9 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DegeneratePointError, DomainError
+from .errors import DegeneratePointError
 from .fluid import Equilibrium, FluidSystemKind, equilibrium_no_averaging
-from .params import NetworkParams, ProtocolSpec, RedParams, Variant
+from .params import NetworkParams, ProtocolSpec, RedParams
 from .protocols import decrease_rate, increase_rate
 from .stability import (
     CharCoefficients,
@@ -63,11 +63,9 @@ def taylor_coefficients(
 ) -> TaylorCoefficients:
     """Closed-form series coefficients at an instantaneous-feedback equilibrium.
 
-    Restricted to the power-law protocol family (the decrease function must
-    be linear in w for the quadratic window terms below to be complete).
+    The quadratic window terms below are complete because the decrease
+    function beta*w is linear in w.
     """
-    if spec.variant is Variant.AFRICA:
-        raise DomainError("series coefficients need a linear decrease function")
     w = eq.w_star
     p = eq.p_star
     tau = net.rtt

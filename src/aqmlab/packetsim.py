@@ -771,6 +771,7 @@ _FLOW_KEYS = {"protocol", "access_mbps", "rtt_ms", "start_s", "bytes"}
 def parse_scenario(text: str) -> SimConfig:
     """Parse the flat key = value scenario format."""
     pairs = {}
+    first_line = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -778,6 +779,11 @@ def parse_scenario(text: str) -> SimConfig:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(
+                f"line {ln}: duplicate key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = ln
         pairs[key] = val
 
     flows_kv: dict[int, dict[str, str]] = {}
@@ -791,7 +797,12 @@ def parse_scenario(text: str) -> SimConfig:
                 idx = int(parts[1])
             except ValueError:
                 raise ConfigError(f"bad flow index in {key!r}") from None
-            flows_kv.setdefault(idx, {})[parts[2]] = val
+            kv = flows_kv.setdefault(idx, {})
+            if parts[2] in kv:
+                raise ConfigError(
+                    f"line {first_line[key]}: {key!r} repeats flow.{idx}.{parts[2]}"
+                )
+            kv[parts[2]] = val
         elif key in _SCALAR_KEYS:
             scalars[key] = val
         else:

@@ -2,22 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 from .errors import DomainError
 
 
-class Variant(str, Enum):
-    COMPOUND = "compound"
-    RENO = "reno"
-    ILLINOIS = "illinois"
-    AFRICA = "africa"
-
-
 @dataclass(frozen=True)
-class CompoundParams:
-    """Power-law window update constants: increase alpha*w^(k-1), decrease beta*w."""
+class ProtocolSpec:
+    """Power-law window update: increase alpha*w^(k-1) per ack, decrease
+    beta*w per drop. Reno and Illinois are the k = 0 members."""
 
     alpha: float = 0.125
     k: float = 0.75
@@ -33,57 +26,18 @@ class CompoundParams:
         if not 0 < self.beta < 1:
             raise DomainError(f"beta must be in (0, 1), got {self.beta}")
 
-
-@dataclass(frozen=True)
-class IllinoisParams:
-    alpha_max: float = 10.0
-    beta_min: float = 0.125
-
-    def __post_init__(self):
-        if not self.alpha_max > 0:
-            raise DomainError(f"alpha_max must be > 0, got {self.alpha_max}")
-        if not 0 < self.beta_min < 1:
-            raise DomainError(f"beta_min must be in (0, 1), got {self.beta_min}")
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """A TCP variant tag plus the constants of its window update functions."""
-
-    variant: Variant
-    compound: CompoundParams | None = None
-    illinois: IllinoisParams | None = None
-
-    def __post_init__(self):
-        if self.variant is Variant.COMPOUND and self.compound is None:
-            object.__setattr__(self, "compound", CompoundParams())
-        if self.variant is Variant.ILLINOIS and self.illinois is None:
-            object.__setattr__(self, "illinois", IllinoisParams())
-
     @classmethod
-    def compound_tcp(cls, alpha=0.125, k=0.75, beta=0.5):
-        return cls(Variant.COMPOUND, compound=CompoundParams(alpha, k, beta))
+    def compound_tcp(cls, **constants):
+        """Compound TCP: the field defaults, with any of them overridden."""
+        return cls(**constants)
 
     @classmethod
     def reno(cls):
-        return cls(Variant.RENO)
+        return cls(1.0, 0.0, 0.5)
 
     @classmethod
     def illinois_tcp(cls, alpha_max=10.0, beta_min=0.125):
-        return cls(Variant.ILLINOIS, illinois=IllinoisParams(alpha_max, beta_min))
-
-    @classmethod
-    def africa_tcp(cls):
-        return cls(Variant.AFRICA)
-
-    def with_(self, **kw):
-        """Copy with updated window-update constants (dual-window variant only;
-        the other variants have no free (alpha, k, beta))."""
-        if self.variant is not Variant.COMPOUND:
-            raise DomainError(
-                f"cannot override (alpha, k, beta) on a {self.variant.value} spec"
-            )
-        return replace(self, compound=replace(self.compound, **kw))
+        return cls(alpha_max, 0.0, beta_min)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Window update functions per TCP variant and drop probability functions
-per queue policy, with the analytic derivatives the stability machinery needs.
+"""The power-law window update functions and the drop probability functions
+of each queue policy, with the analytic derivatives the stability machinery needs.
 
 All functions are pure; increase/decrease derivatives are closed-form, not
 numeric, because the normal-form computation consumes second and third
@@ -8,52 +8,8 @@ derivatives where finite differences would be too noisy.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError
-from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams, Variant
-
-# AFRICA-TCP constants: b(w) = 0.5 - B_AF*ln(w/38), a(w) = 0.156 w^2 b / ((2-b) w^1.2)
-_AF_B = 0.4 / (math.log(83000.0) - math.log(38.0))
-_AF_W0 = 38.0
-_AF_C = 0.156
-
-
-def _africa_b(w: float, order: int) -> float:
-    if order == 0:
-        return 0.5 - _AF_B * (math.log(w) - math.log(_AF_W0))
-    if order == 1:
-        return -_AF_B / w
-    if order == 2:
-        return _AF_B / (w * w)
-    return -2.0 * _AF_B / (w * w * w)
-
-
-def _africa_increase(w: float, order: int) -> float:
-    # i(w) = a(w)/w = C * w^(-0.2) * b/(2-b); singular as b -> 2, invalid b <= 0
-    b = _africa_b(w, 0)
-    if not 0.0 < b < 2.0:
-        raise DomainError(f"AFRICA window function undefined at w={w} (b={b:.4g})")
-    # g(b) = b/(2-b) and its b-derivatives
-    g = (b / (2.0 - b), 2.0 / (2.0 - b) ** 2, 4.0 / (2.0 - b) ** 3, 12.0 / (2.0 - b) ** 4)
-    db = [_africa_b(w, n) for n in range(4)]
-    # h(w) = g(b(w)) via Faa di Bruno up to third order
-    h0 = g[0]
-    h1 = g[1] * db[1]
-    h2 = g[2] * db[1] ** 2 + g[1] * db[2]
-    h3 = g[3] * db[1] ** 3 + 3.0 * g[2] * db[1] * db[2] + g[1] * db[3]
-    p = -0.2
-    u0 = _AF_C * w**p
-    u1 = _AF_C * p * w ** (p - 1)
-    u2 = _AF_C * p * (p - 1) * w ** (p - 2)
-    u3 = _AF_C * p * (p - 1) * (p - 2) * w ** (p - 3)
-    if order == 0:
-        return u0 * h0
-    if order == 1:
-        return u1 * h0 + u0 * h1
-    if order == 2:
-        return u2 * h0 + 2.0 * u1 * h1 + u0 * h2
-    return u3 * h0 + 3.0 * u2 * h1 + 3.0 * u1 * h2 + u0 * h3
+from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 
 
 def _power_law_increase(alpha: float, k: float, w: float, order: int) -> float:
@@ -75,17 +31,7 @@ def increase_rate(spec: ProtocolSpec, w: float, order: int = 0) -> float:
         raise DomainError(f"window must be > 0, got {w}")
     if not 0 <= order <= 3:
         raise DomainError(f"unsupported derivative order {order}")
-    v = spec.variant
-    if v is Variant.COMPOUND:
-        c = spec.compound
-        return _power_law_increase(c.alpha, c.k, w, order)
-    if v is Variant.RENO:
-        # i(w) = 1/w
-        return _power_law_increase(1.0, 0.0, w, order)
-    if v is Variant.ILLINOIS:
-        # i(w) = alpha_max / w
-        return _power_law_increase(spec.illinois.alpha_max, 0.0, w, order)
-    return _africa_increase(w, order)
+    return _power_law_increase(spec.alpha, spec.k, w, order)
 
 
 def decrease_rate(spec: ProtocolSpec, w: float, order: int = 0) -> float:
@@ -94,20 +40,7 @@ def decrease_rate(spec: ProtocolSpec, w: float, order: int = 0) -> float:
         raise DomainError(f"window must be > 0, got {w}")
     if not 0 <= order <= 1:
         raise DomainError(f"unsupported derivative order {order}")
-    v = spec.variant
-    if v is Variant.COMPOUND:
-        beta = spec.compound.beta
-        return beta * w if order == 0 else beta
-    if v is Variant.RENO:
-        return w / 2.0 if order == 0 else 0.5
-    if v is Variant.ILLINOIS:
-        bm = spec.illinois.beta_min
-        return bm * w if order == 0 else bm
-    b = _africa_b(w, 0)
-    if not 0.0 < b < 2.0:
-        raise DomainError(f"AFRICA window function undefined at w={w} (b={b:.4g})")
-    # d(w) = w*b(w); d' = b + w*b' = b - B_AF
-    return w * b if order == 0 else b - _AF_B
+    return spec.beta * w if order == 0 else spec.beta
 
 
 def red_drop_probability(avg_q: float, red: RedParams) -> float:
@@ -123,13 +56,6 @@ def red_drop_probability(avg_q: float, red: RedParams) -> float:
     else:
         return 1.0
     return min(max(p, 0.0), 1.0)
-
-
-def red_derived_slopes(red: RedParams) -> tuple[float, float]:
-    """The two slopes (rho, eta) of the piecewise drop probability."""
-    if red.b_max <= red.b_min:
-        raise DomainError("b_max must exceed b_min")
-    return red.rho, red.eta
 
 
 def threshold_drop_probability(

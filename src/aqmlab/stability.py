@@ -30,10 +30,9 @@ from .fluid import (
     equilibrium_no_averaging,
     equilibrium_threshold,
     equilibrium_with_averaging,
-    _power_law_constants,
 )
 from .numerics import bisect, find_bracket, newton_complex
-from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams, Variant
+from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import decrease_rate, increase_rate, threshold_drop_derivative
 
 
@@ -132,35 +131,34 @@ def linear_coefficients(
             None,
         )
 
-    if spec.variant is not Variant.AFRICA:
-        _, k, _ = _power_law_constants(spec)
-        gain = (2.0 - k) * iw * (1.0 - p)  # equals -slope * w at equilibrium
-        if kind is FluidSystemKind.WITH_AVERAGING:
-            gC = red.gamma * cap
-            rho = red.rho
-            simplified = (
-                gC + gain / tau,
-                gC * (rho * w + gain) / tau,
-                rho * gC * cap * (2.0 - k) * iw / tau,
-                rho * gC * cap * iw / (p * tau),
+    k = spec.k
+    gain = (2.0 - k) * iw * (1.0 - p)  # equals -slope * w at equilibrium
+    if kind is FluidSystemKind.WITH_AVERAGING:
+        gC = red.gamma * cap
+        rho = red.rho
+        simplified = (
+            gC + gain / tau,
+            gC * (rho * w + gain) / tau,
+            rho * gC * cap * (2.0 - k) * iw / tau,
+            rho * gC * cap * iw / (p * tau),
+        )
+    elif kind is FluidSystemKind.NO_AVERAGING:
+        rho = red.rho
+        simplified = (
+            (rho * w + gain) / tau,
+            rho * cap * (2.0 - k) * iw / tau,
+            rho * cap * iw / (p * tau),
+            None,
+        )
+    else:
+        simplified = (gain / tau, th.q_th * iw / tau, None, None)
+    for r, s in zip(raw, simplified):
+        if r is None:
+            continue
+        if abs(r - s) > 1e-10 * max(abs(r), abs(s)):
+            raise InternalConsistencyError(
+                f"raw/simplified coefficient mismatch: {r!r} vs {s!r}"
             )
-        elif kind is FluidSystemKind.NO_AVERAGING:
-            rho = red.rho
-            simplified = (
-                (rho * w + gain) / tau,
-                rho * cap * (2.0 - k) * iw / tau,
-                rho * cap * iw / (p * tau),
-                None,
-            )
-        else:
-            simplified = (gain / tau, th.q_th * iw / tau, None, None)
-        for r, s in zip(raw, simplified):
-            if r is None:
-                continue
-            if abs(r - s) > 1e-10 * max(abs(r), abs(s)):
-                raise InternalConsistencyError(
-                    f"raw/simplified coefficient mismatch: {r!r} vs {s!r}"
-                )
 
     for a in raw:
         if a is not None and not a > 0:
@@ -413,12 +411,12 @@ def count_unstable_roots(
 class SufficientAssessment:
     """Outcome of the two loop-gain sufficient tests for the averaged system.
 
-    Either verdict is None when its phase-crossover prerequisite could not be
-    established (reported as inconclusive, not as a failure)."""
+    The Nyquist verdict is None when its phase-crossover prerequisite could
+    not be established (reported as inconclusive, not as a failure)."""
 
     omega_c: float | None
     nyquist: StabilityVerdict | None
-    simplified: StabilityVerdict | None
+    simplified: StabilityVerdict
 
 
 def sufficient_stable_with_averaging(
@@ -482,20 +480,16 @@ def sufficient_stable_with_averaging(
             lhs = a4 * abs(math.sin(omega_c * tau)) / gain_den
             nyq = StabilityVerdict(lhs < 1.0, lhs - 1.0, Condition.SUFFICIENT_NYQUIST)
 
-    simplified = None
-    if spec.variant is not Variant.AFRICA:
-        alpha, k, beta = _power_law_constants(spec)
-        w, p = eq.w_star, eq.p_star
-        rho = red.rho
-        num = rho * red.gamma * alpha * w**k * net.c_per_flow * tau / p
-        den = red.gamma * (rho * w**2 + (2.0 - k) * beta * w**2 * p) - (
-            math.pi**2 / 4.0
-        ) * (1.0 - p)
-        # margin < 0 iff den > 0 and num/den < pi/2 (num is always positive)
-        margin = num - 0.5 * math.pi * den
-        simplified = StabilityVerdict(
-            margin < 0.0, margin, Condition.SUFFICIENT_SIMPLIFIED
-        )
+    alpha, k, beta = spec.alpha, spec.k, spec.beta
+    w, p = eq.w_star, eq.p_star
+    rho = red.rho
+    num = rho * red.gamma * alpha * w**k * net.c_per_flow * tau / p
+    den = red.gamma * (rho * w**2 + (2.0 - k) * beta * w**2 * p) - (
+        math.pi**2 / 4.0
+    ) * (1.0 - p)
+    # margin < 0 iff den > 0 and num/den < pi/2 (num is always positive)
+    margin = num - 0.5 * math.pi * den
+    simplified = StabilityVerdict(margin < 0.0, margin, Condition.SUFFICIENT_SIMPLIFIED)
     return SufficientAssessment(omega_c, nyq, simplified)
 
 
@@ -534,7 +528,7 @@ def no_averaging_condition_lhs(
 ) -> float:
     """Left-hand side of the parameterized exact condition (< 1 for
     stability below the first crossing), in protocol constants."""
-    alpha, k, beta = _power_law_constants(spec)
+    alpha, k, beta = spec.alpha, spec.k, spec.beta
     w, p = eq.w_star, eq.p_star
     rho = red.rho
     m = (2.0 - k) * beta * p
@@ -553,7 +547,7 @@ def no_averaging_condition_lhs(
 class ThresholdStability:
     nec_suff: StabilityVerdict
     sufficient: StabilityVerdict
-    param_form_lhs: float | None
+    param_form_lhs: float
 
 
 def stability_threshold(
@@ -575,14 +569,11 @@ def stability_threshold(
     sufficient = StabilityVerdict(
         suff_margin < 0.0, suff_margin, Condition.THRESHOLD_SUFFICIENT
     )
-    param_form = None
-    if spec.variant is not Variant.AFRICA:
-        alpha, k, _ = _power_law_constants(spec)
-        param_form = alpha * th.q_th * eq.w_star ** (k - 1.0)
-        if abs(param_form - a2 * tau) > 1e-9 * max(param_form, a2 * tau):
-            raise InternalConsistencyError(
-                f"parameter-form bound {param_form} != a2*tau {a2 * tau}"
-            )
+    param_form = spec.alpha * th.q_th * eq.w_star ** (spec.k - 1.0)
+    if abs(param_form - a2 * tau) > 1e-9 * max(param_form, a2 * tau):
+        raise InternalConsistencyError(
+            f"parameter-form bound {param_form} != a2*tau {a2 * tau}"
+        )
     if sufficient.stable and not nec_suff.stable:
         raise InternalConsistencyError(
             "sufficient condition held where the exact condition failed"
@@ -637,9 +628,9 @@ _PARAM_SETTERS = {
     "b_max": lambda s, r, t, n, v: (s, replace(r, b_max=v), t, n),
     "p_max": lambda s, r, t, n, v: (s, replace(r, p_max=v), t, n),
     "q_th": lambda s, r, t, n, v: (s, r, ThresholdParams(q_th=v), n),
-    "alpha": lambda s, r, t, n, v: (s.with_(alpha=v), r, t, n),
-    "k": lambda s, r, t, n, v: (s.with_(k=v), r, t, n),
-    "beta": lambda s, r, t, n, v: (s.with_(beta=v), r, t, n),
+    "alpha": lambda s, r, t, n, v: (replace(s, alpha=v), r, t, n),
+    "k": lambda s, r, t, n, v: (replace(s, k=v), r, t, n),
+    "beta": lambda s, r, t, n, v: (replace(s, beta=v), r, t, n),
 }
 
 DEFAULT_BRACKETS = {

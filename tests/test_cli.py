@@ -1,12 +1,19 @@
+import contextlib
+import io
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqmlab.cli
 from aqmlab.cli import main
+from aqmlab.fluid import OperatingRegionWarning
 from aqmlab.packetsim import run_simulation
+from aqmlab.params import ProtocolSpec, RedParams, ThresholdParams
 
 
 def run(args):
@@ -35,6 +42,58 @@ def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tau", "-1"), ("--c", "0"), ("--alpha", "-1"), ("--k", "1.5"), ("--gamma", "2"),
+])
+def test_parameter_outside_domain_exit_code_two(option, value, capsys):
+    assert run(["equilibrium", "--system", "with-averaging", option, value]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--system", "with-averaging"],
+    ["stability-chart", "--system", "threshold", "--sweep", "c=1:2:2", "--solve", "tau"],
+    ["hopf-classify"],
+    ["fluid-sim", "--system", "no-averaging"],
+    ["bifurcation-diagram", "--sweep", "qth=1:2:2"],
+], ids=lambda argv: argv[0])
+def test_option_defaults_are_the_parameter_defaults(argv):
+    args = aqmlab.cli.build_parser().parse_args(argv)
+    spec, red, th, _ = aqmlab.cli._fluid_params(args)
+    assert (spec, red, th) == (ProtocolSpec(), RedParams(), ThresholdParams())
+
+
+def _around(lo, hi, outside):
+    """Values inside [lo, hi] and the given values just outside the domain."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(outside)).map(repr)
+
+
+_EQUILIBRIUM_OPTIONS = {
+    "--tau": _around(1e-3, 5.0, (0.0, -1e-3, -1.0)),
+    "--c": _around(1.0, 1000.0, (0.0, -1.0)),
+    "--alpha": _around(1e-3, 10.0, (0.0, -1.0)),
+    "--k": _around(0.0, 0.99, (-0.01, 1.0, 1.5)),
+    "--beta": _around(0.01, 0.99, (0.0, 1.0, 1.01)),
+    "--gamma": _around(1e-6, 1.0, (0.0, 1.01, 2.0)),
+    "--qth": _around(1.0, 200.0, (0.0, 0.99)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    system=st.sampled_from(("with-averaging", "no-averaging", "threshold")),
+    options=st.fixed_dictionaries({}, optional=_EQUILIBRIUM_OPTIONS),
+)
+def test_equilibrium_never_ends_in_a_traceback(system, options):
+    argv = ["equilibrium", "--system", system]
+    for name, value in options.items():
+        argv += [name, value]
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore", OperatingRegionWarning)
+        assert main(argv) in (0, 1, 2)
 
 
 def test_numerical_failure_exit_code_one(capsys):

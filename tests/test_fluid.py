@@ -353,24 +353,18 @@ _DIGESTS = {
         "30b81a7a2a5d5a6443e33f9e46760147774b5f82f9663b7b624447825fca2d72",
     "with-averaging/illinois":
         "3f27357e9dd4f4d97c67ef5eb221c51755213a7e93fd4f653da225177a430f2d",
-    "with-averaging/africa":
-        "cc0e09f5bec5413aa1762562fa936310941e6b0fee855941cfe5e0a260d59307",
     "no-averaging/compound":
         "3cedd2f8203631612c9ae4a4761500c4c533f633d9982b5beccbcd64a7805ac9",
     "no-averaging/reno":
         "3ce1fd37e3d7524e1848959ceb2fbc1a89a6a431f579b9dd724995dd92e8a9c7",
     "no-averaging/illinois":
         "b1ff6e689954cf81070740dff044e02a4979efabfd392271716107c20b671072",
-    "no-averaging/africa":
-        "aa28d3e47fbbc64afb9870b8ef0f52bb46be60c7fd2b499389fef4954a48c064",
     "threshold/compound":
         "6eefaad55eef32ec2484647d69b0820df882cb5474cda1c1d7e6db793f758cd9",
     "threshold/reno":
         "973d0234bfeb7783b7d1d21c46d96fa0e5e1056c0d5ff7cd16dc33050e5e8bf9",
     "threshold/illinois":
         "26826d03c565ee8b4b44e3e410305d39ff84603e61f766800c21ed2c5340d76b",
-    "threshold/africa":
-        "bcfe8bf2e9fc10d93980c6af6cfaf996ec9157b0970d29263bb692be50752e5d",
     "warm-restart":
         "1636557fdb3ddd267ac366c30146655532d54acfaf28b5fba894215e29ee7bd6",
     "delay-2tau":
@@ -381,7 +375,6 @@ _EXACT_SPECS = {
     "compound": ProtocolSpec.compound_tcp(),
     "reno": ProtocolSpec.reno(),
     "illinois": ProtocolSpec.illinois_tcp(),
-    "africa": ProtocolSpec.africa_tcp(),
 }
 _EXACT_RED = RedParams(gamma=0.028)
 # the 1.5x perturbation drives the queue into this buffer
@@ -399,13 +392,11 @@ _EXACT_RED_EQ = {
     "compound": ("0x1.138cb5bea2db0p+4", "0x1.55827f8265399p+6", "0x1.cfb2fd29d898ap-8"),
     "reno": ("0x1.137243702a06ep+4", "0x1.4e0fd1ae9d1b1p+6", "0x1.b74b2ee1a70dcp-8"),
     "illinois": ("0x1.463ebf721b485p+4", "0x1.ac6ab639eb878p+9", "0x1.4a7aa4d8340b1p-3"),
-    "africa": ("0x1.1290d44e9e21ep+4", "0x1.0e58c0ae451f3p+6", "0x1.cd06295347a8ep-9"),
 }
 _EXACT_TH_EQ = {
     "compound": "0x1.56c06562edc24p+6",
     "reno": "0x1.4db3211562632p+6",
     "illinois": "0x1.68df834aebf0ap+6",
-    "africa": "0x1.51bbcaaf90fa0p+6",
 }
 
 

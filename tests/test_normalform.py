@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aqmlab.errors import DomainError
 from aqmlab.fluid import (
     FluidSystemKind,
     default_history,
@@ -137,14 +136,6 @@ def test_queue_equation_coefficients_closed_forms(compound, red_defaults):
     assert tay.chi_y == pytest.approx(
         -red_defaults.rho * eq.w_star / net.rtt, rel=1e-12
     )
-
-
-def test_series_rejects_nonlinear_decrease():
-    net = NetworkParams(c_per_flow=100.0, rtt=0.2)
-    red = RedParams()
-    eq = equilibrium_no_averaging(ProtocolSpec.africa_tcp(), red, net)
-    with pytest.raises(DomainError):
-        taylor_coefficients(ProtocolSpec.africa_tcp(), red, net, eq)
 
 
 def test_linear_terms_agree_with_stability_coefficients(compound, red_defaults):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -374,9 +375,21 @@ def test_scenario_rejects_unknown_keys():
     ("red.wq", "fast"), ("flow.1.rtt_ms", "forty"), ("flow.1.bytes", "1e6"),
 ])
 def test_scenario_malformed_number_is_config_error(key, text):
-    scenario = SCENARIO + f"{key} = {text}\n"
-    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+    kept = [ln for ln in SCENARIO.splitlines() if not ln.startswith(f"{key} =")]
+    scenario = "\n".join(kept) + f"\n{key} = {text}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"{key} = {text!r}")):
         parse_scenario(scenario)
+
+
+def test_scenario_rejects_duplicate_keys():
+    scenario = SCENARIO + "capacity_mbps = 50\n"
+    with pytest.raises(ConfigError, match=r"line 23: duplicate key 'capacity_mbps' "
+                       r"\(first set on line 3\)"):
+        parse_scenario(scenario)
+    # the same flow field under another spelling of its index
+    with pytest.raises(ConfigError, match=r"line 23: 'flow\.01\.rtt_ms' repeats "
+                       r"flow\.1\.rtt_ms"):
+        parse_scenario(SCENARIO + "flow.01.rtt_ms = 400\n")
 
 
 def test_metrics_csv_files(tmp_path):

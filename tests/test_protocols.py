@@ -8,10 +8,10 @@ from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParam
 from aqmlab.protocols import (
     decrease_rate,
     increase_rate,
-    red_derived_slopes,
     red_drop_probability,
     threshold_drop_probability,
 )
+from aqmlab.stability import _PARAM_SETTERS
 
 
 def central_diff(f, w, order, h):
@@ -57,8 +57,7 @@ def test_window_domain_errors(compound):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_derivatives_match_finite_differences(order, compound):
-    spec_af = ProtocolSpec.africa_tcp()
-    for spec in (compound, ProtocolSpec.reno(), ProtocolSpec.illinois_tcp(), spec_af):
+    for spec in (compound, ProtocolSpec.reno(), ProtocolSpec.illinois_tcp()):
         for w in (1.0, 3.7, 25.0, 180.0, 1000.0):
             f = lambda x: increase_rate(spec, x)
             h = w * 1e-3 if order > 1 else w * 1e-6
@@ -67,7 +66,7 @@ def test_derivatives_match_finite_differences(order, compound):
 
 
 def test_decrease_derivative_matches_finite_difference():
-    for spec in (ProtocolSpec.compound_tcp(), ProtocolSpec.africa_tcp()):
+    for spec in (ProtocolSpec.compound_tcp(), ProtocolSpec.illinois_tcp()):
         for w in (2.0, 40.0, 900.0):
             f = lambda x: decrease_rate(spec, x)
             fd = central_diff(f, w, 1, w * 1e-6)
@@ -86,16 +85,6 @@ def test_reno_is_compound_special_case(reno):
                 increase_rate(as_compound, w, order), rel=1e-12
             )
         assert decrease_rate(reno, w, 1) == decrease_rate(as_compound, w, 1)
-
-
-def test_africa_domain_restriction():
-    spec = ProtocolSpec.africa_tcp()
-    assert increase_rate(spec, 38.0) > 0
-    # the decrease fraction leaves (0, 2) for very large windows
-    with pytest.raises(DomainError):
-        increase_rate(spec, 1e6)
-    with pytest.raises(DomainError):
-        decrease_rate(spec, 1e6)
 
 
 def test_red_drop_probability_boundaries(red_defaults):
@@ -125,7 +114,7 @@ def test_red_probability_continuous_at_breakpoints(red):
         right = red_drop_probability(b + eps, red)
         assert abs(left - right) < 1e-6  # continuity up to the slope * eps
         # exact continuity of the underlying branches at the breakpoint
-    rho, eta = red_derived_slopes(red)
+    rho, eta = red.rho, red.eta
     assert rho * (red.b_max - red.b_min) == pytest.approx(red.p_max, rel=1e-12)
     assert eta * red.b_max - (1 - 2 * red.p_max) == pytest.approx(
         red.p_max, abs=1e-12
@@ -146,11 +135,12 @@ def test_red_probability_monotone(red_defaults):
 
 def test_red_derived_slopes_values():
     red = RedParams()
-    rho, eta = red_derived_slopes(red)
-    assert rho == pytest.approx(2e-4, rel=1e-12)
-    assert eta == pytest.approx(16.36e-4, rel=5e-3)
+    assert red.rho == pytest.approx(2e-4, rel=1e-12)
+    assert red.eta == pytest.approx(16.36e-4, rel=5e-3)
     red2 = RedParams(p_max=0.5, b_max=100.0, b_min=50.0)
-    assert red_derived_slopes(red2) == (pytest.approx(0.01), pytest.approx(0.005))
+    assert (red2.rho, red2.eta) == (pytest.approx(0.01), pytest.approx(0.005))
+    with pytest.raises(DomainError):
+        RedParams(b_min=100.0, b_max=100.0)
 
 
 def test_threshold_drop_probability():
@@ -169,8 +159,15 @@ def test_threshold_drop_probability():
     )
 
 
-def test_constant_overrides_limited_to_dual_window_variant():
-    with pytest.raises(DomainError):
-        ProtocolSpec.reno().with_(alpha=0.2)
-    spec = ProtocolSpec.compound_tcp().with_(alpha=0.2)
-    assert spec.compound.alpha == 0.2
+def test_constant_overrides_replace_and_revalidate():
+    spec = _PARAM_SETTERS["alpha"](ProtocolSpec.reno(), None, None, None, 0.2)[0]
+    assert spec == ProtocolSpec(alpha=0.2, k=0.0, beta=0.5)
+    for name, value in (("alpha", 0.0), ("k", 1.0), ("beta", 1.0)):
+        with pytest.raises(DomainError):
+            _PARAM_SETTERS[name](ProtocolSpec(), None, None, None, value)
+
+
+def test_named_constructors_are_power_law_triples():
+    assert ProtocolSpec.compound_tcp() == ProtocolSpec(0.125, 0.75, 0.5)
+    assert ProtocolSpec.reno() == ProtocolSpec(1.0, 0.0, 0.5)
+    assert ProtocolSpec.illinois_tcp(8.0, 0.25) == ProtocolSpec(8.0, 0.0, 0.25)

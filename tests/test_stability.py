@@ -75,8 +75,8 @@ def test_no_averaging_model_form_identities():
     # parameter points (the implementation checks raw vs simplified itself)
     for spec, red, net, eq in random_systems(100, seed=3):
         co = linear_coefficients(K.NO_AVERAGING, spec, net, eq, red=red)
-        k = spec.compound.k
-        beta = spec.compound.beta
+        k = spec.k
+        beta = spec.beta
         m = (2.0 - k) * beta * eq.p_star
         wt = eq.w_star / net.rtt
         assert co.a1 == pytest.approx(wt * (red.rho + m), rel=1e-9)

@@ -14,11 +14,11 @@ from dataclasses import replace
 from functools import cache, partial
 
 from .errors import (
-    BracketError,
     ConfigError,
     ConvergenceError,
     DomainError,
     IntegrationError,
+    InternalConsistencyError,
 )
 from .fluid import (
     FluidSystemKind,
@@ -69,6 +69,13 @@ def _parse_sweep(text: str):
         return name.strip(), [start]
     step = (stop - start) / (count - 1)
     return name.strip(), [start + i * step for i in range(count)]
+
+
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds must be integers, got {text!r}") from None
 
 
 def _fluid_params(args):
@@ -147,19 +154,26 @@ def _cmd_equilibrium(args) -> int:
 
 
 _SWEEP_ALIASES = {"qth": "q_th", "bmin": "b_min", "bmax": "b_max", "pmax": "p_max"}
+# the parameters each system reads, the only ones a chart may sweep or solve for
+_SHARED = ("tau", "c", "kappa", "alpha", "k", "beta")
+_CHART_PARAMS = {
+    "with-averaging": (*_SHARED, "gamma", "b_min", "b_max", "p_max"),
+    "no-averaging": (*_SHARED, "b_min", "b_max", "p_max"),  # no averaging weight
+    "threshold": (*_SHARED, "q_th"),
+}
 
 
 def _cmd_stability_chart(args) -> int:
     kind = _KINDS[args.system]
-    name, values = args.sweep
-    name = _SWEEP_ALIASES.get(name, name)
+    given, values = args.sweep
+    name = _SWEEP_ALIASES.get(given, given)
+    accepted = _CHART_PARAMS[args.system]
+    for option, value, param in (("--sweep", given, name), ("--solve", args.solve, args.solve)):
+        if param not in accepted:
+            raise ConfigError(f"{option} {value!r} is not one of {', '.join(accepted)}")
+    if name == args.solve:
+        raise ConfigError(f"--sweep and --solve both name {args.solve!r}")
     spec, red, th, net = _fluid_params(args)
-    # only the system's own policy parameters are passed: a sweep of the
-    # other policy's then fails instead of charting a constant
-    if kind is FluidSystemKind.THRESHOLD:
-        red = None
-    else:
-        th = None
     points = trace_stability_chart(kind, name, values, args.solve, spec, net, red=red, th=th)
     failures = [p for p in points if p.error is not None]
     out = args.out or "chart.csv"
@@ -174,6 +188,12 @@ def _cmd_stability_chart(args) -> int:
 
 
 def _cmd_hopf_classify(args) -> int:
+    if not 0 < args.tau_min < args.tau_max:
+        raise ConfigError(
+            f"need 0 < --tau-min < --tau-max, got {args.tau_min!r}, {args.tau_max!r}"
+        )
+    if args.at_tau is not None and not args.at_tau > 0:
+        raise ConfigError(f"--at-tau must be positive, got {args.at_tau!r}")
     spec, red, _, net = _fluid_params(args)
     result, _, _ = classify_at_hopf(
         spec, red, net, tau_c=args.at_tau, tau_bracket=(args.tau_min, args.tau_max)
@@ -284,14 +304,13 @@ def _cmd_compare(args) -> int:
         w_q=args.red_wq,
     )
     th = PacketThreshold(q_th=int(args.qth))
-    seeds = [int(s) for s in args.seeds.split(",")]
     runs = [
         (name, desk_config(
             pol, args.rtt_ms / 1e3, seed=seed,
             bytes_to_send=args.mb_per_flow * 1_000_000 if args.mb_per_flow else None,
             duration=args.duration, overload=args.overload,
         ))
-        for seed in seeds
+        for seed in args.seeds
         for name, pol in (("red", red), ("threshold", th))
     ]
     results = run_batch([cfg for _, cfg in runs])
@@ -405,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--red-pmax", type=float, default=0.1)
     p.add_argument("--red-wq", type=float, default=1.2e-4)
     p.add_argument("--qth", type=float, default=15.0)
-    p.add_argument("--seeds", type=str, default="1,2,3")
+    p.add_argument("--seeds", type=_parse_seeds, default="1,2,3")
     p.add_argument("--mb-per-flow", type=int, default=None)
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--overload", type=float, default=1.4)
@@ -426,7 +445,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BracketError, ConvergenceError, IntegrationError) as exc:
+    except (ConvergenceError, IntegrationError, InternalConsistencyError) as exc:
+        # an internal cross-check that fails is a numerical failure too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:

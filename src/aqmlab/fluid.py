@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from functools import reduce
+from itertools import pairwise
+from operator import add
 
 from .errors import ConvergenceError, DomainError, IntegrationError, InternalConsistencyError
 from .numerics import bisect, hermite_eval
@@ -291,25 +293,23 @@ def rhs(
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled solution of one fluid system."""
+    """Uniformly sampled solution of one fluid system: the sample times and
+    one list of floats per state, in `kind.columns` order."""
 
-    times: np.ndarray
-    states: np.ndarray
+    times: list[float]
+    columns: list[list[float]]
     kind: FluidSystemKind
     step: float
     meta: dict = field(default_factory=dict)
 
-    def component(self, name: str) -> np.ndarray:
-        return self.states[:, self.kind.columns.index(name)]
+    def component(self, name: str) -> list[float]:
+        return self.columns[self.kind.columns.index(name)]
 
     def to_csv(self, path) -> None:
         row = "%.12g" + ",%.12g" * self.kind.dim + "\n"
         with open(path, "w") as fh:
             fh.write("t," + ",".join(self.kind.columns) + "\n")
-            fh.writelines(
-                row % (t, *y)
-                for t, y in zip(self.times.tolist(), self.states.tolist())
-            )
+            fh.writelines(row % r for r in zip(self.times, *self.columns))
 
 
 # The three RK4 kernels below advance one system each, with every state
@@ -501,8 +501,7 @@ def integrate_dde(
     ]
     _KERNELS[kind](f, cols, mids, m, n_steps, h, net.buffer)
 
-    times = np.arange(n_steps + 1) * h
-    states = np.array([c[m:] for c in cols], dtype=float).T.copy()
+    times = [j * h for j in range(n_steps + 1)]
     meta = {
         "kind": kind.value,
         "steps_per_delay": m,
@@ -511,7 +510,7 @@ def integrate_dde(
         "rtt": net.rtt,
         "c_per_flow": net.c_per_flow,
     }
-    return Trajectory(times, states, kind, h, meta)
+    return Trajectory(times, [c[m:] for c in cols], kind, h, meta)
 
 
 def default_history(eq: Equilibrium, scale: float = 1.1):
@@ -557,7 +556,7 @@ class History:
         n = int(round(window / traj.step))
         if n < 1 or n >= len(traj.times):
             raise DomainError("trajectory does not span the requested window")
-        return cls(traj.step, [tuple(row) for row in traj.states[-(n + 1):]])
+        return cls(traj.step, zip(*(c[-(n + 1):] for c in traj.columns)))
 
     def __call__(self, t: float):
         if t > 1e-12 or t < -self.window - 1e-12:
@@ -593,24 +592,47 @@ def oscillation_metrics(
     mean; it is None when the signal is (numerically) constant or crosses
     fewer than twice.
     """
-    mask = traj.times >= transient_cut
-    if mask.sum() < 8:
+    start = bisect_left(traj.times, transient_cut)
+    if len(traj.times) - start < 8 or math.isnan(transient_cut):
         raise DomainError("post-transient window too short")
-    x = traj.component(component)[mask]
-    t = traj.times[mask]
-    lo = float(x.min())
-    hi = float(x.max())
+    x = traj.component(component)[start:]
+    t = traj.times[start:]
+    lo = min(x)
+    hi = max(x)
     amplitude = hi - lo
     period = None
     if amplitude > max(amplitude_floor, 1e-12 * max(abs(hi), abs(lo))):
-        centered = x - x.mean()
-        up = np.flatnonzero((centered[:-1] < 0) & (centered[1:] >= 0))
+        mean = _mean(x)
+        up = [i for i, (a, b) in enumerate(pairwise(x)) if a < mean <= b]
         if len(up) >= 2:
             # linear interpolation of each crossing instant
-            frac = -centered[up] / (centered[up + 1] - centered[up])
-            crossings = t[up] + frac * (t[up + 1] - t[up])
-            period = float(np.diff(crossings).mean())
+            crossings = [
+                t[i] + (mean - x[i]) / ((x[i + 1] - mean) - (x[i] - mean)) * (t[i + 1] - t[i])
+                for i in up
+            ]
+            period = _mean([b - a for a, b in pairwise(crossings)])
     return OscillationMetrics(lo, hi, amplitude, period)
+
+
+def _mean(x: list[float]) -> float:
+    """Mean of x by pairwise summation, the order the recorded oscillation
+    metrics were summed in; near-constant signals need their bits, as a mean
+    one ulp off moves the period by ~1e-6. (math.fsum, statistics.fmean and,
+    from Python 3.12 on, sum() round differently.)"""
+
+    def pairwise_sum(lo: int, n: int) -> float:
+        if n < 8:
+            return reduce(add, x[lo:lo + n], 0.0)
+        if n <= 128:  # eight strided accumulators, a tree, then the rest
+            end = lo + n - n % 8
+            r = [reduce(add, x[lo + j:end:8]) for j in range(8)]
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, x[end:lo + n], res)
+        half = n // 2
+        half -= half % 8
+        return pairwise_sum(lo, half) + pairwise_sum(lo + half, n - half)
+
+    return pairwise_sum(0, len(x)) / len(x)
 
 
 def threshold_bifurcation_sweep(

@@ -690,10 +690,7 @@ def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
 
             # fork, not spawn or forkserver: those re-run the caller's main
             # script in every worker (which then needs a __main__ guard) and
-            # import the package and numpy again, at no gain. The parent
-            # may hold idle BLAS threads when it forks; a forked child has
-            # only the forking thread, and the simulator it runs is pure
-            # Python that takes no lock those threads could have held.
+            # import the package again, at no gain.
             with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")
             ) as pool:
@@ -869,38 +866,6 @@ def _scenario_value(key: str, text: str, kind):
         return kind(text)
     except ValueError:
         raise ConfigError(f"{key} = {text!r} is not a valid {kind.__name__}") from None
-
-
-def format_scenario(cfg: SimConfig) -> str:
-    lines = [
-        f"topology = {cfg.topology}",
-        f"capacity_mbps = {cfg.capacity / 1e6:g}",
-        f"buffer_pkts = {cfg.buffer}",
-        f"packet_bytes = {cfg.packet_size}",
-        f"duration_s = {cfg.duration:g}",
-        f"sample_interval_s = {cfg.sample_interval:g}",
-        f"seed = {cfg.seed}",
-    ]
-    if isinstance(cfg.policy, PacketRed):
-        lines += [
-            "policy = red",
-            f"red.bmin = {cfg.policy.b_min:g}",
-            f"red.bmax = {cfg.policy.b_max:g}",
-            f"red.pmax = {cfg.policy.p_max:g}",
-            f"red.wq = {cfg.policy.w_q:g}",
-        ]
-    elif isinstance(cfg.policy, PacketThreshold):
-        lines += ["policy = threshold", f"threshold.qth = {cfg.policy.q_th}"]
-    else:
-        lines += ["policy = droptail"]
-    for i, f in enumerate(cfg.flows):
-        lines.append(f"flow.{i}.protocol = {f.protocol}")
-        lines.append(f"flow.{i}.access_mbps = {f.access_rate / 1e6:g}")
-        lines.append(f"flow.{i}.rtt_ms = {f.rtt_propagation * 1e3:g}")
-        lines.append(f"flow.{i}.start_s = {f.start_time:g}")
-        if f.bytes_to_send is not None:
-            lines.append(f"flow.{i}.bytes = {f.bytes_to_send}")
-    return "\n".join(lines) + "\n"
 
 
 def write_metrics_csv(metrics: Metrics, outdir) -> None:

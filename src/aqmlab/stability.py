@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -287,25 +285,19 @@ def crossover_frequency(
         if x <= 0.0:
             return None
         omega = math.sqrt(x)
-        # cross-check against the direct quartic roots; the companion-matrix
-        # roots lose relative accuracy when the root magnitudes are far
-        # apart, so each candidate is polished on the quartic itself
-        quartic = np.roots([1.0, 0.0, A, 0.0, B])
-        real_pos = []
-        for r in quartic:
-            if abs(r.imag) >= 1e-6 * max(1.0, abs(r)) or r.real <= 0:
-                continue
-            root = r.real
-            for _ in range(4):
-                p = ((root * root + A) * root * root) + B
-                dp = 4.0 * root**3 + 2.0 * A * root
-                if dp == 0:
-                    break
-                root -= p / dp
-            real_pos.append(root)
-        if not real_pos or abs(max(real_pos) - omega) > 1e-9 * omega:
+        # confirm omega as the largest root of the quartic w^4 + A w^2 + B:
+        # Newton steps on it must leave omega in place, and x = omega^2 must
+        # lie on the rising side of x^2 + A x + B, as only its largest root does
+        root = omega
+        for _ in range(4):
+            p = ((root * root + A) * root * root) + B
+            dp = 4.0 * root**3 + 2.0 * A * root
+            if dp == 0:
+                break
+            root -= p / dp
+        if abs(root - omega) > 1e-9 * omega or 2.0 * x + A < 0.0:
             raise InternalConsistencyError(
-                f"discriminant frequency {omega} not confirmed by quartic roots {quartic}"
+                f"discriminant frequency {omega} not confirmed on the quartic: {root}"
             )
         return kappa * omega
     if a.a2 > a.a1:

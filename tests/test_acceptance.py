@@ -199,7 +199,7 @@ def test_criterion_06_normal_form_classification(hopf_noavg):
         steps_per_delay=200,
     )
     m = oscillation_metrics(traj, 840.0)
-    bounded_small = np.isfinite(traj.states).all() and 0 < m.amplitude < eqk.w_star
+    bounded_small = np.isfinite(traj.columns).all() and 0 < m.amplitude < eqk.w_star
     elapsed = time.monotonic() - t0
     ok = res.mu2 > 0 and res.beta2 < 0 and identity and bounded_small and elapsed < 60.0
     report(6, ok, f"mu2 = {res.mu2:.3e} > 0, beta2 = {res.beta2:.3e} < 0 "
@@ -391,7 +391,7 @@ def test_criterion_12_property_suite_spot_checks():
         K.NO_AVERAGING, SPEC, net, red=RED, initial_history=eq.state(),
         horizon=100 * net.rtt, steps_per_delay=200,
     )
-    ok &= float(np.abs(traj.states - np.asarray(eq.state())).max()) < 1e-6
+    ok &= float(np.abs(np.asarray(traj.columns).T - np.asarray(eq.state())).max()) < 1e-6
 
     # conservation and determinism of the packet simulator
     cfg = desk_config(PacketThreshold(q_th=15), 0.05, seed=2, duration=10.0,

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import random
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from aqmlab.fluid import (
     FluidSystemKind,
     History,
     OperatingRegionWarning,
+    OscillationMetrics,
     Trajectory,
     default_history,
     equilibrium_no_averaging,
@@ -29,6 +32,11 @@ from aqmlab.protocols import threshold_drop_probability
 from conftest import solve_red_fixed_point
 
 K = FluidSystemKind
+
+
+def _states(traj):
+    """The samples as an (n, dim) array, one row per time."""
+    return np.asarray(traj.columns).T
 
 
 # -- equilibria ---------------------------------------------------------------
@@ -197,7 +205,7 @@ def test_fixed_point_invariance_all_systems(compound, red_defaults):
             kind, compound, net, initial_history=eq.state(),
             horizon=500 * net.rtt, steps_per_delay=200, **kw
         )
-        assert np.abs(traj.states - np.asarray(eq.state())).max() < 1e-6
+        assert np.abs(_states(traj) - np.asarray(eq.state())).max() < 1e-6
     th = ThresholdParams(20.0)
     net1 = NetworkParams(c_per_flow=100.0, rtt=1.0)
     eq = equilibrium_threshold(compound, net1, th)
@@ -205,7 +213,7 @@ def test_fixed_point_invariance_all_systems(compound, red_defaults):
         K.THRESHOLD, compound, net1, th=th, initial_history=eq.state(),
         horizon=500.0, steps_per_delay=200,
     )
-    assert np.abs(traj.states - eq.w_star).max() < 1e-6
+    assert np.abs(_states(traj) - eq.w_star).max() < 1e-6
 
 
 def test_step_halving_convergence_order(compound):
@@ -221,7 +229,7 @@ def test_step_halving_convergence_order(compound):
             initial_history=default_history(eq, 1.1),
             horizon=30.0, steps_per_delay=m,
         )
-        finals[m] = traj.states[-1][0]
+        finals[m] = traj.component("w")[-1]
     e1 = abs(finals[200] - finals[3200])
     e2 = abs(finals[400] - finals[3200])
     order = math.log2(e1 / e2)
@@ -261,8 +269,8 @@ def test_rate_multiplier_is_time_rescaling_with_scaled_delay(
     )
     # the slow run's step is twice the fast run's, so node j of the slow run
     # sits at exactly twice the time of node j of the fast run
-    assert slow.states.shape == fast.states.shape
-    assert np.abs(slow.states - fast.states).max() < 1e-6
+    assert _states(slow).shape == _states(fast).shape
+    assert np.abs(_states(slow) - _states(fast)).max() < 1e-6
 
 
 def test_warm_restart_from_stored_window(compound, red_defaults):
@@ -286,8 +294,8 @@ def test_warm_restart_from_stored_window(compound, red_defaults):
         initial_history=History.from_trajectory(first, net.rtt),
         horizon=40 * net.rtt, steps_per_delay=200,
     )
-    n = len(resumed.states)
-    assert np.abs(resumed.states - full.states[-n:]).max() < 1e-6
+    n = len(resumed.times)
+    assert np.abs(_states(resumed) - _states(full)[-n:]).max() < 1e-6
 
 
 @pytest.mark.parametrize("horizon", [-3.0, 0.0, math.nan, math.inf])
@@ -342,7 +350,7 @@ def test_blowup_reported_with_time(compound, red_defaults):
 
 # -- exactness ----------------------------------------------------------------
 
-# sha256 of traj.states.tobytes(), recorded with the generic tuple-based loop
+# sha256 of the row-major float64 samples, recorded with the generic tuple-based loop
 # that the per-system kernels replaced: a drift of one ulp in one sample
 # changes the digest. They were recorded on x86-64 Linux; `**` is the C
 # library's pow, so a libm that rounds it differently gives other digests.
@@ -431,7 +439,7 @@ def test_exact_fixed_points_match_solver():
 
 
 def _digest(traj):
-    return hashlib.sha256(traj.states.tobytes()).hexdigest()
+    return hashlib.sha256(_states(traj).tobytes()).hexdigest()
 
 
 def _exact_digests():
@@ -474,7 +482,7 @@ def test_trajectories_bit_identical_to_recorded_digests():
 
 def _synthetic_traj(times, values):
     return Trajectory(
-        np.asarray(times), np.asarray(values)[:, None], K.THRESHOLD,
+        [float(t) for t in times], [[float(v) for v in values]], K.THRESHOLD,
         float(times[1] - times[0]),
     )
 
@@ -497,6 +505,136 @@ def test_metrics_window_too_short():
     t = np.arange(0.0, 1.0, 0.01)
     with pytest.raises(DomainError):
         oscillation_metrics(_synthetic_traj(t, np.sin(t)), 0.999)
+    with pytest.raises(DomainError):
+        oscillation_metrics(_synthetic_traj(t, np.sin(t)), math.nan)
+
+
+def _oscillation_oracle(traj, transient_cut, component="w", amplitude_floor=1e-9):
+    """oscillation_metrics as it was written in numpy, before the runtime
+    dropped it: the oracle for the bits of the plain-Python version."""
+    times = np.asarray(traj.times)
+    mask = times >= transient_cut
+    if mask.sum() < 8:
+        raise DomainError("post-transient window too short")
+    x = np.asarray(traj.component(component))[mask]
+    t = times[mask]
+    lo = float(x.min())
+    hi = float(x.max())
+    amplitude = hi - lo
+    period = None
+    if amplitude > max(amplitude_floor, 1e-12 * max(abs(hi), abs(lo))):
+        centered = x - x.mean()
+        up = np.flatnonzero((centered[:-1] < 0) & (centered[1:] >= 0))
+        if len(up) >= 2:
+            frac = -centered[up] / (centered[up + 1] - centered[up])
+            crossings = t[up] + frac * (t[up + 1] - t[up])
+            period = float(np.diff(crossings).mean())
+    return OscillationMetrics(lo, hi, amplitude, period)
+
+
+def _metrics_hex(m):
+    return tuple(None if v is None else v.hex() for v in astuple(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(("sine", "near-constant", "noise")),
+    n=st.integers(8, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(-1e3, 1e3),
+    cut=st.floats(0.0, 1.0),
+)
+def test_metrics_bit_identical_to_numpy_oracle(shape, n, seed, level, cut):
+    rng = random.Random(seed)
+    h = rng.uniform(1e-3, 1.0)
+    times = [j * h for j in range(n)]
+    if shape == "noise":
+        values = [level + rng.uniform(-1.0, 1.0) for _ in times]
+    else:
+        # a noisy sine; a near-constant one swings by 1e-11 to 1e-8 of its
+        # level, as the window does below the critical threshold
+        swing = 1.0 if shape == "sine" else 10 ** rng.uniform(-11, -8) * max(abs(level), 1.0)
+        period = rng.uniform(2.0, n / 4.0) * h
+        values = [
+            level + swing * (math.sin(2 * math.pi * t / period) + rng.gauss(0, 0.05))
+            for t in times
+        ]
+    values = [v + 0.0 for v in values]  # no -0.0: min/max may pick either zero
+    traj = _synthetic_traj(times, values)
+    transient_cut = cut * times[-8]
+    got = oscillation_metrics(traj, transient_cut, amplitude_floor=0.0)
+    want = _oscillation_oracle(traj, transient_cut, amplitude_floor=0.0)
+    assert _metrics_hex(got) == _metrics_hex(want)
+
+
+# Oscillation metrics (minimum, maximum, amplitude, period) as float.hex, and
+# the sha256 of the trajectory CSV, recorded when trajectories were numpy
+# arrays. The inputs are those of the benchmark's fluid workload at its
+# reference seed; the first sweep point lies below q_th,c, with an amplitude
+# of 5.8e-8, where one ulp in the mean moves the period in its sixth digit.
+_GOLDEN_SWEEP = [
+    ("0x1.35c5ac2e6055bp+6", "0x1.35c5ac324a971p+6", "0x1.f520b00000000p-25",
+     "0x1.0d9e9472120b0p+2"),
+    ("0x1.47d4dca7f7753p+6", "0x1.47f8b1651de70p+6", "0x1.1ea5e9338e800p-5",
+     "0x1.02757e10a03f9p+2"),
+    ("0x1.4ae8ad2586957p+6", "0x1.596d5d8649aaap+6", "0x1.d0960c1862a60p+1",
+     "0x1.01855a6b032f4p+2"),
+    ("0x1.4a7f017b4456dp+6", "0x1.63ec6cee6ddc5p+6", "0x1.96d6b73298580p+2",
+     "0x1.1486614ef3300p+2"),
+]
+_GOLDEN_SIMS = {
+    # (system, tau, gamma, kappa, perturbation) -> metrics, CSV digest
+    "settle": (
+        (K.WITH_AVERAGING, 0.171, 0.03181550669905086, 1.0, 1.1),
+        ("0x1.efca61f1c9915p+3", "0x1.33a3bc7c3aae1p+4", "0x1.ddf45c1aaf2b4p+1",
+         "0x1.aae535b00408cp+2"),
+        "9f262303d606bcb604eb6f31b9f80759f213f1349cca688281e7b3974b390310",
+    ),
+    "cycle": (
+        (K.WITH_AVERAGING, 0.171, 0.027924251416067237, 1.0, 1.1),
+        ("0x1.df189a1cc010ep+3", "0x1.3d1f28f491ea3p+4", "0x1.364b6f98c7870p+2",
+         "0x1.b0bee3163c38cp+2"),
+        "0b259c33ac23ecaeb65a30fb5b99e8de9b41e600f82a49b082122c0080cd399a",
+    ),
+    "kappa": (
+        (K.NO_AVERAGING, 0.27175, RedParams().gamma, 1.0189947650522264, 1.02),
+        ("0x1.a98c5977eaeffp+4", "0x1.bfcf972055415p+4", "0x1.6433da86a5160p+0",
+         "0x1.8fa1220b2a04cp+2"),
+        "ed5cf8f73a64acd3d529f48640427d6c88f903c63bef1041a21f3fabe9b21844",
+    ),
+}
+
+
+def test_bifurcation_metrics_bit_identical_to_recorded():
+    start = 26.69630834842228
+    rows = threshold_bifurcation_sweep(
+        ProtocolSpec(), NetworkParams(c_per_flow=100.0, rtt=1.0),
+        [start + 8.0 * i for i in range(4)],
+        horizon_delays=120.0, transient_delays=80.0, steps_per_delay=200,
+    )
+    assert rows[0][2].amplitude < 1e-7
+    assert [_metrics_hex(m) for _, _, m in rows] == _GOLDEN_SWEEP
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SIMS))
+def test_fluid_sim_metrics_and_csv_bit_identical_to_recorded(tmp_path, case):
+    (kind, tau, gamma, kappa, perturbation), metrics, csv_digest = _GOLDEN_SIMS[case]
+    spec, red = ProtocolSpec(), RedParams(gamma=gamma)
+    net = NetworkParams(c_per_flow=100.0, rtt=tau, kappa=kappa)
+    solver = (
+        equilibrium_with_averaging if kind is K.WITH_AVERAGING
+        else equilibrium_no_averaging
+    )
+    eq = solver(spec, red, net)
+    traj = integrate_dde(
+        kind, spec, net, red=red,
+        initial_history=default_history(eq, perturbation),
+        horizon=150 * tau, steps_per_delay=200,
+    )
+    assert _metrics_hex(oscillation_metrics(traj, 100 * tau)) == metrics
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
 
 
 def test_threshold_bifurcation_direction(compound):
@@ -529,9 +667,9 @@ def test_trajectory_csv_roundtrip(tmp_path, compound, red_defaults):
     assert lines[0] == "t,w,q,p"
     assert len(lines) == len(traj.times) + 1
     back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(back[:, 1:], traj.states, rtol=1e-11)
+    assert np.allclose(back[:, 1:], _states(traj), rtol=1e-11)
     expected = "t,w,q,p\n" + "".join(
         ",".join(f"{v:.12g}" for v in (t, *row)) + "\n"
-        for t, row in zip(traj.times, traj.states)
+        for t, row in zip(traj.times, _states(traj))
     )
     assert path.read_text() == expected

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqmlab.errors import BracketError
 from aqmlab.fluid import (
@@ -180,10 +182,62 @@ def test_no_averaging_crossover_value(compound, red_defaults):
     co = linear_coefficients(K.NO_AVERAGING, compound, net, eq, red=red_defaults)
     w = crossover_frequency(K.NO_AVERAGING, co)
     assert w == pytest.approx(0.99, rel=0.01)
-    # independent quartic-root oracle
-    quartic = np.roots([1.0, 0.0, co.a1**2 - 2 * co.a2, 0.0, co.a2**2 - co.a3**2])
-    pos = max(r.real for r in quartic if abs(r.imag) < 1e-9 and r.real > 0)
-    assert w == pytest.approx(pos, rel=1e-9)
+    assert w == pytest.approx(_quartic_oracle(co), rel=1e-9)
+
+
+def _quartic_oracle(co):
+    """Largest positive real root of the no-averaging quartic
+    w^4 + (a1^2 - 2 a2) w^2 + (a2^2 - a3^2), or None: companion-matrix roots,
+    each polished by Newton steps on the quartic, since those roots lose
+    relative accuracy when the root magnitudes are far apart."""
+    A = co.a1**2 - 2.0 * co.a2
+    B = co.a2**2 - co.a3**2
+    real_pos = []
+    for r in np.roots([1.0, 0.0, A, 0.0, B]):
+        if abs(r.imag) >= 1e-6 * max(1.0, abs(r)) or r.real <= 0:
+            continue
+        root = r.real
+        for _ in range(4):
+            dp = 4.0 * root**3 + 2.0 * A * root
+            if dp == 0:
+                break
+            root -= ((root * root + A) * root * root + B) / dp
+        real_pos.append(root)
+    return max(real_pos, default=None)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=_log_uniform(1.0, 1e4),
+    tau=_log_uniform(1e-4, 30.0),
+    alpha=_log_uniform(1e-3, 10.0),
+    k=st.floats(0.0, 0.999),
+    beta=st.floats(1e-3, 0.999),
+    gamma=_log_uniform(1e-6, 1.0),
+    b_min=_log_uniform(0.1, 1e3),
+    band=_log_uniform(0.1, 1e3),
+    p_max=st.floats(1e-3, 0.999),
+)
+def test_no_averaging_crossover_matches_quartic_roots(
+    c, tau, alpha, k, beta, gamma, b_min, band, p_max
+):
+    # the runtime confirms the crossover on the quartic itself (Newton steps
+    # and the rising side); companion-matrix roots check it independently
+    spec = ProtocolSpec.compound_tcp(alpha=alpha, k=k, beta=beta)
+    red = RedParams(gamma=gamma, b_min=b_min, b_max=b_min + band, p_max=p_max)
+    net = NetworkParams(c_per_flow=c, rtt=tau)
+    eq = equilibrium_no_averaging(spec, red, net)
+    co = linear_coefficients(K.NO_AVERAGING, spec, net, eq, red=red)
+    omega = crossover_frequency(K.NO_AVERAGING, co)
+    expected = _quartic_oracle(co)
+    if omega is None:
+        assert expected is None
+    else:
+        assert omega == pytest.approx(expected, rel=1e-12)
 
 
 def test_threshold_no_crossover_when_a2_not_above_a1():
@@ -263,7 +317,7 @@ def test_no_averaging_dde_oracle_decay_and_growth(compound, red_defaults):
             initial_history=default_history(eq, 1.05),
             horizon=250 * net.rtt, steps_per_delay=200,
         )
-        w = traj.component("w")
+        w = np.asarray(traj.component("w"))
         n = len(w)
         early = np.abs(w[: n // 3] - eq.w_star).max()
         late = np.abs(w[-n // 3:] - eq.w_star).max()
@@ -477,7 +531,7 @@ def test_hopf_point_brackets_unstable_oscillation(compound, red_defaults):
             initial_history=default_history(eq, 1.05),
             horizon=250 * net.rtt, steps_per_delay=200,
         )
-        w = traj.component("w")
+        w = np.asarray(traj.component("w"))
         half = len(w) // 2
         ampl_mid = np.abs(w[half : half + half // 2] - eq.w_star).max()
         ampl_end = np.abs(w[-half // 2 :] - eq.w_star).max()

@@ -8,6 +8,7 @@ bifurcation-diagram, packet-sim, compare-policies. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -132,15 +133,16 @@ def _add_common(p, tau_default):
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")
 
 
-def _cmd_equilibrium(args) -> int:
-    kind = _KINDS[args.system]
-    spec, red, th, net = _fluid_params(args)
+def _equilibrium(kind, spec, red, th, net):
     if kind is FluidSystemKind.THRESHOLD:
-        eq = equilibrium_threshold(spec, net, th)
-    elif kind is FluidSystemKind.NO_AVERAGING:
-        eq = equilibrium_no_averaging(spec, red, net)
-    else:
-        eq = equilibrium_with_averaging(spec, red, net)
+        return equilibrium_threshold(spec, net, th)
+    if kind is FluidSystemKind.NO_AVERAGING:
+        return equilibrium_no_averaging(spec, red, net)
+    return equilibrium_with_averaging(spec, red, net)
+
+
+def _cmd_equilibrium(args) -> int:
+    eq = _equilibrium(_KINDS[args.system], *_fluid_params(args))
     print(f"w_star = {eq.w_star:.12g}")
     if eq.q_star is not None:
         print(f"q_star = {eq.q_star:.12g}")
@@ -188,12 +190,12 @@ def _cmd_stability_chart(args) -> int:
 
 
 def _cmd_hopf_classify(args) -> int:
-    if not 0 < args.tau_min < args.tau_max:
+    if not 0 < args.tau_min < args.tau_max < math.inf:
         raise ConfigError(
-            f"need 0 < --tau-min < --tau-max, got {args.tau_min!r}, {args.tau_max!r}"
+            f"need 0 < --tau-min < --tau-max < inf, got {args.tau_min!r}, {args.tau_max!r}"
         )
-    if args.at_tau is not None and not args.at_tau > 0:
-        raise ConfigError(f"--at-tau must be positive, got {args.at_tau!r}")
+    if args.at_tau is not None and not 0 < args.at_tau < math.inf:
+        raise ConfigError(f"--at-tau must be positive and finite, got {args.at_tau!r}")
     spec, red, _, net = _fluid_params(args)
     result, _, _ = classify_at_hopf(
         spec, red, net, tau_c=args.at_tau, tau_bracket=(args.tau_min, args.tau_max)
@@ -210,12 +212,7 @@ def _cmd_hopf_classify(args) -> int:
 def _cmd_fluid_sim(args) -> int:
     kind = _KINDS[args.system]
     spec, red, th, net = _fluid_params(args)
-    if kind is FluidSystemKind.THRESHOLD:
-        eq = equilibrium_threshold(spec, net, th)
-    elif kind is FluidSystemKind.NO_AVERAGING:
-        eq = equilibrium_no_averaging(spec, red, net)
-    else:
-        eq = equilibrium_with_averaging(spec, red, net)
+    eq = _equilibrium(kind, spec, red, th, net)
     traj = integrate_dde(
         kind, spec, net, red=red, th=th,
         initial_history=default_history(eq, args.perturb),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -17,8 +18,8 @@ class ProtocolSpec:
     beta: float = 0.5
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
         # k = 0 is admitted so that the classic AIMD protocol (alpha=1, k=0,
         # beta=1/2) is expressible as a special case of the same family.
         if not 0 <= self.k < 1:
@@ -56,9 +57,9 @@ class RedParams:
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
             raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0 < self.b_min < self.b_max:
+        if not 0 < self.b_min < self.b_max < math.inf:
             raise DomainError(
-                f"need 0 < b_min < b_max, got ({self.b_min}, {self.b_max})"
+                f"need 0 < b_min < b_max < inf, got ({self.b_min}, {self.b_max})"
             )
         if not 0 < self.p_max < 1:
             raise DomainError(f"p_max must be in (0, 1), got {self.p_max}")
@@ -81,8 +82,8 @@ class ThresholdParams:
     q_th: float = 15.0
 
     def __post_init__(self):
-        if not self.q_th >= 1:
-            raise DomainError(f"q_th must be >= 1, got {self.q_th}")
+        if not 1 <= self.q_th < math.inf:
+            raise DomainError(f"q_th must be >= 1 and finite, got {self.q_th}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,10 @@ class NetworkParams:
     buffer: float | None = None
 
     def __post_init__(self):
-        if not self.c_per_flow > 0:
-            raise DomainError(f"c_per_flow must be > 0, got {self.c_per_flow}")
-        if not self.rtt > 0:
-            raise DomainError(f"rtt must be > 0, got {self.rtt}")
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be > 0, got {self.kappa}")
+        for name in ("c_per_flow", "rtt", "kappa"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     @property
     def bdp(self) -> float:

@@ -68,6 +68,7 @@ class HopfPoint:
     omega: float
     kappa_c: float
     residual: float
+    transversality: float
 
 
 class TransversalityAnomalyWarning(UserWarning):
@@ -638,46 +639,74 @@ DEFAULT_BRACKETS = {
 }
 
 
-def _system_at(kind, free_param, value, spec, net, red, th, quiet=False):
-    if free_param not in _PARAM_SETTERS:
-        raise DomainError(f"unknown free parameter {free_param!r}")
+def _check_solvable(name):
+    if name not in DEFAULT_BRACKETS:
+        raise DomainError(f"no Hopf search in {name!r}: one of {', '.join(DEFAULT_BRACKETS)}")
+
+
+def _system_at(kind, free_param, value, spec, net, red, th):
     s, r, t, n = _PARAM_SETTERS[free_param](spec, red, th, net, value)
-    with warnings.catch_warnings():
-        if quiet:
-            # trial points of a boundary search stray outside the affine
-            # band by design; only the solution itself should warn
-            warnings.simplefilter("ignore")
-        if kind is FluidSystemKind.WITH_AVERAGING:
-            eq = equilibrium_with_averaging(s, r, n)
-        elif kind is FluidSystemKind.NO_AVERAGING:
-            eq = equilibrium_no_averaging(s, r, n)
-        else:
-            eq = equilibrium_threshold(s, n, t)
-    co = linear_coefficients(kind, s, n, eq, red=r, th=t)
-    return s, r, t, n, eq, co
+    if kind is FluidSystemKind.WITH_AVERAGING:
+        eq = equilibrium_with_averaging(s, r, n)
+    elif kind is FluidSystemKind.NO_AVERAGING:
+        eq = equilibrium_no_averaging(s, r, n)
+    else:
+        eq = equilibrium_threshold(s, n, t)
+    return s, r, t, n, eq
 
 
-def hopf_phase_residual(
-    kind: FluidSystemKind,
-    free_param: str,
-    value: float,
-    spec: ProtocolSpec,
-    net: NetworkParams,
-    red: RedParams | None = None,
-    th: ThresholdParams | None = None,
-) -> float:
-    """omega*tau minus the crossing angle at the operating rate multiplier.
+def _explicit_equilibrium(kind, free_param, p, spec, net, th):
+    """(value, w*) of tau, c, alpha or q_th at which the equilibrium drop
+    probability is p: w* from the window balance, c*tau from the policy."""
+    threshold = kind is FluidSystemKind.THRESHOLD
+    bdp = net.c_per_flow * net.rtt
+    if free_param == "alpha":
+        w = bdp * p ** (1.0 / th.q_th) if threshold else bdp / (1.0 - p)
+        return spec.beta * p * w ** (2.0 - spec.k) / (1.0 - p), w
+    w = (spec.beta * p / (spec.alpha * (1.0 - p))) ** (1.0 / (spec.k - 2.0))
+    if free_param == "q_th":  # rounding maps q_th = 1 to just below its domain
+        return max(1.0, math.log(p) / math.log(w / bdp)), w
+    bdp = w * p ** (-1.0 / th.q_th) if threshold else w * (1.0 - p)
+    return bdp / (net.c_per_flow if free_param == "tau" else net.rtt), w
 
-    Zero exactly on the stability boundary; negative on the stable side of
-    the first crossing. The equilibrium is re-solved at every trial value
-    because it depends on the swept parameter.
-    """
-    _, _, _, n, _, co = _system_at(kind, free_param, value, spec, net, red, th, quiet=True)
-    omega1 = crossover_frequency(kind, co, kappa=1.0)
+
+def hopf_phase_residual(kind: FluidSystemKind, coeffs: CharCoefficients, tau: float,
+                        kappa: float) -> float:
+    """omega*tau minus the crossing angle at the rate multiplier kappa: zero on
+    the stability boundary, negative on the stable side of the first crossing."""
+    omega1 = crossover_frequency(kind, coeffs, kappa=1.0)
     if omega1 is None:
         return -math.pi
-    theta = _crossing_angle(kind, co, omega1)
-    return n.kappa * omega1 * n.rtt - theta
+    return kappa * omega1 * tau - _crossing_angle(kind, coeffs, omega1)
+
+
+def _hopf_search(kind, free_param, bracket, spec, net, red, th):
+    """(phi, trial, unknown at the bracket ends) of a Hopf search. tau, c,
+    alpha and threshold q_th move the equilibrium, so the unknown is p* and
+    trial(p) builds (value, equilibrium) from the explicit map; the other
+    parameters are their own unknown, with one equilibrium held."""
+    _check_solvable(free_param)
+    moves = free_param in ("tau", "c", "alpha") or (
+        free_param == "q_th" and kind is FluidSystemKind.THRESHOLD
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bracket ends may leave the affine band
+        ends = [_system_at(kind, free_param, v, spec, net, red, th)[4]
+                for v in bracket[: 2 if moves else 1]]
+
+    def trial(u):
+        if not moves:
+            return u, ends[0]
+        value, w = _explicit_equilibrium(kind, free_param, u, spec, net, th)
+        return value, Equilibrium(kind, w, u)
+
+    def phi(u):
+        value, eq = trial(u)
+        s, r, t, n = _PARAM_SETTERS[free_param](spec, red, th, net, value)
+        co = linear_coefficients(kind, s, n, eq, red=r, th=t)
+        return hopf_phase_residual(kind, co, n.rtt, n.kappa)
+
+    return phi, trial, [eq.p_star for eq in ends] if moves else bracket
 
 
 def solve_hopf_boundary(
@@ -692,25 +721,23 @@ def solve_hopf_boundary(
     phase_tol: float = 1e-10,
 ) -> HopfPoint:
     """Locate a Hopf point in one free parameter as the root of the phase
-    residual; the stability verdict must differ at the bracket ends."""
-
-    def phi(v):
-        return hopf_phase_residual(kind, free_param, v, spec, net, red, th)
-
-    lo, hi = bracket
-    value = bisect(phi, lo, hi, rtol=1e-15)
-    residual_phase = phi(value)
+    residual; the stability verdict must differ at the bracket ends. The
+    equilibrium solver at the root guards the search's explicit map."""
+    phi, trial, ends = _hopf_search(kind, free_param, bracket, spec, net, red, th)
+    value = trial(bisect(phi, min(ends), max(ends), rtol=1e-15))[0]
+    s, r, t, n, eq = _system_at(kind, free_param, value, spec, net, red, th)
+    co = linear_coefficients(kind, s, n, eq, red=r, th=t)
+    residual_phase = hopf_phase_residual(kind, co, n.rtt, n.kappa)
     if abs(residual_phase) > phase_tol:
         raise ConvergenceError(
             f"phase residual {residual_phase:.3g} at {free_param}={value:.6g}; "
             "the bracket may contain a branch discontinuity, not a crossing"
         )
-    _, _, _, n, _, co = _system_at(kind, free_param, value, spec, net, red, th)
-    omega1 = crossover_frequency(kind, co, kappa=1.0)
-    omega = n.kappa * omega1
+    omega = n.kappa * crossover_frequency(kind, co, kappa=1.0)
     kc = kappa_critical(kind, co, n.rtt)
     char = abs(char_residual(kind, 1j * omega, co, n.rtt, kappa=n.kappa))
-    return HopfPoint(kind, free_param, value, omega, kc, char)
+    tv = transversality(kind, co, n.rtt, omega, kappa=n.kappa)
+    return HopfPoint(kind, free_param, value, omega, kc, char, tv)
 
 
 @dataclass(frozen=True)
@@ -725,31 +752,21 @@ class CurvePoint:
     error: str | None = None
 
 
-def _solve_chart_point(kind, x_param, x, solve_for, spec, net, red, th, y_bracket, seed):
-    s, r, t, n = _PARAM_SETTERS[x_param](spec, red, th, net, x)
-
-    def phi(v):
-        return hopf_phase_residual(kind, solve_for, v, s, n, r, t)
-
-    bracket = None
+def _chart_point(kind, solve_for, spec, net, red, th, y_bracket, seed):
+    """The Hopf point in the seed's bracket, else in the first stability
+    change of a scan that starts at the image of y_bracket's low end."""
     if seed is not None:
-        cand = (0.5 * seed, 2.0 * seed)
         try:
-            if phi(cand[0]) * phi(cand[1]) < 0:
-                bracket = cand
-        except (ConvergenceError, DomainError):
-            bracket = None
-    if bracket is None:
-        lo, hi = y_bracket
-        bracket = find_bracket(phi, lo, hi, n=96, log_spaced=lo > 0)
-        if bracket is None:
-            raise BracketError(
-                f"no stability change for {solve_for} in {y_bracket} at {x_param}={x}"
-            )
-    hp = solve_hopf_boundary(kind, solve_for, bracket, s, n, r, t)
-    _, _, _, n2, _, co = _system_at(kind, solve_for, hp.param_value, s, n, r, t)
-    tv = transversality(kind, co, n2.rtt, hp.omega, kappa=n2.kappa)
-    return CurvePoint(x_param, x, solve_for, hp.param_value, hp.omega, hp.residual, tv)
+            return solve_hopf_boundary(kind, solve_for, (0.5 * seed, 2.0 * seed),
+                                       spec, net, red, th)
+        except (BracketError, DomainError):
+            pass  # no crossing in the seed's bracket, or it leaves the domain
+    phi, trial, (lo, hi) = _hopf_search(kind, solve_for, y_bracket, spec, net, red, th)
+    found = find_bracket(phi, lo, hi, n=96, log_spaced=lo > 0)
+    if found is None:
+        raise BracketError(f"no stability change for {solve_for} in {y_bracket}")
+    bracket = sorted(trial(u)[0] for u in found)
+    return solve_hopf_boundary(kind, solve_for, bracket, spec, net, red, th)
 
 
 def trace_stability_chart(
@@ -765,16 +782,18 @@ def trace_stability_chart(
 ) -> list[CurvePoint]:
     """Hopf boundary curve y_critical(x) over a grid of x values; each
     point's bracket is seeded from the previous solution."""
+    _check_solvable(solve_for)
     if y_bracket is None:
         y_bracket = DEFAULT_BRACKETS[solve_for]
     points: list[CurvePoint] = []
     seed = None
     for x in x_values:
         try:
-            pt = _solve_chart_point(
-                kind, x_param, x, solve_for, spec, net, red, th, y_bracket, seed
-            )
-            seed = pt.y_critical
+            s, r, t, n = _PARAM_SETTERS[x_param](spec, red, th, net, x)
+            hp = _chart_point(kind, solve_for, s, n, r, t, y_bracket, seed)
+            seed = hp.param_value
+            pt = CurvePoint(x_param, x, solve_for, seed, hp.omega, hp.residual,
+                            hp.transversality)
         except (ConvergenceError, DomainError) as exc:
             pt = CurvePoint(x_param, x, solve_for, None, None, None, None, str(exc))
         points.append(pt)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import pathlib
 import subprocess
@@ -66,10 +67,18 @@ def test_usage_error_exit_code_two():
 
 @pytest.mark.parametrize("option, value", [
     ("--tau", "-1"), ("--c", "0"), ("--alpha", "-1"), ("--k", "1.5"), ("--gamma", "2"),
+    ("--tau", "inf"), ("--c", "inf"), ("--alpha", "inf"), ("--qth", "inf"),
+    ("--b-max", "inf"), ("--kappa", "inf"), ("--at-tau", "inf"), ("--tau-max", "inf"),
 ])
 def test_parameter_outside_domain_exit_code_two(option, value, capsys):
-    assert run(["equilibrium", "--system", "with-averaging", option, value]) == 2
-    assert "error: " in capsys.readouterr().err
+    # every fluid command validates every parameter, whichever system reads it
+    argvs = [["hopf-classify", option, value]]
+    if option not in ("--at-tau", "--tau-max"):
+        argvs += [["equilibrium", "--system", system, option, value]
+                  for system in ("with-averaging", "no-averaging", "threshold")]
+    for argv in argvs:
+        assert run(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,8 +130,9 @@ def test_option_defaults_are_the_parameter_defaults(argv):
 
 
 def _around(lo, hi, outside):
-    """Values inside [lo, hi] and the given values just outside the domain."""
-    return st.one_of(st.floats(lo, hi), st.sampled_from(outside)).map(repr)
+    """Values inside [lo, hi], the given values just outside the domain,
+    and infinity."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from((*outside, math.inf))).map(repr)
 
 
 _EQUILIBRIUM_OPTIONS = {
@@ -133,6 +143,10 @@ _EQUILIBRIUM_OPTIONS = {
     "--beta": _around(0.01, 0.99, (0.0, 1.0, 1.01)),
     "--gamma": _around(1e-6, 1.0, (0.0, 1.01, 2.0)),
     "--qth": _around(1.0, 200.0, (0.0, 0.99)),
+    "--b-min": _around(1.0, 500.0, (0.0, -1.0, 600.0)),
+    "--b-max": _around(60.0, 5000.0, (0.0, -1.0, 10.0)),
+    "--p-max": _around(1e-4, 0.99, (0.0, 1.0, 1.5)),
+    "--kappa": _around(1e-3, 100.0, (0.0, -1.0)),
 }
 
 
@@ -163,7 +177,8 @@ _SWEEP_NAMES = sorted({*_PARAM_SETTERS, *aqmlab.cli._SWEEP_ALIASES, "bogus"})
     ),
     solve=st.sampled_from(("tau", "c", "gamma", "b_min", "q_th", "alpha", "kappa")),
 )
-# the raw/simplified coefficient check fails here: a numerical failure
+# no tau boundary exists here; a trial point at the bracket's low end once
+# failed the raw/simplified coefficient check
 @example(system="threshold", name="alpha", value=61.0, solve="tau")
 def test_stability_chart_never_ends_in_a_traceback(system, name, value, solve):
     argv = ["stability-chart", "--system", system, "--solve", solve,
@@ -326,6 +341,27 @@ def test_threshold_tau_chart_over_qth(tmp_path, capsys):
     assert run(["stability-chart", "--system", "threshold", "--sweep", "qth=10:90:17",
                 "--solve", "tau", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 18
+
+
+def test_threshold_tau_chart_over_alpha(tmp_path, capsys):
+    # no tau boundary exists in (1e-4, 30) for these alpha: every point fails
+    # alone, and the trial points near tau = 1e-4 (p* ~ 0.99997) do not end
+    # the chart with a failed coefficient cross-check
+    out = tmp_path / "chart.csv"
+    assert run(["stability-chart", "--system", "threshold", "--sweep", "alpha=55:65:11",
+                "--solve", "tau", "--out", str(out)]) == 1
+    assert out.read_text().splitlines() == [
+        "x_param,x_value,y_param,y_critical,omega,residual,transversality"
+    ]
+    err = capsys.readouterr().err
+    assert err.count("no stability change for tau") == 11
+    assert "mismatch" not in err
+
+    assert run(["stability-chart", "--system", "threshold", "--sweep", "alpha=0.05:64.05:5",
+                "--solve", "tau", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1
+    assert float(rows[0].split(",")[3]) == pytest.approx(5.06e-4, rel=1e-3)
 
 
 def test_paper_profile_writes_sidecar(tmp_path):

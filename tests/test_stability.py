@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aqmlab.errors import BracketError
+import aqmlab.stability
+from aqmlab.errors import BracketError, DomainError
 from aqmlab.fluid import (
     FluidSystemKind,
     default_history,
@@ -34,6 +35,8 @@ from aqmlab.stability import (
     chart_to_csv,
     transversality,
     transversality_numeric,
+    _explicit_equilibrium,
+    _system_at,
 )
 
 K = FluidSystemKind
@@ -476,6 +479,88 @@ def test_hopf_boundary_requires_sign_change(compound, red_defaults):
     with pytest.raises(BracketError):
         solve_hopf_boundary(K.WITH_AVERAGING, "tau", (0.001, 0.01), compound, net,
                             red=red_defaults)
+
+
+def test_unsupported_free_parameter_is_domain_error(compound, red_defaults):
+    # k and beta move the equilibrium, which has no explicit map in them
+    net = NetworkParams(c_per_flow=100.0, rtt=0.1)
+    with pytest.raises(DomainError, match="no Hopf search in 'k'"):
+        trace_stability_chart(K.WITH_AVERAGING, "c", [100.0], "k", compound, net,
+                              red=red_defaults)
+    with pytest.raises(DomainError, match="no Hopf search in 'beta'"):
+        solve_hopf_boundary(K.NO_AVERAGING, "beta", (0.1, 0.9), compound, net,
+                            red=red_defaults)
+
+
+_MAPPED = [(kind, name) for kind in K for name in ("tau", "c", "alpha", "q_th")
+           if name != "q_th" or kind is K.THRESHOLD]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(_MAPPED),
+    c=st.floats(10.0, 1000.0),
+    tau=st.floats(0.05, 2.0),
+    tau2=st.floats(0.05, 2.0),
+    alpha=st.floats(0.01, 2.0),
+    q_th=st.floats(2.0, 100.0),
+)
+def test_explicit_map_guards_the_solver(case, c, tau, tau2, alpha, q_th):
+    # p* of the system at delay tau2, mapped to the value of one parameter at
+    # which the system at delay tau has that p*; the solver must agree
+    kind, name = case
+    spec, red, th = ProtocolSpec(alpha=alpha), RedParams(), ThresholdParams(q_th)
+    net = NetworkParams(c_per_flow=c, rtt=tau)
+    p = _system_at(kind, "tau", tau2, spec, net, red, th)[4].p_star
+    value, w = _explicit_equilibrium(kind, name, p, spec, net, th)
+    assume(name != "q_th" or value > 1.0)  # the map's q_th is clamped at 1
+    eq = _system_at(kind, name, value, spec, net, red, th)[4]
+    assert eq.p_star == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert eq.w_star == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, constant", [
+    (K.WITH_AVERAGING, "8.48341"), (K.NO_AVERAGING, "27.1751"),
+])
+def test_critical_bdp_is_constant_along_capacity_sweeps(kind, constant, compound,
+                                                        red_defaults):
+    # the fluid layer sees c and tau only through c*tau, so tau_c * c is one
+    # constant, in packets
+    cs = [10.0, 37.5, 100.0, 333.0, 1000.0, 4321.0]
+    pts = trace_stability_chart(kind, "c", cs, "tau", compound,
+                                NetworkParams(c_per_flow=100.0, rtt=0.1), red=red_defaults)
+    products = [p.y_critical * p.x_value for p in pts]
+    assert products == pytest.approx([products[0]] * len(cs), rel=1e-12, abs=0.0)
+    assert f"{products[0]:.6g}" == constant
+
+
+@pytest.mark.parametrize("kind, name, bracket, net", [
+    (K.WITH_AVERAGING, "tau", (0.01, 0.5), NetworkParams(100.0, 0.1)),
+    (K.WITH_AVERAGING, "c", (10.0, 1000.0), NetworkParams(100.0, 0.1)),
+    (K.WITH_AVERAGING, "alpha", (0.01, 1.0), NetworkParams(100.0, 0.1)),
+    (K.WITH_AVERAGING, "gamma", (1e-4, 0.1), NetworkParams(100.0, 0.1)),
+    (K.NO_AVERAGING, "tau", (0.01, 2.0), NetworkParams(100.0, 0.1)),
+    (K.NO_AVERAGING, "kappa", (1.0, 100.0), NetworkParams(100.0, 0.1)),
+    (K.THRESHOLD, "q_th", (20.0, 80.0), NetworkParams(100.0, 1.0)),
+    (K.THRESHOLD, "tau", (1e-3, 0.1), NetworkParams(100.0, 1.0)),
+], ids=lambda v: getattr(v, "value", None) if isinstance(v, K) else None)
+def test_hopf_solve_makes_at_most_three_equilibrium_solves(kind, name, bracket, net,
+                                                           compound, red_defaults,
+                                                           monkeypatch):
+    # the bracket ends and the solution, however many trial points
+    calls = []
+    for fn in ("equilibrium_with_averaging", "equilibrium_no_averaging",
+               "equilibrium_threshold"):
+        original = getattr(aqmlab.stability, fn)
+        monkeypatch.setattr(aqmlab.stability, fn,
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    residuals = []
+    original_residual = aqmlab.stability.hopf_phase_residual
+    monkeypatch.setattr(aqmlab.stability, "hopf_phase_residual",
+                        lambda *a: residuals.append(1) or original_residual(*a))
+    solve_hopf_boundary(kind, name, bracket, compound, net, red=red_defaults,
+                        th=ThresholdParams())
+    assert 1 <= len(calls) <= 3 < len(residuals)
 
 
 def test_chart_capacity_sweep_monotone(compound, red_defaults, tmp_path):

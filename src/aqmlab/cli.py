@@ -266,8 +266,15 @@ def _packet_policy(args):
             w_q=args.red_wq,
         )
     if args.policy == "threshold":
-        return PacketThreshold(q_th=int(args.qth))
+        return _packet_threshold(args.qth)
     return DropTail()
+
+
+def _packet_threshold(q_th: float) -> PacketThreshold:
+    # int() of an infinite or NaN --qth raises OverflowError or ValueError
+    if not math.isfinite(q_th):
+        raise ConfigError(f"qth must be finite, got {q_th}")
+    return PacketThreshold(q_th=int(q_th))
 
 
 def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
@@ -300,7 +307,7 @@ def _cmd_compare(args) -> int:
         b_min=args.red_bmin, b_max=args.red_bmax, p_max=args.red_pmax,
         w_q=args.red_wq,
     )
-    th = PacketThreshold(q_th=int(args.qth))
+    th = _packet_threshold(args.qth)
     runs = [
         (name, desk_config(
             pol, args.rtt_ms / 1e3, seed=seed,

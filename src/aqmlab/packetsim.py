@@ -7,10 +7,22 @@ fully determined by the configuration and seed. The RED drop decision is a
 per-arrival Bernoulli draw on the exponentially weighted average queue, which
 is the law the fluid analysis assumes; the classic count-based drop spreading
 is deliberately not reproduced.
+
+The per-packet laws are bound once, not looked up per packet:
+
+- the Compound window laws, once at import: `compound_window_laws` binds
+  alpha, k and beta of `ProtocolSpec.compound_tcp()` (params) and its
+  gamma_thresh and zeta defaults, and `_WINDOW_LAWS` holds the (ack, loss)
+  pair each flow calls;
+- the RED admit rule, once per queue per run: `Simulator.run` builds
+  `red_admit_rule` over the queue's w_q, 1 - w_q, buffer and the run's
+  `rng.random`. The drop law it draws against is
+  `protocols.red_drop_probability`, shared with the fluid model.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -20,9 +32,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .params import ProtocolSpec
 from .protocols import red_drop_probability
 
-COMPOUND_DEFAULTS = dict(alpha=0.125, k=0.75, beta=0.5, gamma_thresh=30.0, zeta=0.5)
 CUBIC_C = 0.4
 CUBIC_BETA = 0.7
 
@@ -44,11 +56,12 @@ class PacketRed:
         if not 0 < self.w_q <= 1:
             raise ConfigError("w_q must be in (0, 1]")
 
-    @property
+    # cached: `red_drop_probability` reads them on every arrival
+    @functools.cached_property
     def rho(self):
         return self.p_max / (self.b_max - self.b_min)
 
-    @property
+    @functools.cached_property
     def eta(self):
         return (1.0 - self.p_max) / self.b_max
 
@@ -81,8 +94,10 @@ class FlowSpec:
     def __post_init__(self):
         if self.protocol not in ("compound", "reno", "cubic", "udp"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.access_rate <= 0 or self.rtt_propagation <= 0:
-            raise ConfigError("access rate and propagation delay must be positive")
+        if not (0 < self.access_rate < math.inf and 0 < self.rtt_propagation < math.inf):
+            raise ConfigError("access rate and propagation delay must be positive and finite")
+        if not 0 <= self.start_time < math.inf:
+            raise ConfigError("start time must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -122,10 +137,16 @@ class SimConfig:
     def __post_init__(self):
         if self.topology not in ("dumbbell", "parking-lot"):
             raise ConfigError(f"unknown topology {self.topology!r}")
-        if self.capacity <= 0 or self.duration <= 0:
-            raise ConfigError("capacity and duration must be positive")
+        # an infinite or NaN time never ends the run, and a sample interval
+        # <= 0 samples at one instant for ever
+        if not all(0 < v < math.inf for v in (self.capacity, self.duration,
+                                               self.sample_interval)):
+            raise ConfigError("capacity, duration and sample interval must be "
+                              "positive and finite")
         if self.buffer < 1:
             raise ConfigError("buffer must hold at least one packet")
+        if self.packet_size < 1:
+            raise ConfigError("packet size must be at least one byte")
         routes = [f.route for f in self.flows]
         if self.short_flows is not None:
             routes.append(self.short_flows.route)
@@ -217,52 +238,45 @@ class _Flow:
         self.half_rtt = spec.rtt_propagation / 2.0
 
 
-def compound_window_update(flow, event: str, rtt_sample: float | None = None,
-                           constants: dict = COMPOUND_DEFAULTS):
-    """Per-ack / per-loss window update of the dual-window protocol.
+def compound_window_laws(*, gamma_thresh: float = 30.0, zeta: float = 0.5):
+    """(on_ack, on_loss) of the dual-window protocol, with alpha, k and beta of
+    `ProtocolSpec.compound_tcp()` bound once.
 
     The per-window branch rule is applied at per-ack granularity, scaled by
     1/window, so that one lossless round trip reproduces the aggregate
-    window increase of the fluid law.
+    window increase of the fluid law. on_ack takes a positive rtt sample;
+    on_loss takes the window cwnd + dwnd at the loss. `b if b > a else a` is
+    max(a, b) to the bit, without the call.
     """
-    alpha = constants["alpha"]
-    k = constants["k"]
-    beta = constants["beta"]
-    gamma_thresh = constants["gamma_thresh"]
-    zeta = constants["zeta"]
-    win = flow.cwnd + flow.dwnd
-    if event == "ack":
-        if rtt_sample is not None:
-            flow.base_rtt = min(flow.base_rtt, rtt_sample)
-        flow.cwnd += 1.0 / max(win, 1.0)
-        rtt = rtt_sample if rtt_sample else flow.base_rtt
-        if flow.base_rtt < math.inf and rtt > 0:
-            diff = (win / flow.base_rtt - win / rtt) * flow.base_rtt
-        else:
-            diff = 0.0
+    spec = ProtocolSpec.compound_tcp()
+    alpha, k, keep = spec.alpha, spec.k, 1.0 - spec.beta
+
+    def on_ack(fl, rtt_sample, now):
+        win = fl.cwnd + fl.dwnd
+        base = fl.base_rtt
+        if rtt_sample < base:
+            fl.base_rtt = base = rtt_sample
+        div = 1.0 if 1.0 > win else win
+        fl.cwnd += 1.0 / div
+        diff = (win / base - win / rtt_sample) * base
         if diff < gamma_thresh:
-            flow.dwnd += max(alpha * win**k - 1.0, 0.0) / max(win, 1.0)
+            grow = alpha * win**k - 1.0
+            fl.dwnd += (0.0 if 0.0 > grow else grow) / div
         else:
-            flow.dwnd = max(flow.dwnd - zeta * diff, 0.0)
-    elif event == "loss":
-        new_cwnd = flow.cwnd / 2.0
-        flow.dwnd = max(win * (1.0 - beta) - new_cwnd, 0.0)
-        flow.cwnd = max(new_cwnd, 1.0)
-    else:
-        raise ConfigError(f"unknown window event {event!r}")
-    return flow
+            dwnd = fl.dwnd - zeta * diff
+            fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
+
+    def on_loss(fl, win, now):
+        cwnd = fl.cwnd / 2.0
+        dwnd = win * keep - cwnd
+        fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
+        fl.cwnd = 1.0 if 1.0 > cwnd else cwnd
+
+    return on_ack, on_loss
 
 
 # Congestion-avoidance ack laws and loss laws, (flow, rtt sample or window at
 # the loss, now); slow start and loss recovery are common to all protocols.
-
-def _compound_ack(fl, rtt_sample, now):
-    compound_window_update(fl, "ack", rtt_sample)
-
-
-def _compound_loss(fl, win, now):
-    compound_window_update(fl, "loss")
-
 
 def _reno_ack(fl, rtt_sample, now):
     fl.base_rtt = min(fl.base_rtt, rtt_sample)
@@ -292,23 +306,31 @@ def _cubic_loss(fl, win, now):
 
 # udp is not ack-clocked: it never sees an ack or a loss
 _WINDOW_LAWS = {
-    "compound": (_compound_ack, _compound_loss),
+    "compound": compound_window_laws(),
     "reno": (_reno_ack, _reno_loss),
     "cubic": (_cubic_ack, _cubic_loss),
     "udp": (None, None),
 }
 
 
-def red_enqueue_decision(queue_len: int, avg: float, red: PacketRed,
-                         buffer: int, rng: random.Random):
-    """(admit?, new_avg): EWMA update then a Bernoulli drop draw."""
-    avg = (1.0 - red.w_q) * avg + red.w_q * queue_len
-    if queue_len >= buffer:
-        return False, avg
-    p = red_drop_probability(avg, red)
-    if p > 0.0 and rng.random() < p:
-        return False, avg
-    return True, avg
+def red_admit_rule(red: PacketRed, buffer: int, rng: random.Random):
+    """The RED admit rule of one queue, (queue length, avg) -> (admit?, new
+    avg): the EWMA update, then a Bernoulli draw at `red_drop_probability`
+    of the new average. w_q, 1 - w_q, the buffer and the draw are bound once."""
+    w_q = red.w_q
+    keep = 1.0 - w_q
+    draw = rng.random
+
+    def admit(queue_len, avg):
+        avg = keep * avg + w_q * queue_len
+        if queue_len >= buffer:
+            return False, avg
+        p = red_drop_probability(avg, red)
+        if p > 0.0 and draw() < p:
+            return False, avg
+        return True, avg
+
+    return admit
 
 
 def threshold_enqueue_decision(queue_len: int, th: PacketThreshold, buffer: int):
@@ -318,9 +340,10 @@ def threshold_enqueue_decision(queue_len: int, th: PacketThreshold, buffer: int)
 
 class _Queue:
     """A bottleneck queue and its counters. The admit rule is fixed for the
-    run: a RED queue (`red` set) makes `red_enqueue_decision`, a threshold
-    queue (`threshold` set) `threshold_enqueue_decision`, and a drop-tail
-    queue admits below the buffer."""
+    run: a RED queue (`red` set by `Simulator.run`) calls its
+    `red_admit_rule`, a threshold queue (`threshold` set)
+    `threshold_enqueue_decision`, and a drop-tail queue admits below the
+    buffer."""
 
     __slots__ = ("idx", "red", "threshold", "buffer", "pkts", "busy", "avg",
                  "arrivals", "drops", "served", "sojourn_sum", "bits_interval",
@@ -328,7 +351,7 @@ class _Queue:
 
     def __init__(self, idx, policy, buffer):
         self.idx = idx
-        self.red = policy if isinstance(policy, PacketRed) else None
+        self.red = None
         self.threshold = policy if isinstance(policy, PacketThreshold) else None
         self.buffer = buffer
         self.pkts = deque()  # (arrival time, packet)
@@ -398,6 +421,9 @@ class Simulator:
         prof = cfg.short_flows
         now = 0.0
         pending = 0  # sized flows not yet complete
+        if isinstance(cfg.policy, PacketRed):
+            for q in queues:
+                q.red = red_admit_rule(cfg.policy, q.buffer, rng)
 
         def try_send(fl):
             size = packet_size
@@ -427,8 +453,7 @@ class Simulator:
             q.arrivals += 1
             pkts = q.pkts
             if q.red is not None:
-                admit, q.avg = red_enqueue_decision(len(pkts), q.avg, q.red,
-                                                    q.buffer, rng)
+                admit, q.avg = q.red(len(pkts), q.avg)
             elif q.threshold is not None:
                 admit = threshold_enqueue_decision(len(pkts), q.threshold, q.buffer)
             else:
@@ -556,20 +581,18 @@ class Simulator:
 
         to_completion = cfg.run_to_completion
         hard_stop = math.inf if to_completion else duration
-        max_events = int(5e8)
-        n = 0
         try:
-            while heap:
-                t, _, handler, a, b = heappop(heap)
-                if t > hard_stop:
+            # a runaway configuration ends after 5e8 events
+            for _ in itertools.repeat(None, 500_000_001):
+                if not heap:
                     break
-                if to_completion and pending == 0:
+                t, _, handler, a, b = heappop(heap)
+                if t > hard_stop or (to_completion and pending == 0):
                     break
                 now = t
                 handler(a, b)
-                n += 1
-                if n > max_events:
-                    raise ConfigError("event budget exceeded; runaway configuration")
+            else:
+                raise ConfigError("event budget exceeded; runaway configuration")
         finally:
             # the handlers refer to one another and queued events refer to
             # them: emptying both frees the run's state on return, not at the

@@ -724,6 +724,12 @@ def solve_hopf_boundary(
     residual; the stability verdict must differ at the bracket ends. The
     equilibrium solver at the root guards the search's explicit map."""
     phi, trial, ends = _hopf_search(kind, free_param, bracket, spec, net, red, th)
+    return _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th, phase_tol)
+
+
+def _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th,
+                phase_tol=1e-10):
+    """The Hopf point at the root of phi between the unknown's ends."""
     value = trial(bisect(phi, min(ends), max(ends), rtol=1e-15))[0]
     s, r, t, n, eq = _system_at(kind, free_param, value, spec, net, red, th)
     co = linear_coefficients(kind, s, n, eq, red=r, th=t)
@@ -762,11 +768,13 @@ def _chart_point(kind, solve_for, spec, net, red, th, y_bracket, seed):
         except (BracketError, DomainError):
             pass  # no crossing in the seed's bracket, or it leaves the domain
     phi, trial, (lo, hi) = _hopf_search(kind, solve_for, y_bracket, spec, net, red, th)
-    found = find_bracket(phi, lo, hi, n=96, log_spaced=lo > 0)
+    scanned = {}  # the solve in the scan's bracket reuses its residuals
+    found = find_bracket(lambda u: scanned.setdefault(u, phi(u)), lo, hi, n=96,
+                         log_spaced=lo > 0)
     if found is None:
         raise BracketError(f"no stability change for {solve_for} in {y_bracket}")
-    bracket = sorted(trial(u)[0] for u in found)
-    return solve_hopf_boundary(kind, solve_for, bracket, spec, net, red, th)
+    return _hopf_point(kind, solve_for, lambda u: scanned[u] if u in scanned else phi(u),
+                       trial, found, spec, net, red, th)
 
 
 def trace_stability_chart(
@@ -794,7 +802,7 @@ def trace_stability_chart(
             seed = hp.param_value
             pt = CurvePoint(x_param, x, solve_for, seed, hp.omega, hp.residual,
                             hp.transversality)
-        except (ConvergenceError, DomainError) as exc:
+        except (ConvergenceError, DomainError, InternalConsistencyError) as exc:
             pt = CurvePoint(x_param, x, solve_for, None, None, None, None, str(exc))
         points.append(pt)
     return points

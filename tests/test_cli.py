@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -201,6 +202,137 @@ def test_hopf_classify_never_ends_in_a_traceback(options):
     for name, value in options.items():
         argv += [name, value]
     assert _quietly(argv) in (0, 1, 2)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _options(required, optional, bad):
+    """argv options: every required one and some optional ones, all valid,
+    then none or one (option, value) pair from `bad`. argparse keeps the
+    last value of a repeated option, so a bad pair replaces a valid value."""
+    return st.tuples(
+        st.fixed_dictionaries(required, optional=optional),
+        st.one_of(st.just(()), st.sampled_from(bad)),
+    ).map(lambda parts: [text for pair in (*parts[0].items(), parts[1]) for text in pair])
+
+
+_NON_FINITE = ("inf", "nan")
+# short runs only: a horizon of at most 5 delays at the fewest steps allowed,
+# and a transient that leaves part of it to measure
+_SHORT_FLUID = {"--horizon": _floats(0.5, 5.0), "--transient": _floats(0.0, 0.4),
+                "--steps-per-delay": st.sampled_from(("200", "250"))}
+_SHORT_FLUID_BAD = [("--horizon", v) for v in ("0", "-1", *_NON_FINITE)] + [
+    *[("--steps-per-delay", v) for v in ("199", "0", "-1")], ("--transient", "-1"),
+    ("--transient", "5"), ("--transient", "inf"), ("--tau", "0"), ("--tau", "inf"), ("--c", "-1"),
+]
+_FLUID_SIM = _options(
+    _SHORT_FLUID,
+    {"--tau": _floats(1e-3, 5.0), "--c": _floats(1.0, 1000.0),
+     "--alpha": _floats(1e-3, 10.0), "--gamma": _floats(1e-6, 1.0),
+     "--qth": _floats(1.0, 200.0), "--kappa": _floats(1e-3, 100.0),
+     "--perturb": _floats(0.5, 2.0)},
+    _SHORT_FLUID_BAD + [("--perturb", v) for v in ("0", "-1", *_NON_FINITE)]
+    + [("--qth", "0.5"), ("--alpha", "nan"), ("--kappa", "0")],
+)
+_BIFURCATION = _options(
+    {**_SHORT_FLUID,
+     "--sweep": st.builds("qth={!r}:{!r}:{}".format, st.floats(1.0, 80.0),
+                          st.floats(1.0, 80.0), st.integers(1, 3))},
+    {"--tau": _floats(0.1, 5.0),
+     "--c": _floats(1.0, 1000.0)},
+    _SHORT_FLUID_BAD + [("--sweep", v) for v in (
+        "qth=0:10:2", "qth=-1:5:2", "qth=5:5:0", "c=1:2:2", "qth=nan:5:1", "qth=inf:inf:1")],
+)
+_PACKET_OPTIONS = {
+    "--rtt-ms": _floats(1.0, 300.0), "--red-bmin": _floats(1.0, 10.0),
+    "--red-bmax": _floats(11.0, 100.0), "--red-pmax": _floats(0.01, 0.99),
+    "--red-wq": _floats(1e-4, 1.0), "--qth": _floats(1.0, 40.0),
+}
+_PACKET_BAD = [("--rtt-ms", v) for v in ("0", "-1", *_NON_FINITE)] + [
+    ("--red-bmin", "-1"), ("--red-bmax", "0.5"), ("--red-pmax", "1"), ("--red-wq", "0"),
+    ("--red-wq", "1.5"), *[("--qth", v) for v in ("0", "-1", *_NON_FINITE)],
+]
+_COMPARE = _options(
+    {"--duration": _floats(0.2, 2.0), "--seeds": st.sampled_from(("1", "1,2"))},
+    {**_PACKET_OPTIONS, "--mb-per-flow": st.sampled_from(("1", "0")),
+     "--overload": _floats(1.0, 2.0)},
+    _PACKET_BAD + [("--duration", v) for v in ("0", "-1", *_NON_FINITE)] + [
+        ("--seeds", "x"), ("--seeds", "1,,2"), ("--mb-per-flow", "-1"),
+        *[("--overload", v) for v in ("0", "-1", *_NON_FINITE)],
+    ],
+)
+
+# a scenario for a run of at most 3 s at 10 Mbps with one to three flows,
+# then none or one bad value in place of a valid one, or an unknown key
+_SCENARIO_BAD = [
+    ("topology", "ring"), ("policy", "codel"), ("seed", "x"), ("buffer_pkts", "0"),
+    ("buffer_pkts", "1.5"), ("packet_bytes", "0"), ("red.bmin", "0"), ("red.bmax", "nan"),
+    ("red.pmax", "1"), ("red.wq", "2"), ("threshold.qth", "0"), ("threshold.qth", "2.5"),
+    ("flow.0.protocol", "vegas"), ("flow.0.bytes", "0"), ("flow.0.bytes", "-5"),
+    ("bogus", "1"),
+    *[(key, v) for key in ("capacity_mbps", "duration_s", "sample_interval_s",
+                           "flow.0.access_mbps", "flow.0.rtt_ms", "flow.0.start_s")
+      for v in ("0", "-1", "x", *_NON_FINITE)],
+]
+_SCENARIO = st.tuples(
+    st.fixed_dictionaries({
+        "topology": st.sampled_from(("dumbbell", "parking-lot")),
+        "capacity_mbps": _floats(1.0, 10.0),
+        "buffer_pkts": st.sampled_from(("1", "50", "200")),
+        "packet_bytes": st.sampled_from(("500", "1500")),
+        "duration_s": _floats(0.2, 3.0),
+        "seed": st.sampled_from(("1", "7")),
+        "policy": st.sampled_from(("red", "threshold", "droptail")),
+        "red.bmin": _floats(1.0, 10.0), "red.bmax": _floats(11.0, 100.0),
+        "red.pmax": _floats(0.01, 0.99), "threshold.qth": st.sampled_from(("1", "15")),
+    }, optional={"sample_interval_s": _floats(0.05, 0.5), "red.wq": _floats(1e-4, 1.0)}),
+    st.lists(st.fixed_dictionaries({
+        "protocol": st.sampled_from(("compound", "reno", "cubic", "udp")),
+        "access_mbps": _floats(0.5, 20.0),
+        "rtt_ms": _floats(1.0, 300.0),
+    }, optional={
+        "start_s": _floats(0.0, 1.0),
+        "bytes": st.sampled_from(("100000", "1500", "1")),
+    }), min_size=1, max_size=3),
+    st.one_of(st.just({}), st.sampled_from(_SCENARIO_BAD).map(lambda kv: dict([kv]))),
+).map(lambda parts: "".join(f"{key} = {value}\n" for key, value in {
+    **parts[0],
+    **{f"flow.{i}.{key}": value for i, flow in enumerate(parts[1])
+       for key, value in flow.items()},
+    **parts[2],
+}.items()))
+
+_SIMULATION_COMMANDS = st.one_of(
+    st.tuples(st.just(["fluid-sim", "--system"]),
+              st.sampled_from(("with-averaging", "no-averaging", "threshold")), _FLUID_SIM)
+    .map(lambda parts: [*parts[0], parts[1], *parts[2]]),
+    _BIFURCATION.map(lambda options: ["bifurcation-diagram", *options]),
+    _COMPARE.map(lambda options: ["compare-policies", *options]),
+    st.tuples(_SCENARIO, _options({}, {**_PACKET_OPTIONS, "--seed": st.sampled_from(("0", "3"))},
+                                  [("--seed", "x")]))
+    .map(lambda parts: ["packet-sim", "--scenario", parts[0], *parts[1]]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_SIMULATION_COMMANDS)
+def test_simulation_commands_never_end_in_a_traceback(argv):
+    # every output goes to a temporary directory; a packet-sim scenario is
+    # written there first
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "packet-sim":
+            path = os.path.join(tmp, "scenario.txt")
+            with open(path, "w") as fh:
+                fh.write(argv[2])
+            argv = [*argv[:2], path, *argv[3:]]
+        argv += ["--out", os.path.join(tmp, "out")]
+        try:
+            code = _quietly(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        assert code in (0, 1, 2)
 
 
 # imports every aqmlab module and runs three commands with numpy blocked

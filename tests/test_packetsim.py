@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqmlab.errors import ConfigError
 from aqmlab.packetsim import (
@@ -16,17 +18,20 @@ from aqmlab.packetsim import (
     ShortFlowProfile,
     SimConfig,
     _Flow,
-    compound_window_update,
+    compound_window_laws,
     compute_afct,
     config_digest,
     desk_config,
     parse_scenario,
-    red_enqueue_decision,
+    red_admit_rule,
     run_batch,
     run_simulation,
     threshold_enqueue_decision,
     write_metrics_csv,
 )
+from aqmlab.protocols import red_drop_probability
+
+ON_ACK, ON_LOSS = compound_window_laws()
 
 
 def _flow(cwnd=10.0, dwnd=0.0, base_rtt=0.1):
@@ -44,14 +49,14 @@ def test_compound_delay_window_increment_boundary():
     # alpha * 16^k = 1 at the default constants: the per-window increment is
     # exactly zero at window 16
     fl = _flow(cwnd=16.0)
-    compound_window_update(fl, "ack", rtt_sample=0.1)
+    ON_ACK(fl, 0.1, 0.0)
     assert fl.dwnd == 0.0
     assert fl.cwnd == pytest.approx(16.0 + 1.0 / 16.0)
 
 
 def test_compound_loss_branch():
     fl = _flow(cwnd=12.0, dwnd=8.0)
-    compound_window_update(fl, "loss")
+    ON_LOSS(fl, fl.cwnd + fl.dwnd, 0.0)
     assert fl.cwnd == 6.0
     assert fl.dwnd == 4.0  # (20 * 0.5 - 6)+
 
@@ -59,7 +64,7 @@ def test_compound_loss_branch():
 def test_compound_early_congestion_shrinks_delay_window():
     fl = _flow(cwnd=10.0, dwnd=40.0, base_rtt=0.05)
     # a queueing-delay sample far above base implies a large backlog estimate
-    compound_window_update(fl, "ack", rtt_sample=0.4)
+    ON_ACK(fl, 0.4, 0.0)
     assert fl.dwnd < 40.0
 
 
@@ -68,9 +73,101 @@ def test_compound_lossless_round_trip_matches_aggregate_law():
         fl = _flow(cwnd=win0 / 2.0, dwnd=win0 / 2.0)
         acks = int(win0)
         for _ in range(acks):
-            compound_window_update(fl, "ack", rtt_sample=fl.base_rtt)
+            ON_ACK(fl, fl.base_rtt, 0.0)
         target = win0 + 0.125 * win0**0.75
         assert fl.cwnd + fl.dwnd == pytest.approx(target, rel=0.05)
+
+
+# -- bit identity with the per-call laws --------------------------------------
+# The laws as they were before the run bound them: one call per ack or loss
+# reading a constants dict, one call per arrival passing the RED constants.
+# The bound laws must give the same bits.
+
+_COMPOUND_CONSTANTS = dict(alpha=0.125, k=0.75, beta=0.5, gamma_thresh=30.0, zeta=0.5)
+
+
+def compound_window_update_oracle(flow, event, rtt_sample=None,
+                                  constants=_COMPOUND_CONSTANTS):
+    alpha = constants["alpha"]
+    k = constants["k"]
+    beta = constants["beta"]
+    gamma_thresh = constants["gamma_thresh"]
+    zeta = constants["zeta"]
+    win = flow.cwnd + flow.dwnd
+    if event == "ack":
+        if rtt_sample is not None:
+            flow.base_rtt = min(flow.base_rtt, rtt_sample)
+        flow.cwnd += 1.0 / max(win, 1.0)
+        rtt = rtt_sample if rtt_sample else flow.base_rtt
+        if flow.base_rtt < math.inf and rtt > 0:
+            diff = (win / flow.base_rtt - win / rtt) * flow.base_rtt
+        else:
+            diff = 0.0
+        if diff < gamma_thresh:
+            flow.dwnd += max(alpha * win**k - 1.0, 0.0) / max(win, 1.0)
+        else:
+            flow.dwnd = max(flow.dwnd - zeta * diff, 0.0)
+    elif event == "loss":
+        new_cwnd = flow.cwnd / 2.0
+        flow.dwnd = max(win * (1.0 - beta) - new_cwnd, 0.0)
+        flow.cwnd = max(new_cwnd, 1.0)
+    else:
+        raise ConfigError(f"unknown window event {event!r}")
+    return flow
+
+
+def red_enqueue_decision_oracle(queue_len, avg, red, buffer, rng):
+    avg = (1.0 - red.w_q) * avg + red.w_q * queue_len
+    if queue_len >= buffer:
+        return False, avg
+    p = red_drop_probability(avg, red)
+    if p > 0.0 and rng.random() < p:
+        return False, avg
+    return True, avg
+
+
+_windows = st.floats(1e-3, 1e4, allow_subnormal=False)
+_rtts = st.floats(1e-4, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cwnd=_windows, dwnd=st.one_of(st.just(0.0), _windows),
+       base_rtt=st.one_of(st.just(math.inf), _rtts), rtt_sample=_rtts,
+       gamma_thresh=st.sampled_from([30.0, 1.0, 1e3]), zeta=st.sampled_from([0.5, 0.1]),
+       acks=st.integers(1, 4), lose=st.booleans())
+def test_bound_compound_laws_match_oracle_bits(cwnd, dwnd, base_rtt, rtt_sample,
+                                                gamma_thresh, zeta, acks, lose):
+    # cwnd below one exercises the max(win, 1.0) floor; a base rtt above the
+    # sample exercises its update, and a small gamma_thresh the shrink branch
+    on_ack, on_loss = compound_window_laws(gamma_thresh=gamma_thresh, zeta=zeta)
+    constants = dict(_COMPOUND_CONSTANTS, gamma_thresh=gamma_thresh, zeta=zeta)
+    bound, oracle = _flow(cwnd, dwnd, base_rtt), _flow(cwnd, dwnd, base_rtt)
+    for i in range(acks):
+        sample = rtt_sample * (1.0 + 0.1 * i)
+        on_ack(bound, sample, 0.0)
+        compound_window_update_oracle(oracle, "ack", sample, constants)
+        if lose and i == acks - 1:
+            on_loss(bound, bound.cwnd + bound.dwnd, 0.0)
+            compound_window_update_oracle(oracle, "loss", None, constants)
+        state = [(f.cwnd.hex(), f.dwnd.hex(), f.base_rtt.hex()) for f in (bound, oracle)]
+        assert state[0] == state[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(b_min=st.floats(1.0, 100.0), width=st.floats(1.0, 200.0),
+       p_max=st.floats(0.01, 0.99), w_q=st.floats(1e-6, 1.0),
+       avg=st.floats(0.0, 600.0), lens=st.lists(st.integers(0, 700), min_size=1, max_size=8),
+       buffer=st.integers(1, 700), seed=st.integers(0, 2**32))
+def test_bound_red_rule_matches_oracle_bits(b_min, width, p_max, w_q, avg, lens, buffer, seed):
+    red = PacketRed(b_min=b_min, b_max=b_min + width, p_max=p_max, w_q=w_q)
+    rng_bound, rng_oracle = random.Random(seed), random.Random(seed)
+    admit = red_admit_rule(red, buffer, rng_bound)
+    avg_bound = avg_oracle = avg
+    for n in lens:
+        got, avg_bound = admit(n, avg_bound)
+        want, avg_oracle = red_enqueue_decision_oracle(n, avg_oracle, red, buffer, rng_oracle)
+        assert (got, avg_bound.hex()) == (want, avg_oracle.hex())
+    assert rng_bound.getstate() == rng_oracle.getstate()
 
 
 # -- queue decisions ----------------------------------------------------------
@@ -80,7 +177,7 @@ def test_red_no_drops_below_min_threshold():
     rng = random.Random(1)
     avg = 0.0
     for q in range(40):
-        admit, avg = red_enqueue_decision(q, avg, red, buffer=1000, rng=rng)
+        admit, avg = red_admit_rule(red, 1000, rng)(q, avg)
         assert admit
 
 
@@ -88,7 +185,7 @@ def test_red_always_drops_beyond_twice_max_threshold():
     red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=1.0)
     rng = random.Random(1)
     for q in (200, 250, 400):
-        admit, avg = red_enqueue_decision(q, 150.0, red, buffer=1000, rng=rng)
+        admit, avg = red_admit_rule(red, 1000, rng)(q, 150.0)
         assert not admit
 
 
@@ -100,7 +197,7 @@ def test_red_empirical_drop_rate_matches_probability():
     mid = 75.0
     drops = 0
     for _ in range(n):
-        admit, _ = red_enqueue_decision(int(mid), mid, red, buffer=10**9, rng=rng)
+        admit, _ = red_admit_rule(red, 10**9, rng)(int(mid), mid)
         drops += not admit
     p = red.p_max / 2.0
     sigma = math.sqrt(p * (1 - p) / n)
@@ -109,7 +206,7 @@ def test_red_empirical_drop_rate_matches_probability():
 
 def test_red_full_buffer_forces_drop():
     red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002)
-    admit, _ = red_enqueue_decision(64, 10.0, red, buffer=64, rng=random.Random(3))
+    admit, _ = red_admit_rule(red, 64, random.Random(3))(64, 10.0)
     assert not admit
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aqmlab.stability
-from aqmlab.errors import BracketError, DomainError
+from aqmlab.errors import BracketError, DomainError, InternalConsistencyError
 from aqmlab.fluid import (
     FluidSystemKind,
     default_history,
@@ -534,6 +534,16 @@ def test_critical_bdp_is_constant_along_capacity_sweeps(kind, constant, compound
     assert f"{products[0]:.6g}" == constant
 
 
+def _count_equilibrium_solves(monkeypatch):
+    calls = []
+    for fn in ("equilibrium_with_averaging", "equilibrium_no_averaging",
+               "equilibrium_threshold"):
+        original = getattr(aqmlab.stability, fn)
+        monkeypatch.setattr(aqmlab.stability, fn,
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    return calls
+
+
 @pytest.mark.parametrize("kind, name, bracket, net", [
     (K.WITH_AVERAGING, "tau", (0.01, 0.5), NetworkParams(100.0, 0.1)),
     (K.WITH_AVERAGING, "c", (10.0, 1000.0), NetworkParams(100.0, 0.1)),
@@ -548,12 +558,7 @@ def test_hopf_solve_makes_at_most_three_equilibrium_solves(kind, name, bracket, 
                                                            compound, red_defaults,
                                                            monkeypatch):
     # the bracket ends and the solution, however many trial points
-    calls = []
-    for fn in ("equilibrium_with_averaging", "equilibrium_no_averaging",
-               "equilibrium_threshold"):
-        original = getattr(aqmlab.stability, fn)
-        monkeypatch.setattr(aqmlab.stability, fn,
-                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    calls = _count_equilibrium_solves(monkeypatch)
     residuals = []
     original_residual = aqmlab.stability.hopf_phase_residual
     monkeypatch.setattr(aqmlab.stability, "hopf_phase_residual",
@@ -561,6 +566,37 @@ def test_hopf_solve_makes_at_most_three_equilibrium_solves(kind, name, bracket, 
     solve_hopf_boundary(kind, name, bracket, compound, net, red=red_defaults,
                         th=ThresholdParams())
     assert 1 <= len(calls) <= 3 < len(residuals)
+
+
+@pytest.mark.parametrize("cs, solves", [([100.0], 3), ([100.0, 150.0], 6)])
+def test_scanned_chart_point_solves_its_bracket_ends_once(cs, solves, compound,
+                                                          red_defaults, monkeypatch):
+    # the scan solves the equilibrium at the ends of the tau bracket, and the
+    # Hopf solve in the bracket it finds keeps them: one more solve at the
+    # root. A seeded point makes its own three.
+    calls = _count_equilibrium_solves(monkeypatch)
+    pts = trace_stability_chart(K.WITH_AVERAGING, "c", cs, "tau", compound,
+                                NetworkParams(100.0, 0.1), red=red_defaults)
+    assert all(p.error is None for p in pts)
+    assert len(calls) == solves
+
+
+def test_chart_point_with_a_failed_cross_check_fails_alone(compound, red_defaults,
+                                                          monkeypatch):
+    # a failed internal cross-check at one point is that point's error; the
+    # points around it are solved
+    original = aqmlab.stability.linear_coefficients
+
+    def failing(kind, spec, net, eq, **kw):
+        if net.c_per_flow == 200.0:
+            raise InternalConsistencyError("raw and simplified coefficients disagree")
+        return original(kind, spec, net, eq, **kw)
+
+    monkeypatch.setattr(aqmlab.stability, "linear_coefficients", failing)
+    pts = trace_stability_chart(K.WITH_AVERAGING, "c", [100.0, 200.0, 300.0], "tau",
+                                compound, NetworkParams(100.0, 0.1), red=red_defaults)
+    assert [p.error for p in pts] == [None, "raw and simplified coefficients disagree", None]
+    assert pts[0].y_critical > pts[2].y_critical > 0
 
 
 def test_chart_capacity_sweep_monotone(compound, red_defaults, tmp_path):

@@ -22,6 +22,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .fluid import (
+    MIN_STEPS_PER_DELAY,
     FluidSystemKind,
     default_history,
     equilibrium_no_averaging,
@@ -209,7 +210,22 @@ def _cmd_hopf_classify(args) -> int:
     return 0
 
 
+def _check_run_length(args) -> None:
+    """Refuse, before any integration, a --steps-per-delay below the
+    integrator's floor and a --transient that is not finite or leaves no
+    post-transient window. A --horizon that is not positive and finite stays
+    the integrator's DomainError (exit 1)."""
+    if args.steps_per_delay < MIN_STEPS_PER_DELAY:
+        raise ConfigError(f"--steps-per-delay must be at least {MIN_STEPS_PER_DELAY}, "
+                          f"got {args.steps_per_delay}")
+    horizon_ok = 0 < args.horizon < math.inf
+    if not math.isfinite(args.transient) or (horizon_ok and args.transient >= args.horizon):
+        raise ConfigError(f"--transient must be finite and below --horizon "
+                          f"{args.horizon!r}, got {args.transient!r}")
+
+
 def _cmd_fluid_sim(args) -> int:
+    _check_run_length(args)
     kind = _KINDS[args.system]
     spec, red, th, net = _fluid_params(args)
     eq = _equilibrium(kind, spec, red, th, net)
@@ -239,6 +255,7 @@ def _cmd_bifurcation(args) -> int:
     if name != "qth":
         print("bifurcation-diagram sweeps qth", file=sys.stderr)
         return 2
+    _check_run_length(args)
     spec, _, _, net = _fluid_params(args)
     rows = threshold_bifurcation_sweep(
         spec, net, values,

@@ -28,6 +28,7 @@ from .protocols import (
 )
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
+MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
 
 
 class FluidSystemKind(Enum):
@@ -459,8 +460,8 @@ def integrate_dde(
     [-delay, 0]. delay defaults to net.rtt; it is exposed separately so the
     rate-multiplier/time-rescaling equivalence can be verified.
     """
-    if steps_per_delay < 200:
-        raise DomainError("steps_per_delay must be at least 200")
+    if steps_per_delay < MIN_STEPS_PER_DELAY:
+        raise DomainError(f"steps_per_delay must be at least {MIN_STEPS_PER_DELAY}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
     tau = net.rtt if delay is None else delay

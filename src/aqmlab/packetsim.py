@@ -8,15 +8,22 @@ per-arrival Bernoulli draw on the exponentially weighted average queue, which
 is the law the fluid analysis assumes; the classic count-based drop spreading
 is deliberately not reproduced.
 
+Events that fall due a fixed delay after the event that makes them are made
+in the order they fall due, so they wait in FIFO lines under a small heap
+(the idea of Brown's calendar queue, CACM 1988); `Simulator` lists the lines
+and why each stays sorted. The tie rule is unchanged: the next event is the
+pending one of smallest (time, tie), as with one heap of every event.
+
 The per-packet laws are bound once, not looked up per packet:
 
 - the Compound window laws, once at import: `compound_window_laws` binds
   alpha, k and beta of `ProtocolSpec.compound_tcp()` (params) and its
   gamma_thresh and zeta defaults, and `_WINDOW_LAWS` holds the (ack, loss)
   pair each flow calls;
-- the RED admit rule, once per queue per run: `Simulator.run` builds
-  `red_admit_rule` over the queue's w_q, 1 - w_q, buffer and the run's
-  `rng.random`. The drop law it draws against is
+- each queue's admit rule, once per queue per run, inside that queue's
+  arrival handler: `red_admit_rule` over the queue's w_q, 1 - w_q, b_min,
+  buffer and the run's `rng.random`, or `limit_admit_rule` over the
+  threshold or the buffer. The drop law RED draws against is
   `protocols.red_drop_probability`, shared with the fluid model.
 """
 
@@ -201,15 +208,19 @@ class Metrics:
 
 class _Flow:
     """A source's sending state, with what its spec fixes for the whole run:
-    the protocol's window laws and the propagation constants. `Simulator`
-    adds the route's first queue index and next-hop table."""
+    the protocol's window laws and the propagation constants. `Simulator.run`
+    adds the arrival handler of the route's first queue, the next-hop table
+    (queue index -> the next queue's arrival handler, or None) and the
+    flow's event lines: its own first-hop arrivals (`sent`, dropped once a
+    sized flow completes) and the ack and loss lines it shares with every
+    flow of its delay (None for udp)."""
 
     __slots__ = (
         "fid", "spec", "cwnd", "dwnd", "ssthresh", "slow_start", "in_flight",
         "bytes_unsent", "bytes_acked", "base_rtt", "next_seq", "recover_seq",
         "access_free", "completed_at", "wmax_cubic", "k_cubic", "t_loss",
         "started", "udp", "on_ack", "on_loss", "access_rate", "rtt", "half_rtt",
-        "first_hop", "next_hop",
+        "arrive", "next_hop", "sent", "acks", "losses",
     )
 
     def __init__(self, fid, spec: FlowSpec):
@@ -313,49 +324,49 @@ _WINDOW_LAWS = {
 }
 
 
-def red_admit_rule(red: PacketRed, buffer: int, rng: random.Random):
-    """The RED admit rule of one queue, (queue length, avg) -> (admit?, new
-    avg): the EWMA update, then a Bernoulli draw at `red_drop_probability`
-    of the new average. w_q, 1 - w_q, the buffer and the draw are bound once."""
+def red_admit_rule(red: PacketRed, q: _Queue, rng: random.Random):
+    """The RED admit rule of one queue, queue length -> admit?: the EWMA
+    update of `q.avg`, then a Bernoulli draw at `red_drop_probability` of the
+    new average. w_q, 1 - w_q, b_min, the buffer and the draw are bound once.
+    The law is 0.0 up to b_min, where no draw is made, so it is called only
+    past b_min."""
     w_q = red.w_q
     keep = 1.0 - w_q
+    b_min = red.b_min
+    buffer = q.buffer
     draw = rng.random
 
-    def admit(queue_len, avg):
-        avg = keep * avg + w_q * queue_len
+    def admits(queue_len):
+        avg = q.avg = keep * q.avg + w_q * queue_len
         if queue_len >= buffer:
-            return False, avg
+            return False
+        if avg <= b_min:
+            return True
         p = red_drop_probability(avg, red)
-        if p > 0.0 and draw() < p:
-            return False, avg
-        return True, avg
+        return not (p > 0.0 and draw() < p)
 
-    return admit
+    return admits
 
 
-def threshold_enqueue_decision(queue_len: int, th: PacketThreshold, buffer: int):
-    """Deterministic drop once the queue reaches the threshold."""
-    return queue_len < min(th.q_th, buffer)
+def limit_admit_rule(policy: PacketThreshold | DropTail, buffer: int):
+    """The admit rule of a threshold or drop-tail queue, queue length ->
+    admit?: a deterministic drop once the queue holds the threshold (capped
+    by the buffer) or, under drop-tail, the buffer."""
+    limit = min(policy.q_th, buffer) if isinstance(policy, PacketThreshold) else buffer
+    return lambda queue_len: queue_len < limit
 
 
 class _Queue:
-    """A bottleneck queue and its counters. The admit rule is fixed for the
-    run: a RED queue (`red` set by `Simulator.run`) calls its
-    `red_admit_rule`, a threshold queue (`threshold` set)
-    `threshold_enqueue_decision`, and a drop-tail queue admits below the
-    buffer."""
+    """A bottleneck queue and its counters. The packet at the head of `pkts`
+    is in service whenever `pkts` is not empty."""
 
-    __slots__ = ("idx", "red", "threshold", "buffer", "pkts", "busy", "avg",
-                 "arrivals", "drops", "served", "sojourn_sum", "bits_interval",
-                 "bits_total")
+    __slots__ = ("idx", "buffer", "pkts", "avg", "arrivals", "drops", "served",
+                 "sojourn_sum", "bits_interval", "bits_total")
 
-    def __init__(self, idx, policy, buffer):
+    def __init__(self, idx, buffer):
         self.idx = idx
-        self.red = None
-        self.threshold = policy if isinstance(policy, PacketThreshold) else None
         self.buffer = buffer
         self.pkts = deque()  # (arrival time, packet)
-        self.busy = False
         self.avg = 0.0
         self.arrivals = 0
         self.drops = 0
@@ -369,50 +380,49 @@ class Simulator:
     """One run of one configuration.
 
     A packet is the tuple (flow, seq, size bytes, send time) and an event is
-    (time, tie, handler, a, b) on one heap, run as handler(a, b); the shared
-    tie counter breaks equal times by insertion order. `run` settles before
-    the first event what the handlers would otherwise look up per packet:
-    each queue's admit rule, each flow's window laws and each route's
-    next-hop table.
+    (time, tie, handler, arg, line), run as handler(arg); one tie counter,
+    shared by every event, breaks equal times by insertion order. Events
+    that fall due a fixed delay after they are made go into FIFO lines:
+
+    - each flow's first-hop arrivals: the access link's departures never
+      decrease, and the half round trip is added to each;
+    - acks, one line per distinct half round trip: made at services, `now`
+      plus the flow's half round trip;
+    - loss notices, one line per distinct round trip: made at drops, `now`
+      plus the flow's round trip;
+    - next-hop arrivals, one line: due at `now`.
+
+    `now` never decreases, adding a constant to a float is monotone and ties
+    only grow, so each line is sorted by (time, tie) as it is appended to.
+    The heap holds each non-empty line's head and the events made one at a
+    time (services, samples, starts, short-flow spawns and udp sends), so
+    its smallest entry is the smallest pending event: the dispatch order,
+    and with it every output, is that of one heap of all events. `run`
+    settles before the first event what the handlers would otherwise look up
+    per packet: each queue's arrival handler with its admit rule bound, each
+    flow's window laws, lines and the next-hop handlers of its route.
     """
 
     def __init__(self, config: SimConfig):
         self.cfg = config
         self.now = 0.0
-        self.queues = [_Queue(i, config.policy, config.buffer)
-                       for i in range(config.n_queues)]
+        self.queues = [_Queue(i, config.buffer) for i in range(config.n_queues)]
         self.flows: list[_Flow] = []  # indexed by flow id
         self.sample_times: list[float] = []
         self.queue_len_trace = [[] for _ in self.queues]
         self.queue_avg_trace = [[] for _ in self.queues]
         self.util_trace = [[] for _ in self.queues]
         self.window_trace: dict[int, list[float]] = {}  # long flows only
-        self._hops: dict[tuple[int, ...], tuple] = {}
-
-    def _add_flow(self, spec: FlowSpec, is_short=False) -> _Flow:
-        fl = _Flow(len(self.flows), spec)
-        route = spec.route
-        hops = self._hops.get(route)
-        if hops is None:
-            # next queue index by queue index, None after the last hop;
-            # SimConfig has checked that the route is non-empty, in range and
-            # visits no queue twice
-            nxt = [None] * len(self.queues)
-            for a, b in zip(route, route[1:]):
-                nxt[a] = b
-            hops = self._hops[route] = (route[0], nxt)
-        fl.first_hop, fl.next_hop = hops
-        self.flows.append(fl)
-        if not is_short:
-            self.window_trace[fl.fid] = []
-        return fl
 
     def run(self) -> Metrics:
         cfg = self.cfg
         rng = random.Random(cfg.seed)
+        policy = cfg.policy
+        red = isinstance(policy, PacketRed)
         queues = self.queues
+        flows = self.flows
         heap = []
-        heappush, heappop = heapq.heappush, heapq.heappop
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         tick = itertools.count(1).__next__
         capacity = cfg.capacity
         packet_size = cfg.packet_size
@@ -421,13 +431,18 @@ class Simulator:
         prof = cfg.short_flows
         now = 0.0
         pending = 0  # sized flows not yet complete
-        if isinstance(cfg.policy, PacketRed):
-            for q in queues:
-                q.red = red_admit_rule(cfg.policy, q.buffer, rng)
+        hop_line = deque()  # next-hop arrivals
+        ack_lines = {}  # half round trip -> line
+        loss_lines = {}  # round trip -> line
+        hops = {}  # route -> (first queue's arrival handler, next-hop table)
+
+        # A line's head is on the heap: an event appended to an empty line
+        # is pushed there too; the loop replaces it by the line's next.
 
         def try_send(fl):
             size = packet_size
             win = fl.cwnd + fl.dwnd
+            sent, arrive = fl.sent, fl.arrive
             while fl.in_flight < win and (fl.bytes_unsent is None or fl.bytes_unsent > 0):
                 if fl.bytes_unsent is not None:
                     size = min(packet_size, fl.bytes_unsent)
@@ -438,38 +453,46 @@ class Simulator:
                 fl.in_flight += 1
                 seq = fl.next_seq
                 fl.next_seq = seq + 1
-                heappush(heap, (depart + fl.half_rtt, tick(), arrive,
-                                (fl, seq, size, now), queues[fl.first_hop]))
+                event = (depart + fl.half_rtt, tick(), arrive, (fl, seq, size, now), sent)
+                if not sent:
+                    heappush(heap, event)
+                sent.append(event)
 
-        def udp_send(fl, _=None):
+        def udp_send(fl):
             tx = packet_size * 8 / fl.access_rate
             seq = fl.next_seq
             fl.next_seq = seq + 1
-            heappush(heap, (now + tx + fl.half_rtt, tick(), arrive,
-                            (fl, seq, packet_size, now), queues[fl.first_hop]))
+            sent = fl.sent
+            event = (now + tx + fl.half_rtt, tick(), fl.arrive,
+                     (fl, seq, packet_size, now), sent)
+            if not sent:
+                heappush(heap, event)
+            sent.append(event)
             heappush(heap, (now + tx, tick(), udp_send, fl, None))
 
-        def arrive(pkt, q):
-            q.arrivals += 1
+        def arrival_handler(q, admits):
             pkts = q.pkts
-            if q.red is not None:
-                admit, q.avg = q.red(len(pkts), q.avg)
-            elif q.threshold is not None:
-                admit = threshold_enqueue_decision(len(pkts), q.threshold, q.buffer)
-            else:
-                admit = len(pkts) < q.buffer
-            if not admit:
+
+            def arrive(pkt):
+                q.arrivals += 1
+                held = len(pkts)
+                if admits(held):
+                    pkts.append((now, pkt))
+                    if not held:  # the link was idle
+                        heappush(heap, (now + pkt[2] * 8 / capacity, tick(), service, q, None))
+                    return
                 q.drops += 1
                 fl = pkt[0]
-                if not fl.udp:
-                    heappush(heap, (now + fl.rtt, tick(), loss, pkt, None))
-                return
-            pkts.append((now, pkt))
-            if not q.busy:
-                q.busy = True
-                heappush(heap, (now + pkt[2] * 8 / capacity, tick(), service, q, None))
+                losses = fl.losses
+                if losses is not None:  # None: udp, which sees no loss
+                    event = (now + fl.rtt, tick(), loss, pkt, losses)
+                    if not losses:
+                        heappush(heap, event)
+                    losses.append(event)
 
-        def service(q, _):
+            return arrive
+
+        def service(q):
             pkts = q.pkts
             arrived_at, pkt = pkts.popleft()
             q.served += 1
@@ -479,18 +502,22 @@ class Simulator:
             fl = pkt[0]
             nxt = fl.next_hop[q.idx]
             if nxt is not None:
-                heappush(heap, (now, tick(), arrive, pkt, queues[nxt]))
+                event = (now, tick(), nxt, pkt, hop_line)
+                if not hop_line:
+                    heappush(heap, event)
+                hop_line.append(event)
             else:
                 q.bits_total += bits
-                if not fl.udp:
-                    heappush(heap, (now + fl.half_rtt, tick(), ack, pkt, None))
+                acks = fl.acks
+                if acks is not None:  # None: udp, which is not acked
+                    event = (now + fl.half_rtt, tick(), ack, pkt, acks)
+                    if not acks:
+                        heappush(heap, event)
+                    acks.append(event)
             if pkts:
-                heappush(heap, (now + pkts[0][1][2] * 8 / capacity, tick(),
-                                service, q, None))
-            else:
-                q.busy = False
+                heappush(heap, (now + pkts[0][1][2] * 8 / capacity, tick(), service, q, None))
 
-        def ack(pkt, _):
+        def ack(pkt):
             nonlocal pending
             fl, _, size, send_time = pkt
             if fl.completed_at is not None:
@@ -508,11 +535,12 @@ class Simulator:
             goal = fl.spec.bytes_to_send
             if goal is not None and fl.bytes_acked >= goal:
                 fl.completed_at = now
+                fl.sent = None  # it sends no more: free its line
                 pending -= 1
                 return
             try_send(fl)
 
-        def loss(pkt, _):
+        def loss(pkt):
             fl, seq, size, _ = pkt
             if fl.completed_at is not None:
                 return
@@ -528,7 +556,7 @@ class Simulator:
                 fl.on_loss(fl, win, now)
             try_send(fl)
 
-        def start(fl, _):
+        def start(fl):
             fl.started = True
             if fl.udp:
                 udp_send(fl)
@@ -538,11 +566,11 @@ class Simulator:
         samples = list(zip(self.queues, self.queue_len_trace,
                            self.queue_avg_trace, self.util_trace))
 
-        def sample(_, __):
+        def sample(_):
             self.sample_times.append(now)
             for q, lens, avgs, utils in samples:
                 lens.append(len(q.pkts))
-                avgs.append(q.avg if q.red is not None else float(len(q.pkts)))
+                avgs.append(q.avg if red else float(len(q.pkts)))
                 utils.append(min(100.0 * q.bits_interval / (capacity * dt), 100.0))
                 q.bits_interval = 0
             for fl, trace in windows:
@@ -550,7 +578,36 @@ class Simulator:
             if now + dt <= duration + 1e-9:
                 heappush(heap, (now + dt, tick(), sample, None, None))
 
-        def spawn_short(_, __):
+        arrive_at = [
+            arrival_handler(q, red_admit_rule(policy, q, rng) if red
+                            else limit_admit_rule(policy, q.buffer))
+            for q in queues
+        ]
+
+        def add_flow(spec: FlowSpec, is_short=False) -> _Flow:
+            fl = _Flow(len(flows), spec)
+            route = spec.route
+            table = hops.get(route)
+            if table is None:
+                # SimConfig has checked that the route is non-empty, in range
+                # and visits no queue twice
+                nxt = [None] * len(queues)
+                for a, b in zip(route, route[1:]):
+                    nxt[a] = arrive_at[b]
+                table = hops[route] = (arrive_at[route[0]], nxt)
+            fl.arrive, fl.next_hop = table
+            fl.sent = deque()
+            if fl.udp:
+                fl.acks = fl.losses = None
+            else:
+                fl.acks = ack_lines.setdefault(fl.half_rtt, deque())
+                fl.losses = loss_lines.setdefault(fl.rtt, deque())
+            flows.append(fl)
+            if not is_short:
+                self.window_trace[fl.fid] = []
+            return fl
+
+        def spawn_short(_):
             nonlocal pending
             spec = FlowSpec(
                 protocol="reno",
@@ -560,7 +617,7 @@ class Simulator:
                 bytes_to_send=prof.bytes_per_flow,
                 route=prof.route,
             )
-            fl = self._add_flow(spec, is_short=True)
+            fl = add_flow(spec, is_short=True)
             if spec.bytes_to_send is not None:
                 pending += 1
             fl.started = True
@@ -570,11 +627,11 @@ class Simulator:
                 heappush(heap, (now + gap, tick(), spawn_short, None, None))
 
         for spec in cfg.flows:
-            fl = self._add_flow(spec)
+            fl = add_flow(spec)
             if spec.bytes_to_send is not None:
                 pending += 1
             heappush(heap, (spec.start_time, tick(), start, fl, None))
-        windows = [(self.flows[fid], trace) for fid, trace in self.window_trace.items()]
+        windows = [(flows[fid], trace) for fid, trace in self.window_trace.items()]
         heappush(heap, (0.0, tick(), sample, None, None))
         if prof is not None:
             heappush(heap, (rng.expovariate(prof.rate_per_s), tick(), spawn_short, None, None))
@@ -586,19 +643,36 @@ class Simulator:
             for _ in itertools.repeat(None, 500_000_001):
                 if not heap:
                     break
-                t, _, handler, a, b = heappop(heap)
+                t, _, handler, arg, line = heap[0]
                 if t > hard_stop or (to_completion and pending == 0):
                     break
+                if line is None:
+                    heappop(heap)
+                else:
+                    line.popleft()
+                    if line:
+                        heapreplace(heap, line[0])
+                    else:
+                        heappop(heap)
                 now = t
-                handler(a, b)
+                handler(arg)
             else:
                 raise ConfigError("event budget exceeded; runaway configuration")
         finally:
-            # the handlers refer to one another and queued events refer to
-            # them: emptying both frees the run's state on return, not at the
-            # next full garbage collection
+            # the handlers refer to one another; queued events refer to them,
+            # and to packets, which refer to their flows, which refer to their
+            # lines and handlers: emptying the lines and the flows' handler
+            # slots frees the run's state on return, not at the next full
+            # garbage collection
             heap.clear()
-            del try_send, udp_send, arrive, service, ack, loss, start, sample, spawn_short
+            hop_line.clear()
+            for line in (*ack_lines.values(), *loss_lines.values()):
+                line.clear()
+            for fl in flows:
+                if fl.sent is not None:
+                    fl.sent.clear()
+                fl.arrive = fl.next_hop = None
+            del try_send, udp_send, service, ack, loss, start, sample, add_flow, spawn_short
         self.now = now
         return self._collect()
 

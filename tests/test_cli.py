@@ -89,6 +89,13 @@ def test_parameter_outside_domain_exit_code_two(option, value, capsys):
     ["hopf-classify", "--at-tau", "-1"],
     ["hopf-classify", "--at-tau", "nan"],
     ["hopf-classify", "--tau-min", "5", "--tau-max", "1"],
+    ["fluid-sim", "--system", "threshold", "--steps-per-delay", "199"],
+    ["fluid-sim", "--system", "threshold", "--horizon", "4"],
+    ["fluid-sim", "--system", "threshold", "--transient", "nan"],
+    ["fluid-sim", "--system", "no-averaging", "--transient", "300"],
+    ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--steps-per-delay", "100"],
+    ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--horizon", "4"],
+    ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--transient", "inf"],
 ], ids=" ".join)
 def test_bad_argument_value_exit_code_two(argv, capsys):
     assert _exit_code(argv) == 2

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqmlab.errors import ConfigError
@@ -18,15 +18,16 @@ from aqmlab.packetsim import (
     ShortFlowProfile,
     SimConfig,
     _Flow,
+    _Queue,
     compound_window_laws,
     compute_afct,
     config_digest,
     desk_config,
     parse_scenario,
+    limit_admit_rule,
     red_admit_rule,
     run_batch,
     run_simulation,
-    threshold_enqueue_decision,
     write_metrics_csv,
 )
 from aqmlab.protocols import red_drop_probability
@@ -161,13 +162,35 @@ def test_bound_compound_laws_match_oracle_bits(cwnd, dwnd, base_rtt, rtt_sample,
 def test_bound_red_rule_matches_oracle_bits(b_min, width, p_max, w_q, avg, lens, buffer, seed):
     red = PacketRed(b_min=b_min, b_max=b_min + width, p_max=p_max, w_q=w_q)
     rng_bound, rng_oracle = random.Random(seed), random.Random(seed)
-    admit = red_admit_rule(red, buffer, rng_bound)
-    avg_bound = avg_oracle = avg
+    q = _Queue(0, buffer)
+    q.avg = avg_oracle = avg
+    admits = red_admit_rule(red, q, rng_bound)
     for n in lens:
-        got, avg_bound = admit(n, avg_bound)
+        got = admits(n)
         want, avg_oracle = red_enqueue_decision_oracle(n, avg_oracle, red, buffer, rng_oracle)
-        assert (got, avg_bound.hex()) == (want, avg_oracle.hex())
+        assert (got, q.avg.hex()) == (want, avg_oracle.hex())
     assert rng_bound.getstate() == rng_oracle.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(b_min=st.floats(1.0, 100.0), width=st.floats(1.0, 200.0),
+       p_max=st.floats(0.01, 0.99), share=st.floats(0.0, 1.0))
+@example(b_min=50.0, width=50.0, p_max=0.1, share=1.0)
+@example(b_min=50.0, width=50.0, p_max=0.1, share=0.0)
+def test_red_law_is_zero_up_to_b_min(b_min, width, p_max, share):
+    # the RED admit rule calls the law only past b_min: below it, and at it,
+    # the law is 0.0 and no number is drawn
+    red = PacketRed(b_min=b_min, b_max=b_min + width, p_max=p_max)
+    avg = min(share * b_min, b_min)
+    assert red_drop_probability(avg, red) == 0.0
+
+
+def _red_decision(red, buffer, rng, queue_len, avg):
+    """(admit?, new average) of one arrival at a RED queue holding
+    queue_len packets, at average avg."""
+    q = _Queue(0, buffer)
+    q.avg = avg
+    return red_admit_rule(red, q, rng)(queue_len), q.avg
 
 
 # -- queue decisions ----------------------------------------------------------
@@ -177,7 +200,7 @@ def test_red_no_drops_below_min_threshold():
     rng = random.Random(1)
     avg = 0.0
     for q in range(40):
-        admit, avg = red_admit_rule(red, 1000, rng)(q, avg)
+        admit, avg = _red_decision(red, 1000, rng, q, avg)
         assert admit
 
 
@@ -185,7 +208,7 @@ def test_red_always_drops_beyond_twice_max_threshold():
     red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=1.0)
     rng = random.Random(1)
     for q in (200, 250, 400):
-        admit, avg = red_admit_rule(red, 1000, rng)(q, 150.0)
+        admit, avg = _red_decision(red, 1000, rng, q, 150.0)
         assert not admit
 
 
@@ -197,7 +220,7 @@ def test_red_empirical_drop_rate_matches_probability():
     mid = 75.0
     drops = 0
     for _ in range(n):
-        admit, _ = red_admit_rule(red, 10**9, rng)(int(mid), mid)
+        admit, _ = _red_decision(red, 10**9, rng, int(mid), mid)
         drops += not admit
     p = red.p_max / 2.0
     sigma = math.sqrt(p * (1 - p) / n)
@@ -206,17 +229,20 @@ def test_red_empirical_drop_rate_matches_probability():
 
 def test_red_full_buffer_forces_drop():
     red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002)
-    admit, _ = red_admit_rule(red, 64, random.Random(3))(64, 10.0)
+    admit, _ = _red_decision(red, 64, random.Random(3), 64, 10.0)
     assert not admit
 
 
 def test_threshold_decision_boundary():
     th = PacketThreshold(q_th=15)
-    assert threshold_enqueue_decision(14, th, buffer=100)
-    assert not threshold_enqueue_decision(15, th, buffer=100)
+    assert limit_admit_rule(th, buffer=100)(14)
+    assert not limit_admit_rule(th, buffer=100)(15)
     # a buffer below the threshold caps it
-    assert threshold_enqueue_decision(9, th, buffer=10)
-    assert not threshold_enqueue_decision(10, th, buffer=10)
+    assert limit_admit_rule(th, buffer=10)(9)
+    assert not limit_admit_rule(th, buffer=10)(10)
+    # drop-tail: the buffer is the limit
+    assert limit_admit_rule(DropTail(), buffer=10)(9)
+    assert not limit_admit_rule(DropTail(), buffer=10)(10)
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -571,10 +597,62 @@ _GOLDEN_DIGESTS = {
 }
 
 
-def test_metrics_bit_identical_to_recorded_digests():
-    configs = _golden_configs()
+def _assert_digests(configs, digests):
     runs = {name: run_simulation(cfg) for name, cfg in configs.items()}
-    assert {name: _metrics_digest(m) for name, m in runs.items()} == _GOLDEN_DIGESTS
+    assert {name: _metrics_digest(m) for name, m in runs.items()} == digests
     batch = run_batch(list(configs.values()))
     for name, cfg in configs.items():
-        assert _metrics_digest(batch[(config_digest(cfg), cfg.seed)]) == _GOLDEN_DIGESTS[name]
+        assert _metrics_digest(batch[(config_digest(cfg), cfg.seed)]) == digests[name]
+
+
+def test_metrics_bit_identical_to_recorded_digests():
+    _assert_digests(_golden_configs(), _GOLDEN_DIGESTS)
+
+
+def _tie_configs() -> dict[str, SimConfig]:
+    """Runs where events of different event lines meet: exact time ties
+    across flows, short and long flows on one ack line and one loss line,
+    and dense loss notices."""
+    out = {}
+    # identical flows that all start at t = 0: their packets reach the queue
+    # at the same instants
+    out["red-tied-starts"] = SimConfig(
+        topology="dumbbell", capacity=10e6, buffer=100, packet_size=1500,
+        flows=tuple(FlowSpec("compound", 2e6, 0.04) for _ in range(6)),
+        policy=PacketRed(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
+        duration=6.0, seed=6)
+    # short flows with the round trip of the first long flow
+    long_flows = (
+        FlowSpec("compound", 2e6, 0.05, route=(0, 1)),
+        FlowSpec("reno", 2e6, 0.05, start_time=0.2, route=(1,)),
+        FlowSpec("compound", 2e6, 0.08, start_time=0.1, route=(0,)),
+    )
+    out["parking-lot-shared-rtt"] = SimConfig(
+        topology="parking-lot", capacity=5e6, buffer=40, packet_size=1500,
+        flows=long_flows, policy=PacketThreshold(q_th=12), duration=8.0, seed=8,
+        short_flows=ShortFlowProfile(rate_per_s=30.0, bytes_per_flow=20000,
+                                     rtt_propagation=0.05, route=(0, 1)),
+    )
+    # udp into a four-packet drop-tail buffer, beside two flows of one round
+    # trip and a sized flow
+    out["udp-droptail-small-buffer"] = SimConfig(
+        topology="dumbbell", capacity=5e6, buffer=4, packet_size=1500,
+        flows=(FlowSpec("udp", 2e6, 0.02),
+               FlowSpec("compound", 4e6, 0.04, start_time=0.1),
+               FlowSpec("reno", 4e6, 0.04, start_time=0.1),
+               FlowSpec("reno", 4e6, 0.06, start_time=0.3, bytes_to_send=400_000)),
+        policy=DropTail(), duration=5.0, seed=9)
+    return out
+
+
+# recorded, like _GOLDEN_DIGESTS, with one heap of all events, before the
+# per-flow, ack, loss and next-hop event lines
+_TIE_DIGESTS = {
+    "red-tied-starts": "de3c4bcf37244a9f0f3532d45bf5f3dab4d9662e67851ff114024143fe1e31bf",
+    "parking-lot-shared-rtt": "9d84bc697058507d86cdf60ce617fad68122f24c452350ea9acdb11bdea31ca2",
+    "udp-droptail-small-buffer": "c99588029d1f4231d043d34cca7b85a63aea92e1bdfd9b67d310ca61c61b47b4",
+}
+
+
+def test_event_line_ties_bit_identical_to_recorded_digests():
+    _assert_digests(_tie_configs(), _TIE_DIGESTS)

@@ -11,7 +11,6 @@ from .params import (
 from .fluid import (
     Equilibrium,
     FluidSystemKind,
-    History,
     Trajectory,
     equilibrium_no_averaging,
     equilibrium_threshold,
@@ -27,7 +26,6 @@ __all__ = [
     "ThresholdParams",
     "Equilibrium",
     "FluidSystemKind",
-    "History",
     "Trajectory",
     "equilibrium_no_averaging",
     "equilibrium_threshold",

@@ -212,14 +212,14 @@ def _cmd_hopf_classify(args) -> int:
 
 def _check_run_length(args) -> None:
     """Refuse, before any integration, a --steps-per-delay below the
-    integrator's floor and a --transient that is not finite or leaves no
-    post-transient window. A --horizon that is not positive and finite stays
-    the integrator's DomainError (exit 1)."""
+    integrator's floor, a --horizon that is not positive and finite, and a
+    --transient that is not finite or leaves no post-transient window."""
     if args.steps_per_delay < MIN_STEPS_PER_DELAY:
         raise ConfigError(f"--steps-per-delay must be at least {MIN_STEPS_PER_DELAY}, "
                           f"got {args.steps_per_delay}")
-    horizon_ok = 0 < args.horizon < math.inf
-    if not math.isfinite(args.transient) or (horizon_ok and args.transient >= args.horizon):
+    if not 0 < args.horizon < math.inf:
+        raise ConfigError(f"--horizon must be positive and finite, got {args.horizon!r}")
+    if not math.isfinite(args.transient) or args.transient >= args.horizon:
         raise ConfigError(f"--transient must be finite and below --horizon "
                           f"{args.horizon!r}, got {args.transient!r}")
 

@@ -1,5 +1,5 @@
-"""Closed-loop fluid models: equilibria, delay-differential right-hand sides,
-a fixed-step method-of-steps integrator, and oscillation metrics.
+"""Closed-loop fluid models: equilibria, a fixed-step method-of-steps RK4
+integrator of the delay-differential systems, and oscillation metrics.
 
 Three systems are covered, distinguished by how the drop probability is fed
 back: through an averaged-queue state (3 states: w, q, p), through the
@@ -19,7 +19,7 @@ from itertools import pairwise
 from operator import add
 
 from .errors import ConvergenceError, DomainError, IntegrationError, InternalConsistencyError
-from .numerics import bisect, hermite_eval
+from .numerics import bisect
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import (
     decrease_rate,
@@ -164,134 +164,6 @@ def equilibrium_threshold(
     )
 
 
-def _window_rate(spec: ProtocolSpec, net: NetworkParams):
-    """(w, w_d, p_d) -> dw/dt, the window equation of all three systems.
-
-    The law is written out as alpha*w^(k-1) and beta*w, the same
-    floating-point operations that increase_rate/decrease_rate perform,
-    without their per-call argument checks. The comparisons below clamp the
-    windows at the floor as max() would, and let NaN through to the
-    finiteness check.
-    """
-    kappa = net.kappa
-    tau = net.rtt
-    floor = _W_FLOOR
-    alpha, k, beta = spec.alpha, spec.k, spec.beta
-    expo = k - 1.0
-
-    def rate(w, w_d, p_d):
-        if w < floor:
-            w = floor
-        if w_d < floor:
-            w_d = floor
-        return kappa * (alpha * w**expo * (1.0 - p_d) - beta * w * p_d) * w_d / tau
-
-    return rate
-
-
-def _queue_rate(net: NetworkParams):
-    """(q, w, p) -> dq/dt, one-sided at an empty queue and at a full buffer."""
-    kappa = net.kappa
-    tau = net.rtt
-    cap = net.c_per_flow
-    buf = net.buffer
-
-    def rate(q, w, p):
-        r = kappa * ((1.0 - p) * w / tau - cap)
-        if q <= 0.0 and r < 0.0:
-            return 0.0
-        if buf is not None and q >= buf and r > 0.0:
-            return 0.0
-        return r
-
-    return rate
-
-
-def _with_averaging_rhs(spec, net, red):
-    """(w, q, p, w_d, p_d) -> (dw, dq, dp) of the averaged-queue system."""
-    window = _window_rate(spec, net)
-    queue = _queue_rate(net)
-    relax = -net.kappa * (red.gamma * net.c_per_flow)
-    rho = red.rho
-    rho_b_min = rho * red.b_min
-
-    def f(w, q, p, w_d, p_d):
-        return (
-            window(w, w_d, p_d),
-            queue(q, w, p),
-            relax * (p + rho_b_min - rho * q),
-        )
-
-    return f
-
-
-def _no_averaging_rhs(spec, net, red):
-    """(w, q, w_d, q_d) -> (dw, dq) of the instantaneous-queue system."""
-    window = _window_rate(spec, net)
-    queue = _queue_rate(net)
-    rho = red.rho
-    b_min = red.b_min
-
-    def f(w, q, w_d, q_d):
-        return (
-            window(w, w_d, rho * (q_d - b_min)),
-            queue(q, w, rho * (q - b_min)),
-        )
-
-    return f
-
-
-def _threshold_rhs(spec, net, th):
-    """(w, w_d) -> dw of the threshold system.
-
-    The drop probability is threshold_drop_probability written out:
-    (w_d / (C*rtt))^q_th, capped at 1 from the bandwidth-delay product on.
-    """
-    window = _window_rate(spec, net)
-    bdp = net.c_per_flow * net.rtt
-    q_th = th.q_th
-    floor = _W_FLOOR
-
-    def f(w, w_d):
-        if w_d < floor:
-            w_d = floor
-        ratio = w_d / bdp
-        return window(w, w_d, 1.0 if ratio >= 1.0 else ratio**q_th)
-
-    return f
-
-
-def _system_rhs(kind, spec, net, red, th):
-    if kind is FluidSystemKind.THRESHOLD:
-        if th is None:
-            raise DomainError("threshold system needs ThresholdParams")
-        return _threshold_rhs(spec, net, th)
-    if red is None:
-        raise DomainError(f"{kind.value} system needs RedParams")
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return _no_averaging_rhs(spec, net, red)
-    return _with_averaging_rhs(spec, net, red)
-
-
-def rhs(
-    kind: FluidSystemKind,
-    state_now,
-    state_delayed,
-    spec: ProtocolSpec,
-    net: NetworkParams,
-    red: RedParams | None = None,
-    th: ThresholdParams | None = None,
-):
-    """One-off evaluation of the system right-hand side: one derivative per
-    state, from the same equations the integrator steps."""
-    f = _system_rhs(kind, spec, net, red, th)
-    if kind is FluidSystemKind.THRESHOLD:
-        return (f(state_now[0], state_delayed[0]),)
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return f(*state_now, *state_delayed)
-    return f(*state_now, state_delayed[0], state_delayed[2])
-
-
 @dataclass
 class Trajectory:
     """Uniformly sampled solution of one fluid system: the sample times and
@@ -314,12 +186,26 @@ class Trajectory:
 
 
 # The three RK4 kernels below advance one system each, with every state
-# component in its own list of floats. Each step reads the delayed state at
-# its midpoint from the midpoint list and at its end from the node m steps
-# back, then appends the new node and the cubic Hermite midpoint of the
-# interval it closes. With theta = 1/2 the Hermite weights are exactly
-# 1/2, h/8, 1/2 and -h/8 (numerics.hermite_eval computes the same values), so
-# a midpoint is 0.5*y0 + h/8*f0 + 0.5*y1 - h/8*f1, summed left to right.
+# component in its own list of floats and the system's constants bound once
+# per run. Each writes its right-hand side out at every stage:
+# - the window law kappa*(alpha*w^(k-1)*(1-p_d) - beta*w*p_d)*w_d/tau, with
+#   the floating-point operations of increase_rate/decrease_rate but without
+#   their argument checks; the windows are clamped at the floor as max()
+#   would, and NaN passes on to the finiteness check;
+# - the queue law kappa*((1-p)*w/tau - C), one-sided at an empty queue and at
+#   a full buffer, which takes the stage window before the window law's
+#   clamp;
+# - the averaged-p relaxation, or the threshold feedback (w_d/(C*rtt))^q_th
+#   capped at 1 from the bandwidth-delay product on.
+# The delayed terms are computed once per step: those at the midpoint (dh,
+# the clamped delayed window; ph, its drop probability; gh = 1 - ph) are
+# shared by k2 and k3, those at the node m steps back (d1, p1, g1) by k4 and
+# the new node's derivative, which is the next step's k1. In a stage, y is
+# the window (x once clamped), z the queue and v the averaged p.
+# Each step appends the new node and the cubic Hermite midpoint of the
+# interval it closes. With theta = 1/2 the Hermite weights are exactly 1/2,
+# h/8, 1/2 and -h/8, so a midpoint is 0.5*y0 + h/8*f0 + 0.5*y1 - h/8*f1,
+# summed left to right.
 
 
 def _blowup(steps: int, h: float) -> IntegrationError:
@@ -327,50 +213,114 @@ def _blowup(steps: int, h: float) -> IntegrationError:
     return IntegrationError(f"non-finite state at t={t:.6g}", time=t)
 
 
-def _rk4_threshold(f, cols, mids, m, n_steps, h, buf):
+def _rk4_threshold(spec, net, th, cols, mids, m, n_steps, h):
     (ws,) = cols
     (mws,) = mids
+    kappa, tau, bdp, q_th = net.kappa, net.rtt, net.c_per_flow * net.rtt, th.q_th
+    alpha, expo, beta = spec.alpha, spec.k - 1.0, spec.beta
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
     floor = _W_FLOOR
     isfinite = math.isfinite
-    k1 = f(ws[m], ws[0])
+    d1 = ws[0]
+    if d1 < floor:
+        d1 = floor
+    r = d1 / bdp
+    p1 = 1.0 if r >= 1.0 else r**q_th
+    g1 = 1.0 - p1
+    x = ws[m]
+    if x < floor:
+        x = floor
+    k1 = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
     for i in range(m, m + n_steps):
         j = i - m
         w = ws[i]
-        wh = mws[j]
-        w1 = ws[j + 1]
-        k2 = f(w + half * k1, wh)
-        k3 = f(w + half * k2, wh)
-        k4 = f(w + h * k3, w1)
+        dh = mws[j]
+        if dh < floor:
+            dh = floor
+        r = dh / bdp
+        ph = 1.0 if r >= 1.0 else r**q_th
+        gh = 1.0 - ph
+        x = w + half * k1
+        if x < floor:
+            x = floor
+        k2 = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        x = w + half * k2
+        if x < floor:
+            x = floor
+        k3 = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        d1 = ws[j + 1]
+        if d1 < floor:
+            d1 = floor
+        r = d1 / bdp
+        p1 = 1.0 if r >= 1.0 else r**q_th
+        g1 = 1.0 - p1
+        x = w + h * k3
+        if x < floor:
+            x = floor
+        k4 = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
         wn = w + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if wn < floor:
             wn = floor
         if not isfinite(wn):
             raise _blowup(j + 1, h)
-        kn = f(wn, w1)
+        kn = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
         ws.append(wn)
         mws.append(0.5 * w + c1 * k1 + 0.5 * wn + c3 * kn)
         k1 = kn
 
 
-def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
+def _rk4_no_averaging(spec, net, red, cols, mids, m, n_steps, h):
     ws, qs = cols
     mws, mqs = mids
+    kappa, tau, cap, buf = net.kappa, net.rtt, net.c_per_flow, net.buffer
+    alpha, expo, beta = spec.alpha, spec.k - 1.0, spec.beta
+    rho, b_min = red.rho, red.b_min
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
     floor = _W_FLOOR
     isfinite = math.isfinite
-    k1w, k1q = f(ws[m], qs[m], ws[0], qs[0])
+    d1 = ws[0]
+    if d1 < floor:
+        d1 = floor
+    p1 = rho * (qs[0] - b_min)
+    g1 = 1.0 - p1
+    y, z = ws[m], qs[m]
+    x = floor if y < floor else y
+    k1w = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
+    k1q = kappa * ((1.0 - rho * (z - b_min)) * y / tau - cap)
+    if (z <= 0.0 and k1q < 0.0) or (buf is not None and z >= buf and k1q > 0.0):
+        k1q = 0.0
     for i in range(m, m + n_steps):
         j = i - m
         w = ws[i]
         q = qs[i]
-        wh = mws[j]
-        qh = mqs[j]
-        w1 = ws[j + 1]
-        q1 = qs[j + 1]
-        k2w, k2q = f(w + half * k1w, q + half * k1q, wh, qh)
-        k3w, k3q = f(w + half * k2w, q + half * k2q, wh, qh)
-        k4w, k4q = f(w + h * k3w, q + h * k3q, w1, q1)
+        dh = mws[j]
+        if dh < floor:
+            dh = floor
+        ph = rho * (mqs[j] - b_min)
+        gh = 1.0 - ph
+        y, z = w + half * k1w, q + half * k1q
+        x = floor if y < floor else y
+        k2w = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        k2q = kappa * ((1.0 - rho * (z - b_min)) * y / tau - cap)
+        if (z <= 0.0 and k2q < 0.0) or (buf is not None and z >= buf and k2q > 0.0):
+            k2q = 0.0
+        y, z = w + half * k2w, q + half * k2q
+        x = floor if y < floor else y
+        k3w = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        k3q = kappa * ((1.0 - rho * (z - b_min)) * y / tau - cap)
+        if (z <= 0.0 and k3q < 0.0) or (buf is not None and z >= buf and k3q > 0.0):
+            k3q = 0.0
+        d1 = ws[j + 1]
+        if d1 < floor:
+            d1 = floor
+        p1 = rho * (qs[j + 1] - b_min)
+        g1 = 1.0 - p1
+        y, z = w + h * k3w, q + h * k3q
+        x = floor if y < floor else y
+        k4w = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
+        k4q = kappa * ((1.0 - rho * (z - b_min)) * y / tau - cap)
+        if (z <= 0.0 and k4q < 0.0) or (buf is not None and z >= buf and k4q > 0.0):
+            k4q = 0.0
         wn = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
         qn = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
         if wn < floor:
@@ -381,7 +331,10 @@ def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
             qn = buf
         if not (isfinite(wn) and isfinite(qn)):
             raise _blowup(j + 1, h)
-        knw, knq = f(wn, qn, w1, q1)
+        knw = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
+        knq = kappa * ((1.0 - rho * (qn - b_min)) * wn / tau - cap)
+        if (qn <= 0.0 and knq < 0.0) or (buf is not None and qn >= buf and knq > 0.0):
+            knq = 0.0
         ws.append(wn)
         qs.append(qn)
         mws.append(0.5 * w + c1 * k1w + 0.5 * wn + c3 * knw)
@@ -389,25 +342,65 @@ def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
         k1w, k1q = knw, knq
 
 
-def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
+def _rk4_with_averaging(spec, net, red, cols, mids, m, n_steps, h):
     ws, qs, ps = cols
     mws, _, mps = mids  # the delayed queue is never read
+    kappa, tau, cap, buf = net.kappa, net.rtt, net.c_per_flow, net.buffer
+    alpha, expo, beta = spec.alpha, spec.k - 1.0, spec.beta
+    relax = -kappa * (red.gamma * cap)
+    rho = red.rho
+    rho_b_min = rho * red.b_min
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
     floor = _W_FLOOR
     isfinite = math.isfinite
-    k1w, k1q, k1p = f(ws[m], qs[m], ps[m], ws[0], ps[0])
+    d1 = ws[0]
+    if d1 < floor:
+        d1 = floor
+    p1 = ps[0]
+    g1 = 1.0 - p1
+    y, z, v = ws[m], qs[m], ps[m]
+    x = floor if y < floor else y
+    k1w = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
+    k1q = kappa * ((1.0 - v) * y / tau - cap)
+    if (z <= 0.0 and k1q < 0.0) or (buf is not None and z >= buf and k1q > 0.0):
+        k1q = 0.0
+    k1p = relax * (v + rho_b_min - rho * z)
     for i in range(m, m + n_steps):
         j = i - m
         w = ws[i]
         q = qs[i]
         p = ps[i]
-        wh = mws[j]
+        dh = mws[j]
+        if dh < floor:
+            dh = floor
         ph = mps[j]
-        w1 = ws[j + 1]
+        gh = 1.0 - ph
+        y, z, v = w + half * k1w, q + half * k1q, p + half * k1p
+        x = floor if y < floor else y
+        k2w = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        k2q = kappa * ((1.0 - v) * y / tau - cap)
+        if (z <= 0.0 and k2q < 0.0) or (buf is not None and z >= buf and k2q > 0.0):
+            k2q = 0.0
+        k2p = relax * (v + rho_b_min - rho * z)
+        y, z, v = w + half * k2w, q + half * k2q, p + half * k2p
+        x = floor if y < floor else y
+        k3w = kappa * (alpha * x**expo * gh - beta * x * ph) * dh / tau
+        k3q = kappa * ((1.0 - v) * y / tau - cap)
+        if (z <= 0.0 and k3q < 0.0) or (buf is not None and z >= buf and k3q > 0.0):
+            k3q = 0.0
+        k3p = relax * (v + rho_b_min - rho * z)
+        d1 = ws[j + 1]
+        if d1 < floor:
+            d1 = floor
         p1 = ps[j + 1]
-        k2w, k2q, k2p = f(w + half * k1w, q + half * k1q, p + half * k1p, wh, ph)
-        k3w, k3q, k3p = f(w + half * k2w, q + half * k2q, p + half * k2p, wh, ph)
-        k4w, k4q, k4p = f(w + h * k3w, q + h * k3q, p + h * k3p, w1, p1)
+        g1 = 1.0 - p1
+        y, z, v = w + h * k3w, q + h * k3q, p + h * k3p
+        x = floor if y < floor else y
+        k4w = kappa * (alpha * x**expo * g1 - beta * x * p1) * d1 / tau
+        k4q = kappa * ((1.0 - v) * y / tau - cap)
+        if (z <= 0.0 and k4q < 0.0) or (buf is not None and z >= buf and k4q > 0.0):
+            k4q = 0.0
+        k4p = relax * (v + rho_b_min - rho * z)
         wn = w + sixth * (k1w + 2.0 * (k2w + k3w) + k4w)
         qn = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
         pn = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
@@ -421,7 +414,11 @@ def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
             pn = 0.0
         if not (isfinite(wn) and isfinite(qn) and isfinite(pn)):
             raise _blowup(j + 1, h)
-        knw, knq, knp = f(wn, qn, pn, w1, p1)
+        knw = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
+        knq = kappa * ((1.0 - pn) * wn / tau - cap)
+        if (qn <= 0.0 and knq < 0.0) or (buf is not None and qn >= buf and knq > 0.0):
+            knq = 0.0
+        knp = relax * (pn + rho_b_min - rho * qn)
         ws.append(wn)
         qs.append(qn)
         ps.append(pn)
@@ -469,7 +466,10 @@ def integrate_dde(
     h = tau / m
     n_steps = int(math.ceil(horizon / h - 1e-12))
     dim = kind.dim
-    f = _system_rhs(kind, spec, net, red, th)
+    params = th if kind is FluidSystemKind.THRESHOLD else red
+    if params is None:
+        needs = "ThresholdParams" if kind is FluidSystemKind.THRESHOLD else "RedParams"
+        raise DomainError(f"{kind.value} system needs {needs}")
 
     if callable(initial_history):
         hist = initial_history
@@ -500,7 +500,7 @@ def integrate_dde(
         [0.5 * y[j] + c1 * d[j] + 0.5 * y[j + 1] + c3 * d[j + 1] for j in range(m)]
         for y, d in zip(cols, zip(*fs))
     ]
-    _KERNELS[kind](f, cols, mids, m, n_steps, h, net.buffer)
+    _KERNELS[kind](spec, net, params, cols, mids, m, n_steps, h)
 
     times = [j * h for j in range(n_steps + 1)]
     meta = {
@@ -517,60 +517,6 @@ def integrate_dde(
 def default_history(eq: Equilibrium, scale: float = 1.1):
     """Constant history at scale * equilibrium (small perturbation)."""
     return tuple(scale * v for v in eq.state())
-
-
-class History:
-    """Uniform-grid state samples over one delay window with the cubic
-    Hermite interpolation rule; callable on [-window, 0].
-
-    Node derivatives may be supplied; otherwise they are estimated by
-    central differences of the samples, which keeps the interpolant within
-    O(h^3) of the underlying solution.
-    """
-
-    def __init__(self, step: float, values, derivatives=None):
-        self.step = float(step)
-        self.values = [tuple(float(x) for x in v) for v in values]
-        if len(self.values) < 2:
-            raise DomainError("a history needs at least two samples")
-        if derivatives is not None:
-            self.derivs = [tuple(float(x) for x in d) for d in derivatives]
-            if len(self.derivs) != len(self.values):
-                raise DomainError("derivative count must match sample count")
-        else:
-            h = self.step
-            vs = self.values
-            n = len(vs)
-            self.derivs = []
-            for j in range(n):
-                lo = vs[max(j - 1, 0)]
-                hi = vs[min(j + 1, n - 1)]
-                dt = (min(j + 1, n - 1) - max(j - 1, 0)) * h
-                self.derivs.append(
-                    tuple((b - a) / dt if dt > 0 else 0.0 for a, b in zip(lo, hi))
-                )
-        self.window = self.step * (len(self.values) - 1)
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory, window: float) -> "History":
-        """The most recent delay window of a computed trajectory."""
-        n = int(round(window / traj.step))
-        if n < 1 or n >= len(traj.times):
-            raise DomainError("trajectory does not span the requested window")
-        return cls(traj.step, zip(*(c[-(n + 1):] for c in traj.columns)))
-
-    def __call__(self, t: float):
-        if t > 1e-12 or t < -self.window - 1e-12:
-            raise DomainError(f"history queried outside [-{self.window}, 0]")
-        pos = (t + self.window) / self.step
-        j = min(int(pos), len(self.values) - 2)
-        theta = min(max(pos - j, 0.0), 1.0)
-        if theta == 0.0:
-            return self.values[j]
-        return hermite_eval(
-            theta, self.values[j], self.values[j + 1],
-            self.derivs[j], self.derivs[j + 1], self.step,
-        )
 
 
 @dataclass(frozen=True)

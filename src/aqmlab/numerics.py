@@ -1,4 +1,4 @@
-"""Small numerical helpers: bracketed root finding and Hermite interpolation."""
+"""Small numerical helpers: bracketed root finding and Newton refinement."""
 
 from __future__ import annotations
 
@@ -114,18 +114,3 @@ def newton_complex(f, df, z0: complex, *, tol: float = 1e-13, max_iter: int = 80
     if abs(f(z)) > 1e-8 * max(1.0, abs(z)):
         raise ConvergenceError(f"Newton did not converge from {z0!r}")
     return z
-
-
-def hermite_eval(theta: float, y0, y1, f0, f1, h: float):
-    """Cubic Hermite value at fraction theta in [0, 1] of an interval of
-    width h, given endpoint values and one-sided derivatives (tuples)."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return tuple(
-        h00 * a + h10 * h * da + h01 * b + h11 * h * db
-        for a, b, da, db in zip(y0, y1, f0, f1)
-    )

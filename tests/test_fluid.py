@@ -2,18 +2,20 @@ import hashlib
 import math
 import random
 import warnings
+from array import array
 from dataclasses import astuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import aqmlab.fluid
 from aqmlab.errors import DomainError, IntegrationError
 from aqmlab.fluid import (
     Equilibrium,
     FluidSystemKind,
-    History,
     OperatingRegionWarning,
     OscillationMetrics,
     Trajectory,
@@ -23,13 +25,13 @@ from aqmlab.fluid import (
     equilibrium_with_averaging,
     integrate_dde,
     oscillation_metrics,
-    rhs,
     threshold_bifurcation_sweep,
 )
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from aqmlab.protocols import threshold_drop_probability
 
 from conftest import solve_red_fixed_point
+from fluid_oracle import ORACLE_KERNELS, History, rhs
 
 K = FluidSystemKind
 
@@ -309,6 +311,24 @@ def test_horizon_must_be_positive_and_finite(compound, red_defaults, horizon):
         )
 
 
+def test_missing_policy_params_is_domain_error(compound, red_defaults):
+    net = NetworkParams(c_per_flow=100.0, rtt=0.1)
+    eq = equilibrium_threshold(compound, net, ThresholdParams(20.0))
+    with pytest.raises(DomainError, match="needs ThresholdParams"):
+        integrate_dde(
+            K.THRESHOLD, compound, net, red=red_defaults,
+            initial_history=eq.state(), horizon=1.0, steps_per_delay=200,
+        )
+    eq = equilibrium_no_averaging(compound, red_defaults, net)
+    for kind in (K.WITH_AVERAGING, K.NO_AVERAGING):
+        with pytest.raises(DomainError, match="needs RedParams"):
+            integrate_dde(
+                kind, compound, net, th=ThresholdParams(20.0),
+                initial_history=eq.state()[: kind.dim], horizon=1.0,
+                steps_per_delay=200,
+            )
+
+
 def test_history_interpolates_and_guards_domain():
     hist = History(0.5, [(0.0,), (1.0,), (4.0,)])
     assert hist(-1.0) == (0.0,)
@@ -476,6 +496,87 @@ def _exact_digests():
 
 def test_trajectories_bit_identical_to_recorded_digests():
     assert _exact_digests() == _DIGESTS
+
+
+def _kernel_output(kernels, run):
+    """The blowup time of run() (None if it ends) and every node the kernel
+    wrote before it ended or blew up, history included, as float64 bytes."""
+    seen = []
+
+    def recording(kernel):
+        def record(spec, net, params, cols, *rest):
+            seen.append(cols)
+            kernel(spec, net, params, cols, *rest)
+
+        return record
+
+    with patch.dict(aqmlab.fluid._KERNELS, {k: recording(v) for k, v in kernels.items()}):
+        try:
+            run()
+            blowup = None
+        except IntegrationError as err:
+            blowup = err.time
+    (cols,) = seen
+    return blowup, [array("d", c).tobytes() for c in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(K),
+    variant=st.sampled_from(sorted(_EXACT_SPECS)),
+    c=st.floats(20.0, 200.0),
+    rtt=st.floats(0.05, 1.0),
+    kappa=st.floats(0.3, 4.0),
+    delay_scale=st.floats(0.5, 2.0),
+    gamma=st.floats(0.005, 0.1),
+    band=st.floats(0.0, 2.7).map(lambda e: 10.0**e),  # b_max - b_min
+    headroom=st.floats(0.01, 10.0),
+    q_th=st.floats(5.0, 60.0),
+    perturbation=st.floats(0.01, 3.0),
+)
+@example(
+    kind=K.WITH_AVERAGING, variant="illinois", c=45.0, rtt=0.05, kappa=0.6,
+    delay_scale=1.7, gamma=0.04, band=5.0, headroom=4.5, q_th=15.0, perturbation=1.8,
+)
+@example(
+    kind=K.WITH_AVERAGING, variant="compound", c=100.0, rtt=0.8, kappa=2.4,
+    delay_scale=1.8, gamma=0.5, band=5.0, headroom=4.0, q_th=15.0, perturbation=2.6,
+)
+def test_kernels_bit_identical_to_closure_oracle(
+    kind, variant, c, rtt, kappa, delay_scale, gamma, band, headroom, q_th, perturbation
+):
+    """The written-out kernels against the closure-based ones they replaced.
+
+    Large perturbations fill the buffer, set just above q*; with a narrow
+    RED band the drop probability there passes 1, and large rate multipliers
+    overshoot the window to its floor. Small perturbations empty the queue
+    and drive the averaged p to 0. Some runs blow up; the nodes before the
+    blowup and its time must agree. The averaged system's window rarely
+    passes its floor in random draws, so two explicit examples make it do
+    so with a queue that is neither empty nor full, where the queue law
+    must read the stage window before the floor."""
+    spec = _EXACT_SPECS[variant]
+    if kind is K.THRESHOLD:
+        net = NetworkParams(c_per_flow=c, rtt=rtt, kappa=kappa)
+        kw = {"th": ThresholdParams(q_th)}
+        eq = equilibrium_threshold(spec, net, kw["th"])
+    else:
+        kw = {"red": RedParams(gamma=gamma, b_max=50.0 + band)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OperatingRegionWarning)
+            eq = equilibrium_with_averaging(spec, kw["red"], NetworkParams(c, rtt))
+        net = NetworkParams(c_per_flow=c, rtt=rtt, kappa=kappa, buffer=eq.q_star + headroom)
+        eq = Equilibrium(kind, eq.w_star, eq.p_star, eq.q_star)
+
+    def run():
+        return integrate_dde(
+            kind, spec, net, initial_history=default_history(eq, perturbation),
+            horizon=8 * delay_scale * rtt, steps_per_delay=200,
+            delay=delay_scale * rtt, **kw,
+        )
+
+    got = _kernel_output(aqmlab.fluid._KERNELS, run)
+    assert got == _kernel_output(ORACLE_KERNELS, run)
 
 
 # -- oscillation metrics ------------------------------------------------------

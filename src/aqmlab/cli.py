@@ -130,7 +130,6 @@ def _add_common(p, tau_default):
     p.add_argument("--qth", type=float, default=th.q_th)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")
 
 
@@ -212,22 +211,25 @@ def _cmd_hopf_classify(args) -> int:
 
 def _check_run_length(args) -> None:
     """Refuse, before any integration, a --steps-per-delay below the
-    integrator's floor, a --horizon that is not positive and finite, and a
-    --transient that is not finite or leaves no post-transient window."""
+    integrator's floor, a --horizon that is not positive and finite or whose
+    length in seconds (x --tau) or in steps (x --steps-per-delay) overflows,
+    and a --transient that is not finite or leaves no post-transient window."""
     if args.steps_per_delay < MIN_STEPS_PER_DELAY:
         raise ConfigError(f"--steps-per-delay must be at least {MIN_STEPS_PER_DELAY}, "
                           f"got {args.steps_per_delay}")
     if not 0 < args.horizon < math.inf:
         raise ConfigError(f"--horizon must be positive and finite, got {args.horizon!r}")
+    if not all(math.isfinite(args.horizon * x) for x in (args.tau, args.steps_per_delay)):
+        raise ConfigError(f"--horizon {args.horizon!r} overflows in seconds or in steps")
     if not math.isfinite(args.transient) or args.transient >= args.horizon:
         raise ConfigError(f"--transient must be finite and below --horizon "
                           f"{args.horizon!r}, got {args.transient!r}")
 
 
 def _cmd_fluid_sim(args) -> int:
-    _check_run_length(args)
     kind = _KINDS[args.system]
     spec, red, th, net = _fluid_params(args)
+    _check_run_length(args)
     eq = _equilibrium(kind, spec, red, th, net)
     traj = integrate_dde(
         kind, spec, net, red=red, th=th,
@@ -255,8 +257,8 @@ def _cmd_bifurcation(args) -> int:
     if name != "qth":
         print("bifurcation-diagram sweeps qth", file=sys.stderr)
         return 2
-    _check_run_length(args)
     spec, _, _, net = _fluid_params(args)
+    _check_run_length(args)
     rows = threshold_bifurcation_sweep(
         spec, net, values,
         horizon_delays=args.horizon, transient_delays=args.transient,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import pairwise
@@ -173,7 +173,6 @@ class Trajectory:
     columns: list[list[float]]
     kind: FluidSystemKind
     step: float
-    meta: dict = field(default_factory=dict)
 
     def component(self, name: str) -> list[float]:
         return self.columns[self.kind.columns.index(name)]
@@ -503,15 +502,7 @@ def integrate_dde(
     _KERNELS[kind](spec, net, params, cols, mids, m, n_steps, h)
 
     times = [j * h for j in range(n_steps + 1)]
-    meta = {
-        "kind": kind.value,
-        "steps_per_delay": m,
-        "delay": tau,
-        "kappa": net.kappa,
-        "rtt": net.rtt,
-        "c_per_flow": net.c_per_flow,
-    }
-    return Trajectory(times, [c[m:] for c in cols], kind, h, meta)
+    return Trajectory(times, [c[m:] for c in cols], kind, h)
 
 
 def default_history(eq: Equilibrium, scale: float = 1.1):
@@ -530,10 +521,10 @@ class OscillationMetrics:
 def oscillation_metrics(
     traj: Trajectory,
     transient_cut: float,
-    component: str = "w",
     amplitude_floor: float = 1e-9,
 ) -> OscillationMetrics:
-    """Peak-to-peak amplitude and period estimate after discarding a transient.
+    """Peak-to-peak amplitude and period estimate of the window after
+    discarding a transient.
 
     The period is the mean spacing of upward crossings of the post-transient
     mean; it is None when the signal is (numerically) constant or crosses
@@ -542,7 +533,7 @@ def oscillation_metrics(
     start = bisect_left(traj.times, transient_cut)
     if len(traj.times) - start < 8 or math.isnan(transient_cut):
         raise DomainError("post-transient window too short")
-    x = traj.component(component)[start:]
+    x = traj.component("w")[start:]
     t = traj.times[start:]
     lo = min(x)
     hi = max(x)
@@ -590,7 +581,6 @@ def threshold_bifurcation_sweep(
     horizon_delays: float = 300.0,
     transient_delays: float = 200.0,
     steps_per_delay: int = 200,
-    perturbation: float = 1.1,
 ):
     """Amplitude of the window oscillation versus the drop threshold.
 
@@ -607,7 +597,7 @@ def threshold_bifurcation_sweep(
             spec,
             net,
             th=th,
-            initial_history=default_history(eq, perturbation),
+            initial_history=default_history(eq),
             horizon=horizon_delays * net.rtt,
             steps_per_delay=steps_per_delay,
         )

@@ -13,15 +13,13 @@ collected coefficient.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 
-from .errors import DegeneratePointError
+from .errors import ConvergenceError, DegeneratePointError
 from .fluid import Equilibrium, FluidSystemKind, equilibrium_no_averaging
 from .params import NetworkParams, ProtocolSpec, RedParams
 from .protocols import decrease_rate, increase_rate
 from .stability import (
-    CharCoefficients,
     crossover_frequency,
     kappa_critical,
     linear_coefficients,
@@ -95,16 +93,6 @@ def taylor_coefficients(
     )
 
 
-def char_coefficients_from_taylor(tay: TaylorCoefficients) -> CharCoefficients:
-    """Characteristic coefficients implied by the linear series terms."""
-    return CharCoefficients(
-        FluidSystemKind.NO_AVERAGING,
-        a1=-(tay.xi_x + tay.chi_y),
-        a2=tay.xi_x * tay.chi_y,
-        a3=-tay.xi_s * tay.chi_x,
-    )
-
-
 @dataclass(frozen=True)
 class EigenData:
     """Critical eigenvector data of the linear operator and its adjoint.
@@ -146,47 +134,6 @@ def eigen_data(
     B = 1.0 / denom
     c = cmath.exp(1j * phase)
     return EigenData(omega0, kappa, tau, phi1, phi2, B, c)
-
-
-def _bilinear_kernel(eig: EigenData, tay: TaylorCoefficients, conjugate_q: bool):
-    """<q*, q> or <q*, qbar> under the delay-aware bilinear form."""
-    w0, kap, tau = eig.omega0, eig.kappa, eig.tau
-    p1, p2, B = eig.phi1, eig.phi2, eig.B
-    if not conjugate_q:
-        bracket = p2.conjugate() * (
-            1.0 + kap * p1 * tau * tay.xi_s * cmath.exp(-1j * w0 * tau)
-        ) + p1
-        return B.conjugate() * bracket
-    bracket = (
-        p2.conjugate()
-        + p1.conjugate()
-        + kap
-        * p2.conjugate()
-        * p1.conjugate()
-        * tay.xi_s
-        * math.sin(w0 * tau)
-        / w0
-    )
-    return B.conjugate() * eig.c.conjugate() ** 2 * bracket
-
-
-def orthonormality_residuals(eig: EigenData, tay: TaylorCoefficients):
-    """(|<q*, q> - 1|, |<q*, qbar>|); both must be tiny at a Hopf point."""
-    return (
-        abs(_bilinear_kernel(eig, tay, False) - 1.0),
-        abs(_bilinear_kernel(eig, tay, True)),
-    )
-
-
-def eigen_residual(eig: EigenData, tay: TaylorCoefficients) -> float:
-    """|A(0) q - i w0 q| with the operator applied through its definition."""
-    w0, kap, tau = eig.omega0, eig.kappa, eig.tau
-    q0 = (eig.c, eig.c * eig.phi1)
-    q_tau = tuple(v * cmath.exp(-1j * w0 * tau) for v in q0)
-    row1 = kap * (tay.xi_x * q0[0] + tay.xi_s * q_tau[1])
-    row2 = kap * (tay.chi_x * q0[0] + tay.chi_y * q0[1])
-    target = (1j * w0 * q0[0], 1j * w0 * q0[1])
-    return math.hypot(abs(row1 - target[0]), abs(row2 - target[1]))
 
 
 @dataclass(frozen=True)
@@ -435,8 +382,11 @@ def classify_at_hopf(
     net_c = replace(net, rtt=tau_c)
     eq = equilibrium_no_averaging(spec, red, net_c)
     co = linear_coefficients(kind, spec, net_c, eq, red=red)
+    omega1 = crossover_frequency(kind, co, kappa=1.0)
+    if omega1 is None:  # stable at every rate multiplier
+        raise ConvergenceError(f"no Hopf crossing at tau={tau_c!r}")
     kappa_c = kappa_critical(kind, co, tau_c)
-    omega0 = kappa_c * crossover_frequency(kind, co, kappa=1.0)
+    omega0 = kappa_c * omega1
     alpha_prime = transversality(kind, co, tau_c, omega0, kappa=kappa_c)
     tay = taylor_coefficients(spec, red, net_c, eq)
     eig = eigen_data(tay, omega0, kappa_c, tau_c, phase=phase)

@@ -1,24 +1,24 @@
-"""Small numerical helpers: bracketed root finding and Newton refinement."""
+"""Small numerical helpers: bracketed root finding."""
 
 from __future__ import annotations
 
 import math
 import sys
 
-from .errors import BracketError, ConvergenceError
+from .errors import BracketError
 
 _RTOL_FLOOR = 4.0 * sys.float_info.epsilon
 
 
-def bisect(f, lo: float, hi: float, *, xtol: float = 0.0, rtol: float = 1e-15,
-           max_iter: int = 200) -> float:
+def bisect(f, lo: float, hi: float, *, rtol: float = 1e-15) -> float:
     """Root of f on a sign change over [lo, hi], by Brent's method.
 
     This is Brent's zeroin (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 4): inverse quadratic or secant steps inside a bracket
     that always keeps the sign change, with a bisection step whenever the
     interpolated step would not shrink the bracket fast enough. It stops when
-    the bracket is no wider than xtol + rtol * |x| at the best point x.
+    the bracket is no wider than rtol * |x| at the best point x, or after 200
+    steps.
     rtol is raised to 4 * machine epsilon: below that the step falls under
     half an ulp and the stopping test can no longer be met.
 
@@ -37,7 +37,7 @@ def bisect(f, lo: float, hi: float, *, xtol: float = 0.0, rtol: float = 1e-15,
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if (fb > 0) == (fc > 0):
             # keep the sign change between b and c
             c, fc = a, fa
@@ -46,7 +46,7 @@ def bisect(f, lo: float, hi: float, *, xtol: float = 0.0, rtol: float = 1e-15,
             # b is the best point so far
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * (xtol + rtol * abs(b))
+        tol = 0.5 * (rtol * abs(b))  # not (0.5 * rtol) * |b|: that rounds apart
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -98,19 +98,3 @@ def find_bracket(f, lo: float, hi: float, n: int = 128, log_spaced: bool = False
         fa = fb
     return None
 
-
-def newton_complex(f, df, z0: complex, *, tol: float = 1e-13, max_iter: int = 80) -> complex:
-    """Newton iteration for a complex root of f."""
-    z = complex(z0)
-    for _ in range(max_iter):
-        fz = f(z)
-        dz = df(z)
-        if dz == 0:
-            raise ConvergenceError("zero derivative in Newton iteration")
-        step = fz / dz
-        z = z - step
-        if abs(step) <= tol * max(1.0, abs(z)):
-            return z
-    if abs(f(z)) > 1e-8 * max(1.0, abs(z)):
-        raise ConvergenceError(f"Newton did not converge from {z0!r}")
-    return z

@@ -1,6 +1,6 @@
-"""Discrete-event packet-level simulator: window-based sources (Compound,
-Reno, CUBIC), constant-rate and short-flow generators, RED / threshold /
-drop-tail queues, and dumbbell or two-hop parking-lot topologies.
+"""Discrete-event packet-level simulator: window-based Compound and Reno
+sources, a short-flow generator, RED / threshold / drop-tail queues, and
+dumbbell or two-hop parking-lot topologies.
 
 One run is a strict total order of events (ties broken by insertion order),
 fully determined by the configuration and seed. The RED drop decision is a
@@ -41,9 +41,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .params import ProtocolSpec
 from .protocols import red_drop_probability
-
-CUBIC_C = 0.4
-CUBIC_BETA = 0.7
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class DropTail:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    protocol: str  # compound | reno | cubic | udp
+    protocol: str  # compound | reno
     access_rate: float  # bits/s
     rtt_propagation: float  # seconds
     start_time: float = 0.0
@@ -99,7 +96,7 @@ class FlowSpec:
     initial_cwnd: float = 1.0
 
     def __post_init__(self):
-        if self.protocol not in ("compound", "reno", "cubic", "udp"):
+        if self.protocol not in ("compound", "reno"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not (0 < self.access_rate < math.inf and 0 < self.rtt_propagation < math.inf):
             raise ConfigError("access rate and propagation delay must be positive and finite")
@@ -137,7 +134,6 @@ class SimConfig:
     duration: float
     seed: int
     sample_interval: float = 0.1
-    transient: float | None = None  # start of the measurement window
     short_flows: ShortFlowProfile | None = None
     run_to_completion: bool = False
 
@@ -213,14 +209,14 @@ class _Flow:
     (queue index -> the next queue's arrival handler, or None) and the
     flow's event lines: its own first-hop arrivals (`sent`, dropped once a
     sized flow completes) and the ack and loss lines it shares with every
-    flow of its delay (None for udp)."""
+    flow of its delay."""
 
     __slots__ = (
         "fid", "spec", "cwnd", "dwnd", "ssthresh", "slow_start", "in_flight",
         "bytes_unsent", "bytes_acked", "base_rtt", "next_seq", "recover_seq",
-        "access_free", "completed_at", "wmax_cubic", "k_cubic", "t_loss",
-        "started", "udp", "on_ack", "on_loss", "access_rate", "rtt", "half_rtt",
-        "arrive", "next_hop", "sent", "acks", "losses",
+        "access_free", "completed_at", "started", "on_ack", "on_loss",
+        "access_rate", "rtt", "half_rtt", "arrive", "next_hop", "sent", "acks",
+        "losses",
     )
 
     def __init__(self, fid, spec: FlowSpec):
@@ -238,11 +234,7 @@ class _Flow:
         self.recover_seq = -1
         self.access_free = 0.0
         self.completed_at = None
-        self.wmax_cubic = 0.0
-        self.k_cubic = 0.0
-        self.t_loss = -math.inf
         self.started = False
-        self.udp = spec.protocol == "udp"
         self.on_ack, self.on_loss = _WINDOW_LAWS[spec.protocol]
         self.access_rate = spec.access_rate
         self.rtt = spec.rtt_propagation
@@ -262,7 +254,7 @@ def compound_window_laws(*, gamma_thresh: float = 30.0, zeta: float = 0.5):
     spec = ProtocolSpec.compound_tcp()
     alpha, k, keep = spec.alpha, spec.k, 1.0 - spec.beta
 
-    def on_ack(fl, rtt_sample, now):
+    def on_ack(fl, rtt_sample):
         win = fl.cwnd + fl.dwnd
         base = fl.base_rtt
         if rtt_sample < base:
@@ -277,7 +269,7 @@ def compound_window_laws(*, gamma_thresh: float = 30.0, zeta: float = 0.5):
             dwnd = fl.dwnd - zeta * diff
             fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
 
-    def on_loss(fl, win, now):
+    def on_loss(fl, win):
         cwnd = fl.cwnd / 2.0
         dwnd = win * keep - cwnd
         fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
@@ -287,40 +279,20 @@ def compound_window_laws(*, gamma_thresh: float = 30.0, zeta: float = 0.5):
 
 
 # Congestion-avoidance ack laws and loss laws, (flow, rtt sample or window at
-# the loss, now); slow start and loss recovery are common to all protocols.
+# the loss); slow start and loss recovery are common to both protocols.
 
-def _reno_ack(fl, rtt_sample, now):
+def _reno_ack(fl, rtt_sample):
     fl.base_rtt = min(fl.base_rtt, rtt_sample)
     fl.cwnd += 1.0 / fl.cwnd
 
 
-def _reno_loss(fl, win, now):
+def _reno_loss(fl, win):
     fl.cwnd = max(win / 2.0, 1.0)
 
 
-def _cubic_ack(fl, rtt_sample, now):
-    fl.base_rtt = min(fl.base_rtt, rtt_sample)
-    if fl.wmax_cubic <= 0:
-        fl.cwnd += 1.0 / fl.cwnd
-    else:
-        t = now - fl.t_loss
-        target = fl.wmax_cubic + CUBIC_C * (t - fl.k_cubic) ** 3
-        fl.cwnd += max(target - fl.cwnd, 0.1) / fl.cwnd
-
-
-def _cubic_loss(fl, win, now):
-    fl.wmax_cubic = win
-    fl.cwnd = max(win * CUBIC_BETA, 1.0)
-    fl.k_cubic = (fl.wmax_cubic * (1.0 - CUBIC_BETA) / CUBIC_C) ** (1.0 / 3.0)
-    fl.t_loss = now
-
-
-# udp is not ack-clocked: it never sees an ack or a loss
 _WINDOW_LAWS = {
     "compound": compound_window_laws(),
     "reno": (_reno_ack, _reno_loss),
-    "cubic": (_cubic_ack, _cubic_loss),
-    "udp": (None, None),
 }
 
 
@@ -395,7 +367,7 @@ class Simulator:
     `now` never decreases, adding a constant to a float is monotone and ties
     only grow, so each line is sorted by (time, tie) as it is appended to.
     The heap holds each non-empty line's head and the events made one at a
-    time (services, samples, starts, short-flow spawns and udp sends), so
+    time (services, samples, starts and short-flow spawns), so
     its smallest entry is the smallest pending event: the dispatch order,
     and with it every output, is that of one heap of all events. `run`
     settles before the first event what the handlers would otherwise look up
@@ -458,18 +430,6 @@ class Simulator:
                     heappush(heap, event)
                 sent.append(event)
 
-        def udp_send(fl):
-            tx = packet_size * 8 / fl.access_rate
-            seq = fl.next_seq
-            fl.next_seq = seq + 1
-            sent = fl.sent
-            event = (now + tx + fl.half_rtt, tick(), fl.arrive,
-                     (fl, seq, packet_size, now), sent)
-            if not sent:
-                heappush(heap, event)
-            sent.append(event)
-            heappush(heap, (now + tx, tick(), udp_send, fl, None))
-
         def arrival_handler(q, admits):
             pkts = q.pkts
 
@@ -484,11 +444,10 @@ class Simulator:
                 q.drops += 1
                 fl = pkt[0]
                 losses = fl.losses
-                if losses is not None:  # None: udp, which sees no loss
-                    event = (now + fl.rtt, tick(), loss, pkt, losses)
-                    if not losses:
-                        heappush(heap, event)
-                    losses.append(event)
+                event = (now + fl.rtt, tick(), loss, pkt, losses)
+                if not losses:
+                    heappush(heap, event)
+                losses.append(event)
 
             return arrive
 
@@ -509,11 +468,10 @@ class Simulator:
             else:
                 q.bits_total += bits
                 acks = fl.acks
-                if acks is not None:  # None: udp, which is not acked
-                    event = (now + fl.half_rtt, tick(), ack, pkt, acks)
-                    if not acks:
-                        heappush(heap, event)
-                    acks.append(event)
+                event = (now + fl.half_rtt, tick(), ack, pkt, acks)
+                if not acks:
+                    heappush(heap, event)
+                acks.append(event)
             if pkts:
                 heappush(heap, (now + pkts[0][1][2] * 8 / capacity, tick(), service, q, None))
 
@@ -531,7 +489,7 @@ class Simulator:
                 if fl.cwnd >= fl.ssthresh:
                     fl.slow_start = False
             else:
-                fl.on_ack(fl, rtt_sample, now)
+                fl.on_ack(fl, rtt_sample)
             goal = fl.spec.bytes_to_send
             if goal is not None and fl.bytes_acked >= goal:
                 fl.completed_at = now
@@ -553,15 +511,12 @@ class Simulator:
                 if fl.slow_start:
                     fl.slow_start = False
                     fl.ssthresh = max(win / 2.0, 2.0)
-                fl.on_loss(fl, win, now)
+                fl.on_loss(fl, win)
             try_send(fl)
 
         def start(fl):
             fl.started = True
-            if fl.udp:
-                udp_send(fl)
-            else:
-                try_send(fl)
+            try_send(fl)
 
         samples = list(zip(self.queues, self.queue_len_trace,
                            self.queue_avg_trace, self.util_trace))
@@ -597,11 +552,8 @@ class Simulator:
                 table = hops[route] = (arrive_at[route[0]], nxt)
             fl.arrive, fl.next_hop = table
             fl.sent = deque()
-            if fl.udp:
-                fl.acks = fl.losses = None
-            else:
-                fl.acks = ack_lines.setdefault(fl.half_rtt, deque())
-                fl.losses = loss_lines.setdefault(fl.rtt, deque())
+            fl.acks = ack_lines.setdefault(fl.half_rtt, deque())
+            fl.losses = loss_lines.setdefault(fl.rtt, deque())
             flows.append(fl)
             if not is_short:
                 self.window_trace[fl.fid] = []
@@ -672,14 +624,14 @@ class Simulator:
                 if fl.sent is not None:
                     fl.sent.clear()
                 fl.arrive = fl.next_hop = None
-            del try_send, udp_send, service, ack, loss, start, sample, add_flow, spawn_short
+            del try_send, service, ack, loss, start, sample, add_flow, spawn_short
         self.now = now
         return self._collect()
 
     # -- metrics ------------------------------------------------------------
     def _collect(self) -> Metrics:
         cfg = self.cfg
-        t0 = cfg.transient if cfg.transient is not None else 0.5 * cfg.duration
+        t0 = 0.5 * cfg.duration
         counters = [
             QueueCounters(
                 arrivals=q.arrivals, drops=q.drops, served=q.served,
@@ -812,21 +764,19 @@ def compute_afct(metrics: Metrics) -> float:
 
 def desk_config(policy, rtt_s: float, seed: int, *, n_flows: int = 20,
                 capacity: float = 25e6, duration: float = 120.0,
-                bytes_to_send: int | None = None, start_in_ca: bool = False,
-                protocol: str = "compound", overload: float = 1.2,
-                sample_interval: float = 0.1) -> SimConfig:
+                bytes_to_send: int | None = None, overload: float = 1.2) -> SimConfig:
     """Scaled-down scenario for CI: a dumbbell with n_flows long-lived
-    sources offering overload x capacity in aggregate."""
+    Compound sources offering overload x capacity in aggregate, sampled
+    every 0.1 s."""
     rng = random.Random(seed ^ 0x5EED)
     access = overload * capacity / n_flows
     flows = tuple(
         FlowSpec(
-            protocol=protocol,
+            protocol="compound",
             access_rate=access,
             rtt_propagation=rtt_s,
             start_time=rng.uniform(0.0, min(10.0, duration / 10.0)),
             bytes_to_send=bytes_to_send,
-            start_in_ca=start_in_ca,
         )
         for _ in range(n_flows)
     )
@@ -840,7 +790,6 @@ def desk_config(policy, rtt_s: float, seed: int, *, n_flows: int = 20,
         policy=policy,
         duration=duration,
         seed=seed,
-        sample_interval=sample_interval,
         run_to_completion=bytes_to_send is not None,
     )
 

@@ -29,7 +29,7 @@ from .fluid import (
     equilibrium_threshold,
     equilibrium_with_averaging,
 )
-from .numerics import bisect, find_bracket, newton_complex
+from .numerics import bisect, find_bracket
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import decrease_rate, increase_rate, threshold_drop_derivative
 
@@ -225,21 +225,6 @@ def char_dkappa(
     return a.a1 + a.a2 * e
 
 
-def refine_root(
-    kind: FluidSystemKind,
-    coeffs: CharCoefficients,
-    tau: float,
-    z0: complex,
-    kappa: float = 1.0,
-) -> complex:
-    """Polish a characteristic root by complex Newton iteration."""
-    return newton_complex(
-        lambda z: char_residual(kind, z, coeffs, tau, kappa),
-        lambda z: char_dlambda(kind, z, coeffs, tau, kappa),
-        z0,
-    )
-
-
 def crossover_frequency(
     kind: FluidSystemKind,
     coeffs: CharCoefficients,
@@ -340,40 +325,29 @@ def kappa_critical(
     return theta / (omega1 * tau)
 
 
-def count_unstable_roots(
-    kind: FluidSystemKind,
-    coeffs: CharCoefficients,
-    tau: float,
-    kappa: float = 1.0,
-    re_max: float | None = None,
-    im_max: float | None = None,
-    re_min: float = 0.0,
-    base_points: int = 64,
-) -> int:
-    """Number of characteristic roots inside the right-half-plane rectangle,
-    by argument-principle winding with adaptive contour refinement.
+def count_unstable_roots(kind: FluidSystemKind, coeffs: CharCoefficients, tau: float) -> int:
+    """Number of characteristic roots (at kappa = 1) inside the right-half-plane
+    rectangle 0 <= Re < 5/tau, |Im| < 4 pi/tau, by argument-principle winding
+    with adaptive refinement of a contour of 64 points a side.
 
     Independent of every closed-form condition; used as the stability oracle.
     """
-    if re_max is None:
-        re_max = 5.0 / tau
-    if im_max is None:
-        im_max = 4.0 * math.pi / tau
-
+    re_max = 5.0 / tau
+    im_max = 4.0 * math.pi / tau
     corners = [
-        complex(re_min, -im_max),
+        complex(0.0, -im_max),
         complex(re_max, -im_max),
         complex(re_max, im_max),
-        complex(re_min, im_max),
-        complex(re_min, -im_max),
+        complex(0.0, im_max),
+        complex(0.0, -im_max),
     ]
 
     def f(z):
-        return char_residual(kind, z, coeffs, tau, kappa)
+        return char_residual(kind, z, coeffs, tau)
 
     total = 0.0
     for z0, z1 in zip(corners, corners[1:]):
-        n = base_points
+        n = 64
         pts = [z0 + (z1 - z0) * i / n for i in range(n + 1)]
         vals = [f(z) for z in pts]
         stack = list(zip(pts[:-1], pts[1:], vals[:-1], vals[1:]))
@@ -598,20 +572,6 @@ def transversality(
     return value
 
 
-def transversality_numeric(
-    kind: FluidSystemKind,
-    coeffs: CharCoefficients,
-    tau: float,
-    omega: float,
-    kappa: float = 1.0,
-    eps: float = 1e-4,
-) -> float:
-    """Root-tracking estimate of Re(d lambda / d kappa) by central difference."""
-    lo = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 - eps))
-    hi = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 + eps))
-    return (hi.real - lo.real) / (2.0 * eps * kappa)
-
-
 _PARAM_SETTERS = {
     "tau": lambda s, r, t, n, v: (s, r, t, replace(n, rtt=v)),
     "c": lambda s, r, t, n, v: (s, r, t, replace(n, c_per_flow=v)),
@@ -717,24 +677,21 @@ def solve_hopf_boundary(
     net: NetworkParams,
     red: RedParams | None = None,
     th: ThresholdParams | None = None,
-    *,
-    phase_tol: float = 1e-10,
 ) -> HopfPoint:
     """Locate a Hopf point in one free parameter as the root of the phase
     residual; the stability verdict must differ at the bracket ends. The
     equilibrium solver at the root guards the search's explicit map."""
     phi, trial, ends = _hopf_search(kind, free_param, bracket, spec, net, red, th)
-    return _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th, phase_tol)
+    return _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th)
 
 
-def _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th,
-                phase_tol=1e-10):
+def _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th):
     """The Hopf point at the root of phi between the unknown's ends."""
     value = trial(bisect(phi, min(ends), max(ends), rtol=1e-15))[0]
     s, r, t, n, eq = _system_at(kind, free_param, value, spec, net, red, th)
     co = linear_coefficients(kind, s, n, eq, red=r, th=t)
     residual_phase = hopf_phase_residual(kind, co, n.rtt, n.kappa)
-    if abs(residual_phase) > phase_tol:
+    if abs(residual_phase) > 1e-10:
         raise ConvergenceError(
             f"phase residual {residual_phase:.3g} at {free_param}={value:.6g}; "
             "the bracket may contain a branch discontinuity, not a crossing"
@@ -758,15 +715,17 @@ class CurvePoint:
     error: str | None = None
 
 
-def _chart_point(kind, solve_for, spec, net, red, th, y_bracket, seed):
+def _chart_point(kind, solve_for, spec, net, red, th, seed):
     """The Hopf point in the seed's bracket, else in the first stability
-    change of a scan that starts at the image of y_bracket's low end."""
+    change of a scan that starts at the image of the default bracket's low
+    end."""
     if seed is not None:
         try:
             return solve_hopf_boundary(kind, solve_for, (0.5 * seed, 2.0 * seed),
                                        spec, net, red, th)
         except (BracketError, DomainError):
             pass  # no crossing in the seed's bracket, or it leaves the domain
+    y_bracket = DEFAULT_BRACKETS[solve_for]
     phi, trial, (lo, hi) = _hopf_search(kind, solve_for, y_bracket, spec, net, red, th)
     scanned = {}  # the solve in the scan's bracket reuses its residuals
     found = find_bracket(lambda u: scanned.setdefault(u, phi(u)), lo, hi, n=96,
@@ -786,19 +745,16 @@ def trace_stability_chart(
     net: NetworkParams,
     red: RedParams | None = None,
     th: ThresholdParams | None = None,
-    y_bracket: tuple[float, float] | None = None,
 ) -> list[CurvePoint]:
     """Hopf boundary curve y_critical(x) over a grid of x values; each
     point's bracket is seeded from the previous solution."""
     _check_solvable(solve_for)
-    if y_bracket is None:
-        y_bracket = DEFAULT_BRACKETS[solve_for]
     points: list[CurvePoint] = []
     seed = None
     for x in x_values:
         try:
             s, r, t, n = _PARAM_SETTERS[x_param](spec, red, th, net, x)
-            hp = _chart_point(kind, solve_for, s, n, r, t, y_bracket, seed)
+            hp = _chart_point(kind, solve_for, s, n, r, t, seed)
             seed = hp.param_value
             pt = CurvePoint(x_param, x, solve_for, seed, hp.omega, hp.residual,
                             hp.transversality)

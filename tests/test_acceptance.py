@@ -34,8 +34,9 @@ from aqmlab.stability import (
     solve_hopf_boundary,
     stability_threshold,
     transversality,
-    transversality_numeric,
 )
+
+from hopf_oracle import transversality_numeric
 
 K = FluidSystemKind
 SPEC = ProtocolSpec.compound_tcp()

@@ -99,6 +99,10 @@ def test_parameter_outside_domain_exit_code_two(option, value, capsys):
     *(["fluid-sim", "--system", "threshold", "--horizon", h] for h in ("-3", "0", "inf", "nan")),
     *(["bifurcation-diagram", "--sweep", "qth=20:20:1", "--horizon", h]
       for h in ("-3", "0", "inf", "nan")),
+    # finite horizons whose length in seconds or in steps overflows
+    ["fluid-sim", "--system", "threshold", "--tau", "5", "--horizon", "1e308"],
+    ["fluid-sim", "--system", "threshold", "--tau", "0.5", "--horizon", "1e308"],
+    ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--tau", "5", "--horizon", "1e308"],
 ], ids=" ".join)
 def test_bad_argument_value_exit_code_two(argv, capsys):
     assert _exit_code(argv) == 2
@@ -201,12 +205,14 @@ _HOPF_OPTIONS = {
     "--tau-min": _around(1e-3, 1.0, (0.0, -1.0, 10.0)),
     "--tau-max": _around(0.05, 5.0, (0.0, -1.0, 1e-4)),
     "--at-tau": _around(0.01, 2.0, (0.0, -0.1)),
-    "--c": _around(10.0, 1000.0, (0.0, -1.0)),
+    "--c": _around(1.0, 1000.0, (0.0, -1.0)),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(options=st.fixed_dictionaries({}, optional=_HOPF_OPTIONS))
+# no crossing frequency exists at this delay and capacity
+@example(options={"--at-tau": "0.01", "--c": "1"})
 def test_hopf_classify_never_ends_in_a_traceback(options):
     argv = ["hopf-classify"]
     for name, value in options.items():
@@ -280,7 +286,8 @@ _SCENARIO_BAD = [
     ("topology", "ring"), ("policy", "codel"), ("seed", "x"), ("buffer_pkts", "0"),
     ("buffer_pkts", "1.5"), ("packet_bytes", "0"), ("red.bmin", "0"), ("red.bmax", "nan"),
     ("red.pmax", "1"), ("red.wq", "2"), ("threshold.qth", "0"), ("threshold.qth", "2.5"),
-    ("flow.0.protocol", "vegas"), ("flow.0.bytes", "0"), ("flow.0.bytes", "-5"),
+    *[("flow.0.protocol", v) for v in ("vegas", "cubic", "udp")],
+    ("flow.0.bytes", "0"), ("flow.0.bytes", "-5"),
     ("bogus", "1"),
     *[(key, v) for key in ("capacity_mbps", "duration_s", "sample_interval_s",
                            "flow.0.access_mbps", "flow.0.rtt_ms", "flow.0.start_s")
@@ -299,7 +306,7 @@ _SCENARIO = st.tuples(
         "red.pmax": _floats(0.01, 0.99), "threshold.qth": st.sampled_from(("1", "15")),
     }, optional={"sample_interval_s": _floats(0.05, 0.5), "red.wq": _floats(1e-4, 1.0)}),
     st.lists(st.fixed_dictionaries({
-        "protocol": st.sampled_from(("compound", "reno", "cubic", "udp")),
+        "protocol": st.sampled_from(("compound", "reno")),
         "access_mbps": _floats(0.5, 20.0),
         "rtt_ms": _floats(1.0, 300.0),
     }, optional={
@@ -457,6 +464,17 @@ def test_packet_sim_unknown_scenario_key_exit_two(tmp_path, capsys):
     scenario.write_text("topology = dumbbell\nwat = 1\n")
     assert run(["packet-sim", "--scenario", str(scenario)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_packet_sim_removed_protocol_exit_two(tmp_path, capsys):
+    scenario = tmp_path / "cubic.txt"
+    scenario.write_text(
+        "topology = dumbbell\ncapacity_mbps = 10\nbuffer_pkts = 400\n"
+        "packet_bytes = 1500\nduration_s = 1\nseed = 3\npolicy = droptail\n"
+        "flow.0.protocol = cubic\nflow.0.access_mbps = 12\nflow.0.rtt_ms = 30\n"
+    )
+    assert run(["packet-sim", "--scenario", str(scenario)]) == 2
+    assert "unknown protocol 'cubic'" in capsys.readouterr().err
 
 
 def test_packet_sim_malformed_scenario_number_exit_two(tmp_path, capsys):

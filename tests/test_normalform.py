@@ -13,13 +13,10 @@ from aqmlab.fluid import (
     oscillation_metrics,
 )
 from aqmlab.normalform import (
-    char_coefficients_from_taylor,
     classification_report,
     classify_at_hopf,
     eigen_data,
-    eigen_residual,
     g_coefficients,
-    orthonormality_residuals,
     taylor_coefficients,
 )
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams
@@ -29,6 +26,12 @@ from aqmlab.stability import (
     kappa_critical,
     linear_coefficients,
     solve_hopf_boundary,
+)
+
+from hopf_oracle import (
+    char_coefficients_from_taylor,
+    eigen_residual,
+    orthonormality_residuals,
 )
 
 K = FluidSystemKind

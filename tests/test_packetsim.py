@@ -50,14 +50,14 @@ def test_compound_delay_window_increment_boundary():
     # alpha * 16^k = 1 at the default constants: the per-window increment is
     # exactly zero at window 16
     fl = _flow(cwnd=16.0)
-    ON_ACK(fl, 0.1, 0.0)
+    ON_ACK(fl, 0.1)
     assert fl.dwnd == 0.0
     assert fl.cwnd == pytest.approx(16.0 + 1.0 / 16.0)
 
 
 def test_compound_loss_branch():
     fl = _flow(cwnd=12.0, dwnd=8.0)
-    ON_LOSS(fl, fl.cwnd + fl.dwnd, 0.0)
+    ON_LOSS(fl, fl.cwnd + fl.dwnd)
     assert fl.cwnd == 6.0
     assert fl.dwnd == 4.0  # (20 * 0.5 - 6)+
 
@@ -65,7 +65,7 @@ def test_compound_loss_branch():
 def test_compound_early_congestion_shrinks_delay_window():
     fl = _flow(cwnd=10.0, dwnd=40.0, base_rtt=0.05)
     # a queueing-delay sample far above base implies a large backlog estimate
-    ON_ACK(fl, 0.4, 0.0)
+    ON_ACK(fl, 0.4)
     assert fl.dwnd < 40.0
 
 
@@ -74,7 +74,7 @@ def test_compound_lossless_round_trip_matches_aggregate_law():
         fl = _flow(cwnd=win0 / 2.0, dwnd=win0 / 2.0)
         acks = int(win0)
         for _ in range(acks):
-            ON_ACK(fl, fl.base_rtt, 0.0)
+            ON_ACK(fl, fl.base_rtt)
         target = win0 + 0.125 * win0**0.75
         assert fl.cwnd + fl.dwnd == pytest.approx(target, rel=0.05)
 
@@ -145,10 +145,10 @@ def test_bound_compound_laws_match_oracle_bits(cwnd, dwnd, base_rtt, rtt_sample,
     bound, oracle = _flow(cwnd, dwnd, base_rtt), _flow(cwnd, dwnd, base_rtt)
     for i in range(acks):
         sample = rtt_sample * (1.0 + 0.1 * i)
-        on_ack(bound, sample, 0.0)
+        on_ack(bound, sample)
         compound_window_update_oracle(oracle, "ack", sample, constants)
         if lose and i == acks - 1:
-            on_loss(bound, bound.cwnd + bound.dwnd, 0.0)
+            on_loss(bound, bound.cwnd + bound.dwnd)
             compound_window_update_oracle(oracle, "loss", None, constants)
         state = [(f.cwnd.hex(), f.dwnd.hex(), f.base_rtt.hex()) for f in (bound, oracle)]
         assert state[0] == state[1]
@@ -347,8 +347,8 @@ def test_threshold_hard_cap_long_run():
 def test_heterogeneous_mix_runs_and_conserves():
     flows = (
         tuple(FlowSpec("compound", 1.5e6, 0.06, start_time=i * 0.2) for i in range(5))
-        + tuple(FlowSpec("cubic", 1.5e6, 0.06, start_time=i * 0.3) for i in range(5))
-        + (FlowSpec("udp", 0.8e6, 0.06, start_time=1.0),)
+        + tuple(FlowSpec("compound", 1.5e6, 0.06, start_time=i * 0.3) for i in range(5))
+        + (FlowSpec("reno", 0.8e6, 0.06, start_time=1.0),)
     )
     cfg = SimConfig(
         topology="dumbbell", capacity=12e6, buffer=300, packet_size=1500,
@@ -562,12 +562,12 @@ def _golden_configs() -> dict[str, SimConfig]:
         out[f"sized-{name}"] = desk_config(
             pol, 0.05, seed=4, n_flows=8, capacity=10e6, bytes_to_send=1_000_000,
             duration=400.0, overload=1.4)
-    # reno, cubic and udp over both hops, with a sized flow and short flows
+    # reno and compound over both hops, with a sized flow and short flows
     mix = (
         FlowSpec("reno", 3e6, 0.04, route=(0, 1)),
-        FlowSpec("cubic", 3e6, 0.06, start_time=0.2, route=(0, 1)),
-        FlowSpec("cubic", 3e6, 0.03, start_time=0.4, route=(1,)),
-        FlowSpec("udp", 1e6, 0.05, start_time=1.0, route=(0, 1)),
+        FlowSpec("compound", 3e6, 0.06, start_time=0.2, route=(0, 1)),
+        FlowSpec("compound", 3e6, 0.03, start_time=0.4, route=(1,)),
+        FlowSpec("reno", 1e6, 0.05, start_time=1.0, route=(0, 1)),
         FlowSpec("reno", 3e6, 0.08, start_time=0.1, route=(1,), bytes_to_send=300_000),
         FlowSpec("compound", 3e6, 0.05, start_time=0.3, route=(0, 1)),
         FlowSpec("reno", 3e6, 0.07, start_time=0.5, route=(0, 1)),
@@ -582,7 +582,9 @@ def _golden_configs() -> dict[str, SimConfig]:
 
 
 # sha256 of the Metrics fields, recorded before the event loop bound its
-# handlers once per run; any change to event or random-draw order shows here
+# handlers once per run (mix-parking-lot-red: before the CUBIC and UDP
+# sources were removed, with its CUBIC and UDP flows made Compound and Reno
+# ones); any change to event or random-draw order shows here
 _GOLDEN_DIGESTS = {
     "red-dumbbell-1": "9d50d4eda6dc18b33fc1aab32f377180176cccc0abb3fc77ba4b47bfb7e84835",
     "red-dumbbell-2": "227887f39473ab26e473a3ea27e16fd2b1159fc847cb14b4cd2fca821cff87d8",
@@ -593,7 +595,7 @@ _GOLDEN_DIGESTS = {
     "parking-lot-short": "a8d4a9d0d2c99049ea99b5cf7154841a68502eab3829fbf2b8d1cf734d8664ba",
     "sized-threshold": "c9dbd3aed95d9e96ff389ddf0293eac9320cd1d94c80725ef03b938a6d295f80",
     "sized-red": "870eb6c26ebfbe8ed89dd71a94be815c64279a2433c3d1fcc4eb0586c071d5dd",
-    "mix-parking-lot-red": "cb326c74ceec478b4dbaaa8325a8bb4282c7897cad275bac0069684017b99f0a",
+    "mix-parking-lot-red": "f1421b42ce0372fa7e01fde0bf929f40d95f4ad67e38a6856cb27e9d19c78a5c",
 }
 
 
@@ -633,11 +635,11 @@ def _tie_configs() -> dict[str, SimConfig]:
         short_flows=ShortFlowProfile(rate_per_s=30.0, bytes_per_flow=20000,
                                      rtt_propagation=0.05, route=(0, 1)),
     )
-    # udp into a four-packet drop-tail buffer, beside two flows of one round
-    # trip and a sized flow
-    out["udp-droptail-small-buffer"] = SimConfig(
+    # a short-round-trip reno flow into a four-packet drop-tail buffer,
+    # beside two flows of one round trip and a sized flow: dense losses
+    out["droptail-small-buffer"] = SimConfig(
         topology="dumbbell", capacity=5e6, buffer=4, packet_size=1500,
-        flows=(FlowSpec("udp", 2e6, 0.02),
+        flows=(FlowSpec("reno", 2e6, 0.02),
                FlowSpec("compound", 4e6, 0.04, start_time=0.1),
                FlowSpec("reno", 4e6, 0.04, start_time=0.1),
                FlowSpec("reno", 4e6, 0.06, start_time=0.3, bytes_to_send=400_000)),
@@ -646,11 +648,12 @@ def _tie_configs() -> dict[str, SimConfig]:
 
 
 # recorded, like _GOLDEN_DIGESTS, with one heap of all events, before the
-# per-flow, ack, loss and next-hop event lines
+# per-flow, ack, loss and next-hop event lines (droptail-small-buffer: before
+# the UDP source was removed, with its UDP flow made a Reno one)
 _TIE_DIGESTS = {
     "red-tied-starts": "de3c4bcf37244a9f0f3532d45bf5f3dab4d9662e67851ff114024143fe1e31bf",
     "parking-lot-shared-rtt": "9d84bc697058507d86cdf60ce617fad68122f24c452350ea9acdb11bdea31ca2",
-    "udp-droptail-small-buffer": "c99588029d1f4231d043d34cca7b85a63aea92e1bdfd9b67d310ca61c61b47b4",
+    "droptail-small-buffer": "61b2bbb58603c9f3cebb1cf49e50bad257f7bf6dce1690cb369c3746a6af7be9",
 }
 
 

@@ -26,7 +26,6 @@ from aqmlab.stability import (
     kappa_critical,
     linear_coefficients,
     no_averaging_condition_lhs,
-    refine_root,
     solve_hopf_boundary,
     stability_no_averaging,
     stability_threshold,
@@ -34,10 +33,11 @@ from aqmlab.stability import (
     trace_stability_chart,
     chart_to_csv,
     transversality,
-    transversality_numeric,
     _explicit_equilibrium,
     _system_at,
 )
+
+from hopf_oracle import refine_root, transversality_numeric
 
 K = FluidSystemKind
 

@@ -18,7 +18,13 @@ from functools import reduce
 from itertools import pairwise
 from operator import add
 
-from .errors import ConvergenceError, DomainError, IntegrationError, InternalConsistencyError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    IntegrationError,
+    InternalConsistencyError,
+)
 from .numerics import bisect
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import (
@@ -29,6 +35,10 @@ from .protocols import (
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
+# A step stores at most three states, two Hermite midpoints and a time, each
+# a float and its list slot (32 bytes): 192 bytes. A run whose nodes would
+# pass 1 GiB is refused: 5.6 M steps, 8 times the longest run in the tests.
+MAX_STEPS = 2**30 // 192
 
 
 class FluidSystemKind(Enum):
@@ -454,7 +464,8 @@ def integrate_dde(
 
     initial_history is a constant state tuple or a callable t -> state on
     [-delay, 0]. delay defaults to net.rtt; it is exposed separately so the
-    rate-multiplier/time-rescaling equivalence can be verified.
+    rate-multiplier/time-rescaling equivalence can be verified. A run of
+    more than MAX_STEPS steps is refused before the first step.
     """
     if steps_per_delay < MIN_STEPS_PER_DELAY:
         raise DomainError(f"steps_per_delay must be at least {MIN_STEPS_PER_DELAY}")
@@ -463,7 +474,11 @@ def integrate_dde(
     tau = net.rtt if delay is None else delay
     m = steps_per_delay
     h = tau / m
-    n_steps = int(math.ceil(horizon / h - 1e-12))
+    steps = horizon / h - 1e-12
+    if steps > MAX_STEPS:
+        raise ConfigError(f"a run of {steps:.4g} steps exceeds the integrator's budget "
+                          f"of {MAX_STEPS} steps (1 GiB of stored nodes)")
+    n_steps = int(math.ceil(steps))
     dim = kind.dim
     params = th if kind is FluidSystemKind.THRESHOLD else red
     if params is None:

@@ -6,6 +6,15 @@ All three characteristic equations share a scaling property in the rate
 multiplier kappa: the crossover frequency is proportional to kappa and the
 crossing angle is kappa-free, so the critical multiplier has the closed form
 kappa_c = angle / (omega(1) * tau).
+
+The scaling goes further. In delay units (s = t/tau) every system sees the
+per-flow capacity c and the delay tau only through the bandwidth-delay
+product B = c*tau: the window law, the queue law kappa*((1 - p)w - B), the
+threshold law (w/B)^q_th and the averaging rate gamma*c*tau. The phase
+residual is a function of B, so a Hopf boundary in c or in tau is one
+number B_c, and tau_c = B_c / c. The buffer, counted in packets, does not
+break this: it enters only the integrator's clamps, not the linearisation at
+the equilibrium. A chart of c against tau therefore solves one point.
 """
 
 from __future__ import annotations
@@ -688,6 +697,12 @@ def solve_hopf_boundary(
 def _hopf_point(kind, free_param, phi, trial, ends, spec, net, red, th):
     """The Hopf point at the root of phi between the unknown's ends."""
     value = trial(bisect(phi, min(ends), max(ends), rtol=1e-15))[0]
+    return _point_at(kind, free_param, value, spec, net, red, th)
+
+
+def _point_at(kind, free_param, value, spec, net, red, th):
+    """The Hopf point at a known value of the free parameter, checked: its
+    equilibrium is solved and its phase residual must vanish."""
     s, r, t, n, eq = _system_at(kind, free_param, value, spec, net, red, th)
     co = linear_coefficients(kind, s, n, eq, red=r, th=t)
     residual_phase = hopf_phase_residual(kind, co, n.rtt, n.kappa)
@@ -747,14 +762,22 @@ def trace_stability_chart(
     th: ThresholdParams | None = None,
 ) -> list[CurvePoint]:
     """Hopf boundary curve y_critical(x) over a grid of x values; each
-    point's bracket is seeded from the previous solution."""
+    point's bracket is seeded from the previous solution. A chart of c
+    against tau, either way round, solves one point and maps every later one
+    through that point's bandwidth-delay product B_c: y = B_c / x, checked
+    at each point as a solved one is."""
     _check_solvable(solve_for)
     points: list[CurvePoint] = []
-    seed = None
+    seed = bdp = None
     for x in x_values:
         try:
             s, r, t, n = _PARAM_SETTERS[x_param](spec, red, th, net, x)
-            hp = _chart_point(kind, solve_for, s, n, r, t, seed)
+            if bdp is None:
+                hp = _chart_point(kind, solve_for, s, n, r, t, seed)
+                if {x_param, solve_for} == {"c", "tau"}:
+                    bdp = x * hp.param_value
+            else:
+                hp = _point_at(kind, solve_for, bdp / x, s, n, r, t)
             seed = hp.param_value
             pt = CurvePoint(x_param, x, solve_for, seed, hp.omega, hp.residual,
                             hp.transversality)

@@ -11,6 +11,10 @@ oracles: each checks a result of `aqmlab` by an independent route.
 - `orthonormality_residuals` and `eigen_residual` check the critical
   eigendata of `normalform.eigen_data` against the bilinear form and the
   linear operator.
+- `per_point_chart` solves every point of a chart on its own, each bracket
+  seeded from the previous solution, as `stability.trace_stability_chart`
+  does for every sweep but c against tau: the oracle for the charts that
+  map their points through the bandwidth-delay product.
 """
 
 import cmath
@@ -19,7 +23,14 @@ import math
 from aqmlab.errors import ConvergenceError
 from aqmlab.fluid import FluidSystemKind
 from aqmlab.normalform import EigenData, TaylorCoefficients
-from aqmlab.stability import CharCoefficients, char_dlambda, char_residual
+from aqmlab.stability import (
+    _PARAM_SETTERS,
+    CharCoefficients,
+    HopfPoint,
+    _chart_point,
+    char_dlambda,
+    char_residual,
+)
 
 
 def newton_complex(f, df, z0: complex, *, tol: float = 1e-13, max_iter: int = 80) -> complex:
@@ -66,6 +77,18 @@ def transversality_numeric(
     lo = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 - eps))
     hi = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 + eps))
     return (hi.real - lo.real) / (2.0 * eps * kappa)
+
+
+def per_point_chart(kind, x_param, x_values, solve_for, spec, net, red=None,
+                    th=None) -> list[HopfPoint]:
+    """A Hopf solve at every chart point, seeded from the previous one."""
+    points = []
+    seed = None
+    for x in x_values:
+        s, r, t, n = _PARAM_SETTERS[x_param](spec, red, th, net, x)
+        points.append(_chart_point(kind, solve_for, s, n, r, t, seed))
+        seed = points[-1].param_value
+    return points
 
 
 def char_coefficients_from_taylor(tay: TaylorCoefficients) -> CharCoefficients:

@@ -15,8 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aqmlab.cli
+import aqmlab.fluid
+import aqmlab.stability
 from aqmlab.cli import main
-from aqmlab.fluid import OperatingRegionWarning
+from aqmlab.errors import InternalConsistencyError
+from aqmlab.fluid import MAX_STEPS, OperatingRegionWarning
 from aqmlab.packetsim import run_simulation
 from aqmlab.params import ProtocolSpec, RedParams, ThresholdParams
 from aqmlab.stability import _PARAM_SETTERS
@@ -384,6 +387,23 @@ def test_runtime_needs_no_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["fluid-sim", "--system", "threshold"],
+    ["bifurcation-diagram", "--sweep", "qth=20:20:1"],
+], ids=lambda argv: argv[0])
+def test_run_over_the_step_budget_is_refused_at_once(command, capsys, monkeypatch):
+    # one step over the budget; a kernel that starts fails the test at once
+    # rather than run 5.6 M steps
+    for kind in aqmlab.fluid._KERNELS:
+        monkeypatch.setitem(aqmlab.fluid._KERNELS, kind,
+                            lambda *args: pytest.fail("the integration started"))
+    horizon = (MAX_STEPS + 1) / 200
+    assert _exit_code([*command, "--tau", "1", "--steps-per-delay", "200",
+                       "--horizon", repr(horizon)]) == 2
+    assert f"error: a run of {MAX_STEPS + 1:.4g} steps exceeds the integrator's budget " \
+        f"of {MAX_STEPS} steps" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code_one(capsys):
     # no Hopf point below the critical delay: bracket error -> exit 1
     code = run(["hopf-classify", "--c", "100", "--tau-max", "0.05"])
@@ -402,6 +422,31 @@ def test_stability_chart_csv(tmp_path, capsys):
     assert len(lines) == 6
     taus = [float(ln.split(",")[3]) for ln in lines[1:]]
     assert taus == sorted(taus, reverse=True)
+
+
+def test_stability_chart_of_c_over_tau_keeps_one_bdp(tmp_path, capsys):
+    # the reverse chart maps each point through one critical c*tau
+    out = tmp_path / "chart.csv"
+    assert run(["stability-chart", "--system", "no-averaging", "--sweep", "tau=0.1:0.4:4",
+                "--solve", "c", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    bdps = [float(r[1]) * float(r[3]) for r in rows]
+    assert len(bdps) == 4
+    assert bdps == pytest.approx([bdps[0]] * 4, rel=1e-11, abs=0.0)
+    assert f"{bdps[0]:.6g}" == "27.1751"
+
+
+def test_stability_chart_of_c_over_tau_reports_every_failed_point(tmp_path, capsys,
+                                                                   monkeypatch):
+    def failing(*args, **kwargs):
+        raise InternalConsistencyError("coefficients disagree")
+
+    monkeypatch.setattr(aqmlab.stability, "linear_coefficients", failing)
+    assert run(["stability-chart", "--system", "with-averaging", "--sweep", "c=100:300:3",
+                "--solve", "tau", "--out", str(tmp_path / "chart.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"failed at c={c}: coefficients disagree" for c in (100, 200, 300)
+    ]
 
 
 def test_hopf_classify_report(tmp_path, capsys):

@@ -37,7 +37,7 @@ from aqmlab.stability import (
     _system_at,
 )
 
-from hopf_oracle import refine_root, transversality_numeric
+from hopf_oracle import per_point_chart, refine_root, transversality_numeric
 
 K = FluidSystemKind
 
@@ -519,19 +519,35 @@ def test_explicit_map_guards_the_solver(case, c, tau, tau2, alpha, q_th):
     assert eq.w_star == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("kind, constant", [
-    (K.WITH_AVERAGING, "8.48341"), (K.NO_AVERAGING, "27.1751"),
+_CS = [10.0, 37.5, 100.0, 333.0, 1000.0, 4321.0]
+_TAUS = [0.02, 0.05, 0.1, 0.25, 0.6, 1.5]
+
+
+@pytest.mark.parametrize("kind, x_param, xs, constant", [
+    pytest.param(kind, x_param, xs, constant, id=f"{kind.value}-{x_param}")
+    for kind, constant in ((K.WITH_AVERAGING, "8.48341"), (K.NO_AVERAGING, "27.1751"),
+                           (K.THRESHOLD, "1.9295"))
+    for x_param, xs in (("c", _CS), ("tau", _TAUS))
 ])
-def test_critical_bdp_is_constant_along_capacity_sweeps(kind, constant, compound,
-                                                        red_defaults):
-    # the fluid layer sees c and tau only through c*tau, so tau_c * c is one
-    # constant, in packets
-    cs = [10.0, 37.5, 100.0, 333.0, 1000.0, 4321.0]
-    pts = trace_stability_chart(kind, "c", cs, "tau", compound,
-                                NetworkParams(c_per_flow=100.0, rtt=0.1), red=red_defaults)
-    products = [p.y_critical * p.x_value for p in pts]
-    assert products == pytest.approx([products[0]] * len(cs), rel=1e-12, abs=0.0)
-    assert f"{products[0]:.6g}" == constant
+def test_mapped_chart_matches_per_point_solves(kind, x_param, xs, constant, compound,
+                                               red_defaults):
+    # the fluid layer sees c and tau only through c*tau, so a chart of one
+    # against the other solves one point and maps the rest through the
+    # critical bandwidth-delay product, in packets; each mapped point must
+    # agree with its own Hopf solve
+    solve_for = "tau" if x_param == "c" else "c"
+    net = NetworkParams(100.0, 1.0 if kind is K.THRESHOLD else 0.1)
+    pts = trace_stability_chart(kind, x_param, xs, solve_for, compound, net,
+                                red=red_defaults, th=ThresholdParams())
+    oracle = per_point_chart(kind, x_param, xs, solve_for, compound, net,
+                             red=red_defaults, th=ThresholdParams())
+    assert all(p.error is None for p in pts)
+    for p, q in zip(pts, oracle):
+        assert p.y_critical == pytest.approx(q.param_value, rel=1e-14, abs=0.0)
+        assert p.omega == pytest.approx(q.omega, rel=1e-14, abs=0.0)
+        assert p.transversality == pytest.approx(q.transversality, rel=1e-12, abs=0.0)
+        assert p.residual < 1e-10
+    assert f"{pts[0].x_value * pts[0].y_critical:.6g}" == constant
 
 
 def _count_equilibrium_solves(monkeypatch):
@@ -568,12 +584,13 @@ def test_hopf_solve_makes_at_most_three_equilibrium_solves(kind, name, bracket, 
     assert 1 <= len(calls) <= 3 < len(residuals)
 
 
-@pytest.mark.parametrize("cs, solves", [([100.0], 3), ([100.0, 150.0], 6)])
+@pytest.mark.parametrize("cs, solves", [([100.0], 3), ([100.0, 150.0], 4)])
 def test_scanned_chart_point_solves_its_bracket_ends_once(cs, solves, compound,
                                                           red_defaults, monkeypatch):
     # the scan solves the equilibrium at the ends of the tau bracket, and the
     # Hopf solve in the bracket it finds keeps them: one more solve at the
-    # root. A seeded point makes its own three.
+    # root. A point mapped through the critical bandwidth-delay product makes
+    # one, to check it.
     calls = _count_equilibrium_solves(monkeypatch)
     pts = trace_stability_chart(K.WITH_AVERAGING, "c", cs, "tau", compound,
                                 NetworkParams(100.0, 0.1), red=red_defaults)
@@ -597,6 +614,30 @@ def test_chart_point_with_a_failed_cross_check_fails_alone(compound, red_default
                                 compound, NetworkParams(100.0, 0.1), red=red_defaults)
     assert [p.error for p in pts] == [None, "raw and simplified coefficients disagree", None]
     assert pts[0].y_critical > pts[2].y_critical > 0
+
+
+def test_chart_takes_its_bdp_from_the_first_point_that_solves(compound, red_defaults,
+                                                              monkeypatch):
+    # the first point's failed cross-check is its own error; the second point
+    # is solved in full and the third is mapped through its c*tau
+    original = aqmlab.stability.linear_coefficients
+    solves = []
+    original_solve = aqmlab.stability._chart_point
+    monkeypatch.setattr(aqmlab.stability, "_chart_point",
+                        lambda *a: solves.append(a[3].c_per_flow) or original_solve(*a))
+
+    def failing(kind, spec, net, eq, **kw):
+        if net.c_per_flow == 100.0:
+            raise InternalConsistencyError("raw and simplified coefficients disagree")
+        return original(kind, spec, net, eq, **kw)
+
+    monkeypatch.setattr(aqmlab.stability, "linear_coefficients", failing)
+    pts = trace_stability_chart(K.WITH_AVERAGING, "c", [100.0, 200.0, 300.0], "tau",
+                                compound, NetworkParams(100.0, 0.1), red=red_defaults)
+    assert [p.error for p in pts] == ["raw and simplified coefficients disagree", None, None]
+    assert solves == [100.0, 200.0]
+    assert pts[2].y_critical == 200.0 * pts[1].y_critical / 300.0
+    assert f"{200.0 * pts[1].y_critical:.6g}" == "8.48341"
 
 
 def test_chart_capacity_sweep_monotone(compound, red_defaults, tmp_path):

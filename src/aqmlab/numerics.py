@@ -1,11 +1,12 @@
-"""Small numerical helpers: bracketed root finding."""
+"""Small numerical helpers: bracketed root finding and the real roots of a
+cubic in closed form."""
 
 from __future__ import annotations
 
 import math
 import sys
 
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 
 _RTOL_FLOOR = 4.0 * sys.float_info.epsilon
 
@@ -98,3 +99,70 @@ def find_bracket(f, lo: float, hi: float, n: int = 128, log_spaced: bool = False
         fa = fb
     return None
 
+
+def cubic_real_roots(A: float, B: float, C: float) -> list[float]:
+    """Real roots of x^3 + A x^2 + B x + C in ascending order, in closed form.
+
+    Cardano's form gives the root beside a complex pair, the trigonometric
+    form gives three real roots. Only the root of largest magnitude, r, is
+    taken from these forms: the others would lose digits to cancellation in
+    x = t - A/3, and whether they are real is decided badly by the cubic's
+    discriminant, whose terms grow as A^6. Beside a larger complex pair z the
+    real root is -C / |z|^2; beside r the other two solve the quadratic with
+    product -C/r and sum (B + C/r)/r. Each root is then polished by Newton
+    steps until a step moves it by a few ulps. A triple root is listed once;
+    the roots of a near-double pair are ill-conditioned in any method.
+    """
+    s = A / 3.0
+    p = B - A * s  # x = t - s turns the cubic into t^3 + p t + q
+    q = C + s * (2.0 * s * s - B)
+    h = 0.5 * q
+    disc = h * h + (p / 3.0) ** 3
+    if not math.isfinite(disc):
+        raise ConvergenceError(f"cubic coefficients out of range: {A!r}, {B!r}, {C!r}")
+    if disc > 0.0:
+        u = math.cbrt(-h - math.copysign(math.sqrt(disc), h))
+        v = -p / (3.0 * u)
+        r = u + v - s
+        # the complex pair is -(u + v)/2 - s +- i sqrt(3)/2 (u - v)
+        mod2 = (0.5 * (u + v) + s) ** 2 + 0.75 * (u - v) ** 2
+        if r * r < mod2:
+            return [_newton_cubic(-C / mod2, A, B, C)]
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        if m == 0.0:
+            return [-s]
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+        # the largest and the smallest of the three: one has the largest magnitude
+        r = m * math.cos(phi) - s
+        r_low = m * math.cos(phi - 4.0 * math.pi / 3.0) - s
+        if abs(r_low) > abs(r):
+            r = r_low
+    r = _newton_cubic(r, A, B, C)
+    prod = -C / r
+    half = 0.5 * (B - prod) / r
+    d = half * half - prod
+    if d < 0.0:
+        return [r]
+    y = half + math.copysign(math.sqrt(d), half)
+    z = prod / y if y != 0.0 else 0.0
+    return sorted((r, _newton_cubic(y, A, B, C), _newton_cubic(z, A, B, C)))
+
+
+def _newton_cubic(x: float, A: float, B: float, C: float) -> float:
+    """Newton steps on x^3 + A x^2 + B x + C from x: at most 8, each kept only
+    if it lowers |f|, stopping once a step is within 4 machine epsilons of x."""
+    f = ((x + A) * x + B) * x + C
+    for _ in range(8):
+        d = (3.0 * x + 2.0 * A) * x + B
+        if f == 0.0 or d == 0.0:
+            break
+        step = f / d
+        xn = x - step
+        fn = ((xn + A) * xn + B) * xn + C
+        if abs(fn) > abs(f):
+            break
+        x, f = xn, fn
+        if abs(step) <= _RTOL_FLOOR * abs(x):
+            break
+    return x

@@ -38,7 +38,7 @@ from .fluid import (
     equilibrium_threshold,
     equilibrium_with_averaging,
 )
-from .numerics import bisect, find_bracket
+from .numerics import bisect, cubic_real_roots, find_bracket
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import decrease_rate, increase_rate, threshold_drop_derivative
 
@@ -239,31 +239,45 @@ def crossover_frequency(
     coeffs: CharCoefficients,
     kappa: float = 1.0,
 ) -> float | None:
-    """Frequency at which a root pair can sit on the imaginary axis.
+    """Frequency at which a root pair crosses the imaginary axis rightward.
 
-    Returns None when no crossing frequency exists (delay-independent
-    stability). The frequency scales linearly with kappa for every system.
+    The averaged system can have two such frequencies; the one returned is
+    that of the first crossing as the delay grows. Returns None when no pair
+    crosses rightward at any delay. The frequency scales linearly with kappa
+    for every system.
     """
     a = coeffs
     if kind is FluidSystemKind.WITH_AVERAGING:
         A = a.a1**2 - 2.0 * a.a2
         B = a.a2**2 - 2.0 * a.a1 * a.a3
         C = a.a3**2 - a.a4**2
-
-        def cubic(x):
-            return ((x + A) * x + B) * x + C
-
-        hi = 1.0 + abs(A) + abs(B) + abs(C)  # Cauchy bound on roots
-        if C < 0.0:
-            x = bisect(cubic, 0.0, hi, rtol=1e-14)
-        else:
-            br = find_bracket(cubic, 0.0, hi, n=512)
-            if br is None:
-                return None
-            x = bisect(cubic, br[0], br[1], rtol=1e-14)
-        if x <= 0.0:
+        # a pair crosses the axis rightward as the delay grows only where
+        # x^3 + A x^2 + B x + C rises (Cooke and van den Driessche 1986); of
+        # those crossings the first is at the smallest angle / omega
+        rising = [math.sqrt(x) for x in cubic_real_roots(A, B, C)
+                  if x > 0.0 and (3.0 * x + 2.0 * A) * x + B > 0.0]
+        if not rising:
             return None
-        return kappa * math.sqrt(x)
+        omega = rising[0] if len(rising) == 1 else min(
+            rising, key=lambda w: _crossing_angle(kind, coeffs, w) / w)
+        # confirm omega on the sextic w^6 + A w^4 + B w^2 + C itself: up to
+        # four Newton steps from omega must leave it in place, on the rising side
+        root = omega
+        for _ in range(4):
+            x = root * root
+            dp = 2.0 * root * ((3.0 * x + 2.0 * A) * x + B)
+            if dp == 0:
+                break
+            step = (((x + A) * x + B) * x + C) / dp
+            root -= step
+            if abs(step) <= 1e-15 * root:
+                break
+        x = root * root
+        if not (abs(root - omega) <= 1e-9 * omega and (3.0 * x + 2.0 * A) * x + B > 0.0):
+            raise InternalConsistencyError(
+                f"crossover frequency {omega} not confirmed on the sextic: {root}"
+            )
+        return kappa * omega
     if kind is FluidSystemKind.NO_AVERAGING:
         A = a.a1**2 - 2.0 * a.a2
         B = a.a2**2 - a.a3**2
@@ -323,8 +337,11 @@ def kappa_critical(
 ) -> float:
     """Smallest rate multiplier at which a root pair reaches the axis.
 
-    Returns inf when no crossing frequency exists (stable at any rate) and
-    0.0 when the crossing angle is non-positive (unstable at any rate)."""
+    Returns 0.0 when the crossing angle is non-positive (unstable at any
+    rate), and inf when no pair crosses rightward at any rate. The number of
+    right-half-plane roots then does not change with the rate: none when the
+    zero-delay limit is stable, which the no-averaging and threshold systems
+    always are and the averaged system is iff a1 a2 > a3 + a4."""
     omega1 = crossover_frequency(kind, coeffs, kappa=1.0)
     if omega1 is None:
         return math.inf

@@ -11,6 +11,10 @@ oracles: each checks a result of `aqmlab` by an independent route.
 - `orthonormality_residuals` and `eigen_residual` check the critical
   eigendata of `normalform.eigen_data` against the bilinear form and the
   linear operator.
+- `crossover_cubic_root_by_scan` finds a root of the averaged crossover's
+  cubic in x = omega^2 by Brent's method, on the whole root bound or in
+  the first sign change of a 512-cell scan: the oracle for
+  `numerics.cubic_real_roots` and `stability.crossover_frequency`.
 - `per_point_chart` solves every point of a chart on its own, each bracket
   seeded from the previous solution, as `stability.trace_stability_chart`
   does for every sweep but c against tau: the oracle for the charts that
@@ -23,6 +27,7 @@ import math
 from aqmlab.errors import ConvergenceError
 from aqmlab.fluid import FluidSystemKind
 from aqmlab.normalform import EigenData, TaylorCoefficients
+from aqmlab.numerics import bisect, find_bracket
 from aqmlab.stability import (
     _PARAM_SETTERS,
     CharCoefficients,
@@ -77,6 +82,27 @@ def transversality_numeric(
     lo = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 - eps))
     hi = refine_root(kind, coeffs, tau, 1j * omega, kappa * (1.0 + eps))
     return (hi.real - lo.real) / (2.0 * eps * kappa)
+
+
+def crossover_cubic_root_by_scan(A: float, B: float, C: float) -> float | None:
+    """A positive root of x^3 + A x^2 + B x + C, or None: Brent's method on
+    [0, hi] when C < 0 (any of up to three roots), else in the first sign
+    change of a 512-cell scan of [0, hi], which misses two roots in one cell
+    and finds the smaller of two, where f falls. hi = 1 + |A| + |B| + |C|
+    bounds every root (Cauchy)."""
+
+    def cubic(x):
+        return ((x + A) * x + B) * x + C
+
+    hi = 1.0 + abs(A) + abs(B) + abs(C)
+    if C < 0.0:
+        x = bisect(cubic, 0.0, hi, rtol=1e-14)
+    else:
+        br = find_bracket(cubic, 0.0, hi, n=512)
+        if br is None:
+            return None
+        x = bisect(cubic, br[0], br[1], rtol=1e-14)
+    return x if x > 0.0 else None
 
 
 def per_point_chart(kind, x_param, x_values, solve_for, spec, net, red=None,

@@ -1,4 +1,5 @@
-"""Brent roots of numerics.bisect against the plain-bisection oracle."""
+"""Brent roots of numerics.bisect against the plain-bisection oracle, and
+the closed-form roots of numerics.cubic_real_roots against known roots."""
 
 import math
 import warnings
@@ -16,7 +17,7 @@ from aqmlab.fluid import (
     equilibrium_threshold,
     equilibrium_with_averaging,
 )
-from aqmlab.numerics import bisect
+from aqmlab.numerics import bisect, cubic_real_roots
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from aqmlab.stability import (
     crossover_frequency,
@@ -75,6 +76,34 @@ def test_brent_rtol_below_floor_still_terminates():
     x = bisect(g, 0.0, 4.0, rtol=0.0)
     assert x == pytest.approx(math.log(3.0), rel=4.0 * 2.0**-52)
     assert calls[0] < 20
+
+
+_signed_decade = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-4.0, 4.0)).map(
+    lambda t: t[0] * 10.0 ** t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(r1=_signed_decade, r3=_signed_decade, gap=st.floats(-9.0, 0.0),
+       pair=st.sampled_from(("real", "complex")))
+def test_cubic_real_roots_from_known_roots(r1, r3, gap, pair):
+    # a pair r1 (1 +- 10^gap), real or complex (near-double when gap is
+    # small), beside r3; the roots come back polished to the rounding level
+    # of the cubic's terms, and on the known roots wherever those are well
+    # conditioned
+    w = abs(r1) * 10.0**gap
+    if pair == "real":
+        known = sorted((r1 - w, r1 + w, r3))
+        prod2 = (r1 - w) * (r1 + w)
+    else:
+        known = [r3]
+        prod2 = r1 * r1 + w * w
+    A, B, C = -(2.0 * r1 + r3), prod2 + 2.0 * r1 * r3, -prod2 * r3
+    roots = cubic_real_roots(A, B, C)
+    for x in roots:
+        terms = abs(x) ** 3 + abs(A) * x * x + abs(B * x) + abs(C)
+        assert abs(((x + A) * x + B) * x + C) <= 1e-14 * terms
+    if gap >= -3.0 and abs(r3 - r1) >= 1e-3 * max(abs(r1), abs(r3)):
+        assert roots == pytest.approx(known, rel=1e-9)
 
 
 @pytest.fixture

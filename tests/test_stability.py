@@ -1,12 +1,16 @@
+import contextlib
+import hashlib
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aqmlab.stability
+from aqmlab.cli import main
 from aqmlab.errors import BracketError, DomainError, InternalConsistencyError
 from aqmlab.fluid import (
     FluidSystemKind,
@@ -16,6 +20,7 @@ from aqmlab.fluid import (
     equilibrium_with_averaging,
     integrate_dde,
 )
+from aqmlab.numerics import bisect, cubic_real_roots
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from aqmlab.stability import (
     CharCoefficients,
@@ -33,11 +38,17 @@ from aqmlab.stability import (
     trace_stability_chart,
     chart_to_csv,
     transversality,
+    _crossing_angle,
     _explicit_equilibrium,
     _system_at,
 )
 
-from hopf_oracle import per_point_chart, refine_root, transversality_numeric
+from hopf_oracle import (
+    crossover_cubic_root_by_scan,
+    per_point_chart,
+    refine_root,
+    transversality_numeric,
+)
 
 K = FluidSystemKind
 
@@ -249,6 +260,108 @@ def test_threshold_no_crossover_when_a2_not_above_a1():
     assert kappa_critical(K.THRESHOLD, co, 1.0) == math.inf
     co2 = CharCoefficients(K.THRESHOLD, a1=1.0, a2=0.5)
     assert crossover_frequency(K.THRESHOLD, co2) is None
+
+
+def _magnitude_cubic(co):
+    """(A, B, C) of |P(j omega)|^2 - a4^2 = x^3 + A x^2 + B x + C, x = omega^2,
+    where P is the averaged system's cubic without its delayed term."""
+    return (co.a1**2 - 2.0 * co.a2, co.a2**2 - 2.0 * co.a1 * co.a3, co.a3**2 - co.a4**2)
+
+
+def _cubic_terms(x, A, B, C):
+    return abs(x) ** 3 + abs(A) * x * x + abs(B * x) + abs(C)
+
+
+_decades = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("c_sign", [-1, 1])
+@settings(max_examples=300, deadline=None)
+@given(a1=_decades, a2=_decades, a3=_decades, spread=st.floats(0.0, 2.0))
+def test_averaged_crossover_matches_scan_oracle(c_sign, a1, a2, a3, spread):
+    # C = a3^2 - a4^2 < 0 for c_sign = -1, C >= 0 for c_sign = 1
+    co = CharCoefficients(K.WITH_AVERAGING, a1, a2, a3, a3 * 10.0 ** (-c_sign * spread))
+    A, B, C = _magnitude_cubic(co)
+    roots = cubic_real_roots(A, B, C)
+    for x in roots:  # polished to the rounding level of the cubic's terms
+        assert abs(((x + A) * x + B) * x + C) <= 1e-14 * _cubic_terms(x, A, B, C)
+    positive = [x for x in roots if x > 0.0]
+    rising = [x for x in positive if (3.0 * x + 2.0 * A) * x + B > 0.0]
+    omega = crossover_frequency(K.WITH_AVERAGING, co)
+    assert (omega is None) == (not rising)
+    if rising:
+        assert any(omega == math.sqrt(x) for x in rising)
+    old = crossover_cubic_root_by_scan(A, B, C)
+    if old is None:
+        # the scan stopped at the root x = 0 of C = 0, or found no sign change
+        # on its grid, where the positive roots share one cell
+        cell = (1.0 + abs(A) + abs(B) + abs(C)) / 512
+        assert C == 0.0 or (C > 0.0 and len({x // cell for x in positive}) <= 1)
+        return
+    # the scan resolved the root; compare where it is well conditioned
+    slope = abs((3.0 * old + 2.0 * A) * old + B) * old
+    assume(_cubic_terms(old, A, B, C) < 1e3 * slope)
+    assert any(x == pytest.approx(old, rel=1e-12) for x in positive)
+    if len(positive) == 1:
+        assert omega == pytest.approx(math.sqrt(old), rel=1e-12)
+    elif C >= 0.0:
+        # the scan took the smaller root, where the cubic falls and the pair
+        # would cross back; the crossing is at the larger
+        assert old == pytest.approx(positive[0], rel=1e-12)
+        assert omega == math.sqrt(positive[1])
+
+
+def _rhp_root_bound(co):
+    """A bound r on |lambda| for every root with Re >= 0 at any delay: there
+    |lambda + a1| >= sqrt(|lambda|^2 + a1^2) and |exp(-lambda tau)| <= 1, so
+    a root needs r^2 sqrt(r^2 + a1^2) <= a2 r + a3 + a4."""
+    def g(r):
+        return r * r * math.sqrt(r * r + co.a1**2) - co.a2 * r - co.a3 - co.a4
+
+    hi = 1.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    return bisect(g, 0.0, hi)
+
+
+@pytest.mark.parametrize("c_sign", [-1, 1])
+@settings(max_examples=40, deadline=None)
+@given(a1=st.floats(-2.0, 2.0), a3=st.floats(-3.0, 0.0), margin=st.floats(0.05, 1.5),
+       spread=st.floats(0.0, 2.0))
+@example(a1=0.9, a3=-0.1, margin=0.1, spread=0.1)  # three positive roots at C < 0
+def test_averaged_kappa_critical_agrees_with_root_count(c_sign, a1, a3, margin, spread):
+    # a2 is drawn above (a3 + a4) / a1, the zero-delay limit's Hurwitz bound,
+    # where P(j omega) has its real and imaginary zeros close together: there
+    # |P(j omega)| dips below a4, and two positive roots with C >= 0 are common
+    a1 = 10.0**a1
+    a3 = a1**3 * 10.0**a3
+    a4 = a3 * 10.0 ** (-c_sign * spread)
+    co = CharCoefficients(K.WITH_AVERAGING, a1, (a3 + a4 * 10.0**margin) / a1, a3, a4)
+    delay = kappa_critical(K.WITH_AVERAGING, co, 1.0)  # the critical delay at unit rate
+    assume(0.0 < delay < math.inf)
+    # every root with Re >= 0 stays inside the counting rectangle at 1.03
+    # delay (Re < 5 / tau, |Im| < 4 pi / tau), and no other crossing falls
+    # within 3 % of the first
+    assume(1.03 * delay * _rhp_root_bound(co) < 4.0)
+    A, B, C = _magnitude_cubic(co)
+    for x in cubic_real_roots(A, B, C):
+        if x > 0.0:
+            w = math.sqrt(x)
+            other = _crossing_angle(K.WITH_AVERAGING, co, w) % (2.0 * math.pi) / w
+            assume(not 0.97 * delay < other < 1.03 * delay or other == delay)
+    assert count_unstable_roots(K.WITH_AVERAGING, co, 0.97 * delay) == 0
+    assert count_unstable_roots(K.WITH_AVERAGING, co, 1.03 * delay) == 2
+
+
+def test_averaged_crossover_confirmation_rejects_a_root_off_the_sextic(
+        compound, red_defaults, monkeypatch):
+    net = NetworkParams(c_per_flow=100.0, rtt=0.0848)
+    eq = equilibrium_with_averaging(compound, red_defaults, net)
+    co = linear_coefficients(K.WITH_AVERAGING, compound, net, eq, red=red_defaults)
+    monkeypatch.setattr(aqmlab.stability, "cubic_real_roots",
+                        lambda A, B, C: [x * (1.0 + 1e-6) for x in cubic_real_roots(A, B, C)])
+    with pytest.raises(InternalConsistencyError, match="not confirmed on the sextic"):
+        crossover_frequency(K.WITH_AVERAGING, co)
 
 
 # -- sufficient conditions, averaged system -----------------------------------
@@ -722,20 +835,35 @@ def test_root_counts_across_boundaries_all_systems(compound, red_defaults):
         assert count_unstable_roots(K.THRESHOLD, co, 1.0) == expected
 
 
-def test_no_crossover_in_saturated_drop_regime(compound, red_defaults):
+def test_saturated_drop_regime_crosses_at_the_rising_root(compound, red_defaults):
     # at a tiny bandwidth-delay product the equilibrium drop probability
-    # saturates and the delayed-term coefficient no longer dominates: no
-    # crossing frequency exists, so the system is stable at any rate
-    # multiplier, which the root-counting oracle confirms
+    # saturates and a3 >= a4: the magnitude cubic in omega^2 has two positive
+    # roots, both in the first cell of the scan oracle, which finds neither.
+    # The pair crosses rightward at the larger, where the cubic rises, at the
+    # delay kappa_c tau = 7.461 s (the smaller is where it would cross back),
+    # and the root-counting oracle sees it enter there. Every root with
+    # Re >= 0 has |lambda| < 0.06 here, well inside the oracle's rectangle.
     net = NetworkParams(c_per_flow=100.0, rtt=1e-4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         eq = equilibrium_with_averaging(compound, red_defaults, net)
     co = linear_coefficients(K.WITH_AVERAGING, compound, net, eq, red=red_defaults)
     assert co.a3 >= co.a4
-    assert crossover_frequency(K.WITH_AVERAGING, co) is None
-    assert kappa_critical(K.WITH_AVERAGING, co, net.rtt) == math.inf
-    assert count_unstable_roots(K.WITH_AVERAGING, co, net.rtt) == 0
+    A, B, C = _magnitude_cubic(co)
+    low, high = [x for x in cubic_real_roots(A, B, C) if x > 0.0]
+    assert low == pytest.approx(1.16884e-4, rel=1e-5)
+    assert high == pytest.approx(2.75794e-3, rel=1e-5)
+    assert crossover_cubic_root_by_scan(A, B, C) is None
+    omega = crossover_frequency(K.WITH_AVERAGING, co)
+    assert omega == math.sqrt(high)
+    assert omega == pytest.approx(0.0525161, rel=1e-6)
+    delay = kappa_critical(K.WITH_AVERAGING, co, net.rtt) * net.rtt
+    assert delay == pytest.approx(7.46101, rel=1e-5)
+    assert abs(char_residual(K.WITH_AVERAGING, 1j * omega, co, delay)) < 1e-12
+    assert transversality(K.WITH_AVERAGING, co, delay, omega) > 0.0
+    assert _rhp_root_bound(co) < 0.06
+    assert count_unstable_roots(K.WITH_AVERAGING, co, 0.97 * delay) == 0
+    assert count_unstable_roots(K.WITH_AVERAGING, co, 1.03 * delay) == 2
 
 
 def test_chart_threshold_parameter_tradeoffs(compound, red_defaults):
@@ -761,3 +889,40 @@ def test_chart_threshold_parameter_tradeoffs(compound, red_defaults):
     # the default protocol gain sits on the boundary at the default lower
     # threshold and this boundary delay
     assert alphas[0] == pytest.approx(0.125, rel=0.01)
+
+
+# SHA-256 of the chart CSV without its residual column (every other column at
+# the 12 significant digits chart_to_csv writes) for the four charts of the
+# stability benchmark and the averaged anchors at 84.8 ms and 171 ms,
+# recorded when the averaged crossover was still found by a scan and Brent's
+# method
+CHART_DIGESTS = {
+    "avg-c": (17, "58dc7a3ee6a5f79ffb9566aae6cc54931cefa878f77d6fa990f3721eeb50308e",
+              ["--system", "with-averaging", "--solve", "tau", "--sweep", "c=100:500:17"]),
+    "avg-gamma": (17, "53fa25f859cc50e56197e2604189dbd6e3adc26c5fd57922dc592a7e357cf6a4",
+                  ["--system", "with-averaging", "--solve", "tau", "--c", "100",
+                   "--sweep", "gamma=0.0001:0.05:17"]),
+    "noavg-c": (17, "aff41998970c1ad9b83baaf702c4bc6881584e6f6b60ae2ff97a421e92700c1d",
+                ["--system", "no-averaging", "--solve", "tau", "--sweep", "c=100:500:17"]),
+    "threshold-qth": (19, "16f35e637806fedb0d2a8fe7180980f48a67eddcc153b152a8fe986e821578af",
+                      ["--system", "threshold", "--solve", "alpha", "--tau", "1",
+                       "--sweep", "qth=10:100:19"]),
+    "anchor-avg": (1, "f1fd4029831efd8c627fcb96a10943e76af78436b3b2ca37a2ebff6590db4173",
+                   ["--system", "with-averaging", "--solve", "tau", "--sweep", "c=100:100:1"]),
+    "anchor-avg-gamma0.03": (
+        1, "0aea53cf33a5fbc94e986bdc373f4009f9792eac49045e6eae23558deefc1f51",
+        ["--system", "with-averaging", "--solve", "tau", "--gamma", "0.03",
+         "--sweep", "c=100:100:1"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHART_DIGESTS))
+def test_chart_columns_keep_their_digits(key, tmp_path):
+    n, digest, flags = CHART_DIGESTS[key]
+    path = tmp_path / "chart.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stability-chart", *flags, "--out", str(path)]) == 0
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == n
+    text = "\n".join(",".join(r[:5] + r[6:]) for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -35,10 +36,9 @@ from .protocols import (
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
-# A step stores at most three states, two Hermite midpoints and a time, each
-# a float and its list slot (32 bytes): 192 bytes. A run whose nodes would
-# pass 1 GiB is refused: 5.6 M steps, 8 times the longest run in the tests.
-MAX_STEPS = 2**30 // 192
+# A stored step is at most three states and a time, each a float64 in an
+# array: 32 bytes. A run whose nodes would pass 1 GiB is refused: 33.5 M steps.
+MAX_STEPS = 2**30 // 32
 
 
 class FluidSystemKind(Enum):
@@ -149,8 +149,8 @@ def equilibrium_threshold(
         return increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
 
     lo = 1e-9 * bdp
-    hi = bdp * (1.0 - 1e-14)
-    if g(lo) <= 0 or g(hi) >= 0:
+    hi = bdp * (1.0 - 1e-14)  # rounds to bdp itself if bdp is subnormal
+    if not hi < bdp or g(lo) <= 0 or g(hi) >= 0:
         raise ConvergenceError("no window root in (0, C*rtt)")
     w_star = bisect(g, lo, hi, rtol=1e-16)
     p_star = threshold_drop_probability(w_star, net, th)
@@ -177,14 +177,14 @@ def equilibrium_threshold(
 @dataclass
 class Trajectory:
     """Uniformly sampled solution of one fluid system: the sample times and
-    one list of floats per state, in `kind.columns` order."""
+    one float64 array per state, in `kind.columns` order."""
 
-    times: list[float]
-    columns: list[list[float]]
+    times: array
+    columns: list[array]
     kind: FluidSystemKind
     step: float
 
-    def component(self, name: str) -> list[float]:
+    def component(self, name: str) -> array:
         return self.columns[self.kind.columns.index(name)]
 
     def to_csv(self, path) -> None:
@@ -194,9 +194,13 @@ class Trajectory:
             fh.writelines(row % r for r in zip(self.times, *self.columns))
 
 
-# The three RK4 kernels below advance one system each, with every state
-# component in its own list of floats and the system's constants bound once
-# per run. Each writes its right-hand side out at every stage:
+# The three RK4 kernels below advance one system each by n_steps <= m steps,
+# where m steps make one delay. They work on a window: cols holds one list of
+# floats per state with the last m + 1 nodes, so cols[.][0] lies one delay
+# before the newest node cols[.][m], and mids holds the Hermite midpoints of
+# the last m intervals. done, the number of steps taken before the call,
+# places a blowup in time. The system's constants are bound once per call,
+# and each kernel writes its right-hand side out at every stage:
 # - the window law kappa*(alpha*w^(k-1)*(1-p_d) - beta*w*p_d)*w_d/tau, with
 #   the floating-point operations of increase_rate/decrease_rate but without
 #   their argument checks; the windows are clamped at the floor as max()
@@ -214,7 +218,9 @@ class Trajectory:
 # Each step appends the new node and the cubic Hermite midpoint of the
 # interval it closes. With theta = 1/2 the Hermite weights are exactly 1/2,
 # h/8, 1/2 and -h/8, so a midpoint is 0.5*y0 + h/8*f0 + 0.5*y1 - h/8*f1,
-# summed left to right.
+# summed left to right. A call's first k1 comes from its newest node by the
+# operations that gave the previous call's last kn, so a run split into calls
+# has the bits of one call over every step.
 
 
 def _blowup(steps: int, h: float) -> IntegrationError:
@@ -222,7 +228,7 @@ def _blowup(steps: int, h: float) -> IntegrationError:
     return IntegrationError(f"non-finite state at t={t:.6g}", time=t)
 
 
-def _rk4_threshold(spec, net, th, cols, mids, m, n_steps, h):
+def _rk4_threshold(spec, net, th, cols, mids, m, n_steps, h, done):
     (ws,) = cols
     (mws,) = mids
     kappa, tau, bdp, q_th = net.kappa, net.rtt, net.c_per_flow * net.rtt, th.q_th
@@ -271,14 +277,14 @@ def _rk4_threshold(spec, net, th, cols, mids, m, n_steps, h):
         if wn < floor:
             wn = floor
         if not isfinite(wn):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         kn = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
         ws.append(wn)
         mws.append(0.5 * w + c1 * k1 + 0.5 * wn + c3 * kn)
         k1 = kn
 
 
-def _rk4_no_averaging(spec, net, red, cols, mids, m, n_steps, h):
+def _rk4_no_averaging(spec, net, red, cols, mids, m, n_steps, h, done):
     ws, qs = cols
     mws, mqs = mids
     kappa, tau, cap, buf = net.kappa, net.rtt, net.c_per_flow, net.buffer
@@ -339,7 +345,7 @@ def _rk4_no_averaging(spec, net, red, cols, mids, m, n_steps, h):
         if buf is not None and qn > buf:
             qn = buf
         if not (isfinite(wn) and isfinite(qn)):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         knw = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
         knq = kappa * ((1.0 - rho * (qn - b_min)) * wn / tau - cap)
         if (qn <= 0.0 and knq < 0.0) or (buf is not None and qn >= buf and knq > 0.0):
@@ -351,7 +357,7 @@ def _rk4_no_averaging(spec, net, red, cols, mids, m, n_steps, h):
         k1w, k1q = knw, knq
 
 
-def _rk4_with_averaging(spec, net, red, cols, mids, m, n_steps, h):
+def _rk4_with_averaging(spec, net, red, cols, mids, m, n_steps, h, done):
     ws, qs, ps = cols
     mws, _, mps = mids  # the delayed queue is never read
     kappa, tau, cap, buf = net.kappa, net.rtt, net.c_per_flow, net.buffer
@@ -422,7 +428,7 @@ def _rk4_with_averaging(spec, net, red, cols, mids, m, n_steps, h):
         if pn < 0.0:
             pn = 0.0
         if not (isfinite(wn) and isfinite(qn) and isfinite(pn)):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         knw = kappa * (alpha * wn**expo * g1 - beta * wn * p1) * d1 / tau
         knq = kappa * ((1.0 - pn) * wn / tau - cap)
         if (qn <= 0.0 and knq < 0.0) or (buf is not None and qn >= buf and knq > 0.0):
@@ -466,6 +472,10 @@ def integrate_dde(
     [-delay, 0]. delay defaults to net.rtt; it is exposed separately so the
     rate-multiplier/time-rescaling equivalence can be verified. A run of
     more than MAX_STEPS steps is refused before the first step.
+
+    The kernel advances one delay per call on a window of the last delay's
+    nodes and midpoints; the nodes it finishes are packed into float64
+    arrays, so a run holds 8 bytes per state and 8 for the time a step.
     """
     if steps_per_delay < MIN_STEPS_PER_DELAY:
         raise DomainError(f"steps_per_delay must be at least {MIN_STEPS_PER_DELAY}")
@@ -514,10 +524,21 @@ def integrate_dde(
         [0.5 * y[j] + c1 * d[j] + 0.5 * y[j + 1] + c3 * d[j + 1] for j in range(m)]
         for y, d in zip(cols, zip(*fs))
     ]
-    _KERNELS[kind](spec, net, params, cols, mids, m, n_steps, h)
+    kernel = _KERNELS[kind]
+    out = [array("d") for _ in cols]
+    for done in range(0, n_steps, m):
+        n = min(m, n_steps - done)
+        kernel(spec, net, params, cols, mids, m, n, h, done)
+        for a, c in zip(out, cols):
+            a.fromlist(c[m:m + n])
+            del c[:n]
+        for c in mids:
+            del c[:n]
+    for a, c in zip(out, cols):
+        a.append(c[m])
 
-    times = [j * h for j in range(n_steps + 1)]
-    return Trajectory(times, [c[m:] for c in cols], kind, h)
+    times = array("d", (j * h for j in range(n_steps + 1)))
+    return Trajectory(times, out, kind, h)
 
 
 def default_history(eq: Equilibrium, scale: float = 1.1):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -63,6 +64,14 @@ class RedParams:
             )
         if not 0 < self.p_max < 1:
             raise DomainError(f"p_max must be in (0, 1), got {self.p_max}")
+        # the slopes of the drop probability; the equilibrium queue divides by rho
+        for name in ("rho", "eta"):
+            slope = getattr(self, name)
+            if not sys.float_info.min <= slope < math.inf:
+                raise DomainError(
+                    f"{name} = {slope!r} is not a positive, finite, normal float; "
+                    "p_max and the thresholds are too far apart in scale"
+                )
 
     @property
     def rho(self) -> float:

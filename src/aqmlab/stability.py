@@ -332,16 +332,26 @@ def _crossing_angle(kind: FluidSystemKind, coeffs: CharCoefficients, omega1: flo
     return math.atan2(v, -a.a1)
 
 
+def _zero_delay_stable(kind: FluidSystemKind, coeffs: CharCoefficients) -> bool:
+    """Whether every root lies in the left half plane in the zero-delay
+    limit: always for the no-averaging and threshold systems, and for the
+    averaged system iff its cubic is Hurwitz, a1 a2 > a3 + a4."""
+    a = coeffs
+    return kind is not FluidSystemKind.WITH_AVERAGING or a.a1 * a.a2 > a.a3 + a.a4
+
+
 def kappa_critical(
     kind: FluidSystemKind, coeffs: CharCoefficients, tau: float
 ) -> float:
     """Smallest rate multiplier at which a root pair reaches the axis.
 
-    Returns 0.0 when the crossing angle is non-positive (unstable at any
-    rate), and inf when no pair crosses rightward at any rate. The number of
-    right-half-plane roots then does not change with the rate: none when the
-    zero-delay limit is stable, which the no-averaging and threshold systems
-    always are and the averaged system is iff a1 a2 > a3 + a4."""
+    Returns 0.0 when rates near 0 are already unstable: the zero-delay limit
+    is, or the crossing angle is non-positive. (Rate and delay enter as
+    their product, and a pair crossing back leftward can stabilise larger
+    ones.) Returns inf when no pair crosses rightward at any rate, where the
+    stable zero-delay limit stays stable."""
+    if not _zero_delay_stable(kind, coeffs):
+        return 0.0
     omega1 = crossover_frequency(kind, coeffs, kappa=1.0)
     if omega1 is None:
         return math.inf
@@ -659,11 +669,16 @@ def _explicit_equilibrium(kind, free_param, p, spec, net, th):
 def hopf_phase_residual(kind: FluidSystemKind, coeffs: CharCoefficients, tau: float,
                         kappa: float) -> float:
     """omega*tau minus the crossing angle at the rate multiplier kappa: zero on
-    the stability boundary, negative on the stable side of the first crossing."""
+    the stability boundary, negative on the stable side of the first crossing.
+    Where no pair crosses it is -pi. Where the zero-delay limit is unstable
+    there is no stable side, and it is positive: pi without a crossing, else
+    with the angle, which is then at most 0, taken as 0 if it rounds above."""
+    stable = _zero_delay_stable(kind, coeffs)
     omega1 = crossover_frequency(kind, coeffs, kappa=1.0)
     if omega1 is None:
-        return -math.pi
-    return kappa * omega1 * tau - _crossing_angle(kind, coeffs, omega1)
+        return -math.pi if stable else math.pi
+    theta = _crossing_angle(kind, coeffs, omega1)
+    return kappa * omega1 * tau - (theta if stable else min(theta, 0.0))
 
 
 def _hopf_search(kind, free_param, bracket, spec, net, red, th):

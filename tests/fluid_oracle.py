@@ -127,7 +127,7 @@ def rhs(
     return f(*state_now, state_delayed[0], state_delayed[2])
 
 
-def _rk4_threshold(f, cols, mids, m, n_steps, h, buf):
+def _rk4_threshold(f, cols, mids, m, n_steps, h, buf, done):
     (ws,) = cols
     (mws,) = mids
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -146,14 +146,14 @@ def _rk4_threshold(f, cols, mids, m, n_steps, h, buf):
         if wn < floor:
             wn = floor
         if not isfinite(wn):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         kn = f(wn, w1)
         ws.append(wn)
         mws.append(0.5 * w + c1 * k1 + 0.5 * wn + c3 * kn)
         k1 = kn
 
 
-def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
+def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf, done):
     ws, qs = cols
     mws, mqs = mids
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -180,7 +180,7 @@ def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
         if buf is not None and qn > buf:
             qn = buf
         if not (isfinite(wn) and isfinite(qn)):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         knw, knq = f(wn, qn, w1, q1)
         ws.append(wn)
         qs.append(qn)
@@ -189,7 +189,7 @@ def _rk4_no_averaging(f, cols, mids, m, n_steps, h, buf):
         k1w, k1q = knw, knq
 
 
-def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
+def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf, done):
     ws, qs, ps = cols
     mws, _, mps = mids  # the delayed queue is never read
     half, sixth, c1, c3 = 0.5 * h, h / 6.0, 0.125 * h, -0.125 * h
@@ -220,7 +220,7 @@ def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
         if pn < 0.0:
             pn = 0.0
         if not (isfinite(wn) and isfinite(qn) and isfinite(pn)):
-            raise _blowup(j + 1, h)
+            raise _blowup(done + j + 1, h)
         knw, knq, knp = f(wn, qn, pn, w1, p1)
         ws.append(wn)
         qs.append(qn)
@@ -231,8 +231,8 @@ def _rk4_with_averaging(f, cols, mids, m, n_steps, h, buf):
 
 
 def _closure_kernel(kernel, system_rhs):
-    def run(spec, net, params, cols, mids, m, n_steps, h):
-        kernel(system_rhs(spec, net, params), cols, mids, m, n_steps, h, net.buffer)
+    def run(spec, net, params, cols, mids, m, n_steps, h, done):
+        kernel(system_rhs(spec, net, params), cols, mids, m, n_steps, h, net.buffer, done)
 
     return run
 

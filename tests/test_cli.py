@@ -173,6 +173,8 @@ _EQUILIBRIUM_OPTIONS = {
     system=st.sampled_from(("with-averaging", "no-averaging", "threshold")),
     options=st.fixed_dictionaries({}, optional=_EQUILIBRIUM_OPTIONS),
 )
+# the RED slope p_max / (b_max - b_min) underflows to 0
+@example(system="no-averaging", options={"--p-max": "5e-324"})
 def test_equilibrium_never_ends_in_a_traceback(system, options):
     argv = ["equilibrium", "--system", system]
     for name, value in options.items():
@@ -198,6 +200,10 @@ _SWEEP_NAMES = sorted({*_PARAM_SETTERS, *aqmlab.cli._SWEEP_ALIASES, "bogus"})
 # no tau boundary exists here; a trial point at the bracket's low end once
 # failed the raw/simplified coefficient check
 @example(system="threshold", name="alpha", value=61.0, solve="tau")
+# the RED slope p_max / (b_max - b_min) underflows to 0
+@example(system="with-averaging", name="p_max", value=5e-324, solve="tau")
+# C*rtt is subnormal: the window bracket's upper end rounds to C*rtt itself
+@example(system="threshold", name="c", value=2.225073858507203e-309, solve="tau")
 def test_stability_chart_never_ends_in_a_traceback(system, name, value, solve):
     argv = ["stability-chart", "--system", system, "--solve", solve,
             "--sweep", f"{name}={value!r}:{value!r}:1", "--out", os.devnull]

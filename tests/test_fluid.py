@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 import warnings
 from array import array
 from dataclasses import astuple
@@ -500,13 +501,23 @@ def test_trajectories_bit_identical_to_recorded_digests():
 
 def _kernel_output(kernels, run):
     """The blowup time of run() (None if it ends) and every node the kernel
-    wrote before it ended or blew up, history included, as float64 bytes."""
-    seen = []
+    wrote before it ended or blew up, history included, as float64 bytes.
+
+    The kernel is called once per delay on a window of the last delay's
+    nodes, so each call's new nodes are recorded as it returns or raises,
+    after the first call's window, which holds the history."""
+    written = []
 
     def recording(kernel):
         def record(spec, net, params, cols, *rest):
-            seen.append(cols)
-            kernel(spec, net, params, cols, *rest)
+            if not written:
+                written.extend(array("d", c) for c in cols)
+            sizes = [len(c) for c in cols]
+            try:
+                kernel(spec, net, params, cols, *rest)
+            finally:
+                for a, c, n in zip(written, cols, sizes):
+                    a.fromlist(c[n:])
 
         return record
 
@@ -516,8 +527,7 @@ def _kernel_output(kernels, run):
             blowup = None
         except IntegrationError as err:
             blowup = err.time
-    (cols,) = seen
-    return blowup, [array("d", c).tobytes() for c in cols]
+    return blowup, [a.tobytes() for a in written]
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,6 +587,91 @@ def test_kernels_bit_identical_to_closure_oracle(
 
     got = _kernel_output(aqmlab.fluid._KERNELS, run)
     assert got == _kernel_output(ORACLE_KERNELS, run)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(K),
+    variant=st.sampled_from(sorted(_EXACT_SPECS)),
+    log_kappa=st.floats(0.0, 3.0),
+    perturbation=st.floats(0.2, 2.0),
+    m=st.integers(200, 230),
+    delays=st.floats(1.2, 4.5),
+)
+# each blows up after its first delay, so after a restart
+@example(kind=K.WITH_AVERAGING, variant="compound", log_kappa=3.4, perturbation=1.5,
+         m=200, delays=4.5)
+@example(kind=K.NO_AVERAGING, variant="compound", log_kappa=6.0, perturbation=1.5,
+         m=200, delays=4.5)
+@example(kind=K.THRESHOLD, variant="compound", log_kappa=166.0, perturbation=1.5,
+         m=200, delays=4.5)
+def test_kernel_restarted_each_delay_matches_one_call(
+    kind, variant, log_kappa, perturbation, m, delays
+):
+    """integrate_dde calls the kernel once per delay on a window of the last
+    delay's nodes; one call over every step on full lists must give the same
+    nodes and blowup time, bit for bit, and the trajectory must hold them."""
+    spec = _EXACT_SPECS[variant]
+    net = NetworkParams(c_per_flow=100.0, rtt=0.1, kappa=10.0**log_kappa)
+    if kind is K.THRESHOLD:
+        kw = {"th": ThresholdParams(60.0)}
+        eq = equilibrium_threshold(spec, net, kw["th"])
+    else:
+        kw = {"red": RedParams()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OperatingRegionWarning)
+            eq = equilibrium_with_averaging(spec, kw["red"], net)
+        eq = Equilibrium(kind, eq.w_star, eq.p_star, eq.q_star)
+    kernel = aqmlab.fluid._KERNELS[kind]
+    first, steps, trajs = [], [], []
+
+    def capture(spec, net, params, cols, mids, m, n, h, done):
+        if not first:
+            first.append((params, [list(c) for c in cols], [list(c) for c in mids], h))
+        steps.append(n)
+        kernel(spec, net, params, cols, mids, m, n, h, done)
+
+    def run():
+        trajs.append(integrate_dde(
+            kind, spec, net, initial_history=default_history(eq, perturbation),
+            horizon=delays * net.rtt, steps_per_delay=m, **kw,
+        ))
+
+    windowed = _kernel_output({kind: capture}, run)
+    params, cols, mids, h = first[0]
+    try:
+        kernel(spec, net, params, cols, mids, m, sum(steps), h, 0)
+        blowup = None
+    except IntegrationError as err:
+        blowup = err.time
+    assert windowed == (blowup, [array("d", c).tobytes() for c in cols])
+    if blowup is None:
+        (traj,) = trajs
+        assert [a.tobytes() for a in traj.columns] == [array("d", c[m:]).tobytes() for c in cols]
+        times = array("d", [j * h for j in range(sum(steps) + 1)])
+        assert traj.times.tobytes() == times.tobytes()
+
+
+def test_long_run_peak_allocation_per_step(compound, red_defaults):
+    # the trajectory keeps 8 bytes per state and step (32 with the time);
+    # the window of the last delay is all the integrator holds besides. Its
+    # fixed cost weighs more per step in a shorter run, so 10 000 steps are
+    # a stricter test of the bound than 30 000, at a third of the time under
+    # tracemalloc, which slows the kernel about 90-fold
+    net = NetworkParams(c_per_flow=100.0, rtt=0.0848)
+    eq = equilibrium_with_averaging(compound, red_defaults, net)
+    steps = 10_000
+    tracemalloc.start()
+    try:
+        traj = integrate_dde(
+            K.WITH_AVERAGING, compound, net, red=red_defaults,
+            initial_history=default_history(eq), horizon=50 * net.rtt, steps_per_delay=200,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == steps + 1
+    assert peak / steps < 64.0
 
 
 # -- oscillation metrics ------------------------------------------------------

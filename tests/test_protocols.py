@@ -143,6 +143,17 @@ def test_red_derived_slopes_values():
         RedParams(b_min=100.0, b_max=100.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"p_max": 5e-324},  # rho underflows to 0
+    {"p_max": 1e-300, "b_max": 1e10},  # rho is subnormal
+    {"p_max": 0.9999999999999999, "b_max": 1e295},  # eta is subnormal
+    {"b_min": 5e-324, "b_max": 1e-323},  # rho overflows
+], ids=["rho-zero", "rho-subnormal", "eta-subnormal", "rho-inf"])
+def test_red_slopes_must_be_normal_floats(fields):
+    with pytest.raises(DomainError):
+        RedParams(**fields)
+
+
 def test_threshold_drop_probability():
     net = NetworkParams(c_per_flow=100.0, rtt=1.0)
     th = ThresholdParams(q_th=39.0)

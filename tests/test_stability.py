@@ -28,6 +28,7 @@ from aqmlab.stability import (
     char_residual,
     count_unstable_roots,
     crossover_frequency,
+    hopf_phase_residual,
     kappa_critical,
     linear_coefficients,
     no_averaging_condition_lhs,
@@ -351,6 +352,45 @@ def test_averaged_kappa_critical_agrees_with_root_count(c_sign, a1, a3, margin, 
             assume(not 0.97 * delay < other < 1.03 * delay or other == delay)
     assert count_unstable_roots(K.WITH_AVERAGING, co, 0.97 * delay) == 0
     assert count_unstable_roots(K.WITH_AVERAGING, co, 1.03 * delay) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponents=st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+@example(exponents=(0.0, 0.5, 0.9, 0.1))  # a1 a2 = 3.16 < a3 + a4 = 9.20
+def test_averaged_kappa_critical_agrees_with_root_count_at_any_zero_delay_limit(exponents):
+    # rate and delay enter only as their product. Below a1 a2 = a3 + a4 the
+    # zero-delay limit is unstable, so small rates are: kappa_c = 0, the
+    # phase residual is positive, and roots lie right of the axis at a short
+    # delay (a falling crossing may stabilise longer ones). Above it, no root
+    # is, before the first rising crossing. With the delay 1 / bound every
+    # root with Re >= 0 lies inside the counting rectangle.
+    a1, a2, a3, a4 = (10.0**e for e in exponents)
+    # off the boundary itself, where a root pair sits on the axis
+    assume(abs(a1 * a2 - (a3 + a4)) > 1e-3 * (a1 * a2 + a3 + a4))
+    co = CharCoefficients(K.WITH_AVERAGING, a1, a2, a3, a4)
+    delay = 1.0 / _rhp_root_bound(co)
+    kc = kappa_critical(K.WITH_AVERAGING, co, delay)
+    residual = hopf_phase_residual(K.WITH_AVERAGING, co, delay, 1.0)
+    if a1 * a2 <= a3 + a4:
+        assert (kc, residual > 0.0) == (0.0, True)
+        assert count_unstable_roots(K.WITH_AVERAGING, co, 1e-3 * delay) > 0
+    else:
+        assert kc > 0.0
+        if residual < 0.0:
+            assert count_unstable_roots(K.WITH_AVERAGING, co, delay) == 0
+
+
+@pytest.mark.parametrize("coeffs", [
+    (104.41639803647081, 0.7213055140683113, 68.48631018500453, 6.829813477853467),
+    (0.5, 10.0, 3.0, 2.0),
+])
+def test_averaged_kappa_critical_is_zero_on_the_hurwitz_boundary(coeffs):
+    # a1 a2 = a3 + a4, exactly or to rounding: the crossing angle rounds to
+    # a tiny positive value, but no small rate is stable
+    co = CharCoefficients(K.WITH_AVERAGING, *coeffs)
+    assert co.a1 * co.a2 <= co.a3 + co.a4
+    assert kappa_critical(K.WITH_AVERAGING, co, 1.0) == 0.0
+    assert hopf_phase_residual(K.WITH_AVERAGING, co, 1.0, 1.0) > 0.0
 
 
 def test_averaged_crossover_confirmation_rejects_a_root_off_the_sextic(

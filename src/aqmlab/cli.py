@@ -17,9 +17,11 @@ from functools import cache, partial
 from .errors import (
     ConfigError,
     ConvergenceError,
+    DegeneratePointError,
     DomainError,
     IntegrationError,
     InternalConsistencyError,
+    usage_errors,
 )
 from .fluid import (
     MIN_STEPS_PER_DELAY,
@@ -35,8 +37,6 @@ from .fluid import (
 from .normalform import classification_report, classify_at_hopf
 from .packetsim import (
     DropTail,
-    PacketRed,
-    PacketThreshold,
     compute_afct,
     config_digest,
     desk_config,
@@ -84,7 +84,7 @@ def _fluid_params(args):
     """(spec, red, th, net) from the options of _add_common. A value outside
     its domain is a usage error (exit 2); a DomainError raised later, by a
     computation, is a numerical failure (exit 1)."""
-    try:
+    with usage_errors():
         return (
             ProtocolSpec.compound_tcp(alpha=args.alpha, k=args.k, beta=args.beta),
             RedParams(
@@ -93,8 +93,6 @@ def _fluid_params(args):
             ThresholdParams(args.qth),
             NetworkParams(c_per_flow=args.c, rtt=args.tau, kappa=args.kappa),
         )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _write_params_sidecar(args, path_hint: str | None, **resolved):
@@ -250,15 +248,14 @@ def _cmd_fluid_sim(args) -> int:
 
 
 def _cmd_bifurcation(args) -> int:
-    if args.system != "threshold":
-        print("bifurcation-diagram supports the threshold system", file=sys.stderr)
-        return 2
     name, values = args.sweep
     if name != "qth":
-        print("bifurcation-diagram sweeps qth", file=sys.stderr)
-        return 2
+        raise ConfigError(f"bifurcation-diagram sweeps qth, not {name!r}")
     spec, _, _, net = _fluid_params(args)
     _check_run_length(args)
+    with usage_errors():  # every sweep value, before the first integration
+        for q_th in values:
+            ThresholdParams(q_th)
     rows = threshold_bifurcation_sweep(
         spec, net, values,
         horizon_delays=args.horizon, transient_delays=args.transient,
@@ -278,22 +275,18 @@ def _cmd_bifurcation(args) -> int:
     return 0
 
 
-def _packet_policy(args):
-    if args.policy == "red":
-        return PacketRed(
-            b_min=args.red_bmin, b_max=args.red_bmax, p_max=args.red_pmax,
-            w_q=args.red_wq,
-        )
-    if args.policy == "threshold":
-        return _packet_threshold(args.qth)
+def _packet_policy(args, name):
+    """The packet queue policy `name` from the options; a value outside its
+    domain is a usage error (exit 2)."""
+    with usage_errors():
+        if name == "red":
+            return RedParams(
+                b_min=args.red_bmin, b_max=args.red_bmax, p_max=args.red_pmax,
+                w_q=args.red_wq,
+            )
+        if name == "threshold":
+            return ThresholdParams(args.qth)
     return DropTail()
-
-
-def _packet_threshold(q_th: float) -> PacketThreshold:
-    # int() of an infinite or NaN --qth raises OverflowError or ValueError
-    if not math.isfinite(q_th):
-        raise ConfigError(f"qth must be finite, got {q_th}")
-    return PacketThreshold(q_th=int(q_th))
 
 
 def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
@@ -304,7 +297,7 @@ def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
     else:
         builder = paper_config if args.profile == "paper" else desk_config
         seed = args.seed if args.seed is not None else 1
-        cfg = builder(_packet_policy(args), args.rtt_ms / 1e3, seed)
+        cfg = builder(_packet_policy(args, args.policy), args.rtt_ms / 1e3, seed)
     metrics = run_simulation(cfg)
     outdir = args.out or "packet-sim-out"
     write_metrics_csv(metrics, outdir)
@@ -322,11 +315,7 @@ def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
 
 
 def _cmd_compare(args) -> int:
-    red = PacketRed(
-        b_min=args.red_bmin, b_max=args.red_bmax, p_max=args.red_pmax,
-        w_q=args.red_wq,
-    )
-    th = _packet_threshold(args.qth)
+    red, th = _packet_policy(args, "red"), _packet_policy(args, "threshold")
     runs = [
         (name, desk_config(
             pol, args.rtt_ms / 1e3, seed=seed,
@@ -422,15 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat key = value scenario file")
     g = p.add_argument_group("run options", "build the run when no "
                              "--scenario is given; a scenario file replaces them")
+    red, th = RedParams(), ThresholdParams()
     run_options = (
         g.add_argument("--policy", choices=("red", "threshold", "droptail"),
                        default="red"),
         g.add_argument("--rtt-ms", type=float, default=10.0),
-        g.add_argument("--red-bmin", type=float, default=50.0),
+        g.add_argument("--red-bmin", type=float, default=red.b_min),
+        # the desk profile's band, narrower than the fluid default of 550
         g.add_argument("--red-bmax", type=float, default=100.0),
-        g.add_argument("--red-pmax", type=float, default=0.1),
-        g.add_argument("--red-wq", type=float, default=0.002),
-        g.add_argument("--qth", type=float, default=15.0),
+        g.add_argument("--red-pmax", type=float, default=red.p_max),
+        g.add_argument("--red-wq", type=float, default=red.w_q),
+        g.add_argument("--qth", type=float, default=th.q_th),
     )
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -441,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-policies", help="RED vs threshold at matched "
                        "desk-scale configurations")
+    # acceptance criterion 11's setting: RED (8, 15, 0.1, 1.2e-4) against q_th = 15
     p.add_argument("--rtt-ms", type=float, default=150.0)
     p.add_argument("--red-bmin", type=float, default=8.0)
     p.add_argument("--red-bmax", type=float, default=15.0)
@@ -468,7 +460,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, IntegrationError, InternalConsistencyError) as exc:
+    except (ConvergenceError, DegeneratePointError, IntegrationError,
+            InternalConsistencyError) as exc:
         # an internal cross-check that fails is a numerical failure too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -32,3 +32,16 @@ class InternalConsistencyError(RuntimeError):
 class ConfigError(ValueError):
     """Invalid simulation or scenario configuration, or a command-line
     parameter value outside its domain."""
+
+
+class usage_errors:
+    """Context manager that re-raises a DomainError from its block as a
+    ConfigError: a value that a user gave, outside its domain, is a usage
+    error (exit 2)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, DomainError):
+            raise ConfigError(str(exc)) from None

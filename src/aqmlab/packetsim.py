@@ -6,7 +6,8 @@ One run is a strict total order of events (ties broken by insertion order),
 fully determined by the configuration and seed. The RED drop decision is a
 per-arrival Bernoulli draw on the exponentially weighted average queue, which
 is the law the fluid analysis assumes; the classic count-based drop spreading
-is deliberately not reproduced.
+is deliberately not reproduced. A queue's policy is `params.RedParams` or
+`params.ThresholdParams`, the types the fluid models read, or `DropTail`.
 
 Events that fall due a fixed delay after the event that makes them are made
 in the order they fall due, so they wait in FIFO lines under a small heap
@@ -29,7 +30,6 @@ The per-packet laws are bound once, not looked up per packet:
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -38,45 +38,19 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .params import ProtocolSpec
+from .errors import ConfigError, usage_errors
+from .params import ProtocolSpec, RedParams, ThresholdParams
 from .protocols import red_drop_probability
 
 
-@dataclass(frozen=True)
-class PacketRed:
-    """RED constants for the packet queue (thresholds in packets)."""
-
-    b_min: float = 50.0
-    b_max: float = 550.0
-    p_max: float = 0.1
-    w_q: float = 0.002
-
-    def __post_init__(self):
-        if not 0 < self.b_min < self.b_max:
-            raise ConfigError("need 0 < b_min < b_max")
-        if not 0 < self.p_max < 1:
-            raise ConfigError("p_max must be in (0, 1)")
-        if not 0 < self.w_q <= 1:
-            raise ConfigError("w_q must be in (0, 1]")
-
-    # cached: `red_drop_probability` reads them on every arrival
-    @functools.cached_property
-    def rho(self):
-        return self.p_max / (self.b_max - self.b_min)
-
-    @functools.cached_property
-    def eta(self):
-        return (1.0 - self.p_max) / self.b_max
+class PacketRed(RedParams):
+    """`RedParams` under its old packet-queue name, which adds nothing: the
+    benchmark names each run by its policy's class (`benchmark/workloads.py`)
+    and its recorded reference keys carry this name."""
 
 
-@dataclass(frozen=True)
-class PacketThreshold:
-    q_th: int = 15
-
-    def __post_init__(self):
-        if self.q_th < 1:
-            raise ConfigError("q_th must be >= 1")
+class PacketThreshold(ThresholdParams):
+    """`ThresholdParams` under its old packet-queue name; see `PacketRed`."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +104,7 @@ class SimConfig:
     buffer: int  # packets
     packet_size: int  # bytes
     flows: tuple[FlowSpec, ...]
-    policy: PacketRed | PacketThreshold | DropTail
+    policy: RedParams | ThresholdParams | DropTail
     duration: float
     seed: int
     sample_interval: float = 0.1
@@ -296,7 +270,7 @@ _WINDOW_LAWS = {
 }
 
 
-def red_admit_rule(red: PacketRed, q: _Queue, rng: random.Random):
+def red_admit_rule(red: RedParams, q: _Queue, rng: random.Random):
     """The RED admit rule of one queue, queue length -> admit?: the EWMA
     update of `q.avg`, then a Bernoulli draw at `red_drop_probability` of the
     new average. w_q, 1 - w_q, b_min, the buffer and the draw are bound once.
@@ -320,11 +294,11 @@ def red_admit_rule(red: PacketRed, q: _Queue, rng: random.Random):
     return admits
 
 
-def limit_admit_rule(policy: PacketThreshold | DropTail, buffer: int):
+def limit_admit_rule(policy: ThresholdParams | DropTail, buffer: int):
     """The admit rule of a threshold or drop-tail queue, queue length ->
-    admit?: a deterministic drop once the queue holds the threshold (capped
-    by the buffer) or, under drop-tail, the buffer."""
-    limit = min(policy.q_th, buffer) if isinstance(policy, PacketThreshold) else buffer
+    admit?: a deterministic drop once the queue holds the threshold's whole
+    packets (capped by the buffer) or, under drop-tail, the buffer."""
+    limit = min(int(policy.q_th), buffer) if isinstance(policy, ThresholdParams) else buffer
     return lambda queue_len: queue_len < limit
 
 
@@ -390,7 +364,7 @@ class Simulator:
         cfg = self.cfg
         rng = random.Random(cfg.seed)
         policy = cfg.policy
-        red = isinstance(policy, PacketRed)
+        red = isinstance(policy, RedParams)
         queues = self.queues
         flows = self.flows
         heap = []
@@ -858,20 +832,24 @@ def parse_scenario(text: str) -> SimConfig:
             raise ConfigError(f"missing key {key!r}")
         return default
 
+    topology = get("topology", str)
+    if topology == "parking-lot":  # every flow would cross the first hop only
+        raise ConfigError("a parking-lot scenario needs flow routes; the format has no route key")
     policy_name = get("policy", str).lower()
-    if policy_name == "red":
-        policy = PacketRed(
-            b_min=get("red.bmin", float),
-            b_max=get("red.bmax", float),
-            p_max=get("red.pmax", float),
-            w_q=get("red.wq", float, 0.002),
-        )
-    elif policy_name == "threshold":
-        policy = PacketThreshold(q_th=get("threshold.qth", int))
-    elif policy_name == "droptail":
-        policy = DropTail()
-    else:
-        raise ConfigError(f"unknown policy {policy_name!r}")
+    with usage_errors():
+        if policy_name == "red":
+            policy = RedParams(
+                b_min=get("red.bmin", float),
+                b_max=get("red.bmax", float),
+                p_max=get("red.pmax", float),
+                w_q=get("red.wq", float, RedParams.w_q),
+            )
+        elif policy_name == "threshold":
+            policy = ThresholdParams(q_th=get("threshold.qth", int))
+        elif policy_name == "droptail":
+            policy = DropTail()
+        else:
+            raise ConfigError(f"unknown policy {policy_name!r}")
 
     flows = []
     for idx in sorted(flows_kv):
@@ -893,7 +871,7 @@ def parse_scenario(text: str) -> SimConfig:
             )
         )
     return SimConfig(
-        topology=get("topology", str),
+        topology=topology,
         capacity=get("capacity_mbps", float) * 1e6,
         buffer=get("buffer_pkts", int),
         packet_size=get("packet_bytes", int),

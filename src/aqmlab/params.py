@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -44,27 +44,37 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class RedParams:
-    """RED queue policy constants.
+    """RED queue policy constants, for the fluid models and the packet queue.
 
-    gamma is the fluid-model averaging weight; b_min/b_max the packet-count
-    thresholds; p_max the drop probability reached at b_max.
+    b_min/b_max are the thresholds in packets and p_max the drop probability
+    reached at b_max. The queue is averaged with weight w_q per arrival in
+    the packet queue and with weight gamma per packet of capacity in the
+    fluid model. The thresholds come first, in the packet queue's order.
     """
 
-    gamma: float = 1e-4
     b_min: float = 50.0
     b_max: float = 550.0
     p_max: float = 0.1
+    w_q: float = 0.002
+    gamma: float = 1e-4
+    # the slopes of the drop probability between the thresholds and above
+    # b_max, set once: the packet queue's drop law reads them on every arrival
+    rho: float = field(init=False, repr=False, compare=False)
+    eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
+        for name, weight in (("gamma", self.gamma), ("w_q", self.w_q)):
+            if not 0 < weight <= 1:
+                raise DomainError(f"{name} must be in (0, 1], got {weight}")
         if not 0 < self.b_min < self.b_max < math.inf:
             raise DomainError(
                 f"need 0 < b_min < b_max < inf, got ({self.b_min}, {self.b_max})"
             )
         if not 0 < self.p_max < 1:
             raise DomainError(f"p_max must be in (0, 1), got {self.p_max}")
-        # the slopes of the drop probability; the equilibrium queue divides by rho
+        object.__setattr__(self, "rho", self.p_max / (self.b_max - self.b_min))
+        object.__setattr__(self, "eta", (1.0 - self.p_max) / self.b_max)
+        # the equilibrium queue divides by rho
         for name in ("rho", "eta"):
             slope = getattr(self, name)
             if not sys.float_info.min <= slope < math.inf:
@@ -73,20 +83,11 @@ class RedParams:
                     "p_max and the thresholds are too far apart in scale"
                 )
 
-    @property
-    def rho(self) -> float:
-        """Slope of the drop probability between the two thresholds."""
-        return self.p_max / (self.b_max - self.b_min)
-
-    @property
-    def eta(self) -> float:
-        """Slope of the drop probability above the upper threshold."""
-        return (1.0 - self.p_max) / self.b_max
-
 
 @dataclass(frozen=True)
 class ThresholdParams:
-    """Deterministic drop-above-threshold queue policy."""
+    """Deterministic drop-above-threshold queue policy. The packet queue
+    holds whole packets: it admits while it holds fewer than int(q_th)."""
 
     q_th: float = 15.0
 

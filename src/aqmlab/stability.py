@@ -593,8 +593,11 @@ def transversality(
 ) -> float:
     """Analytic Re(d lambda / d kappa) at a crossing point lambda = j*omega."""
     lam = 1j * omega
-    num = char_dkappa(kind, lam, coeffs, tau, kappa)
-    den = char_dlambda(kind, lam, coeffs, tau, kappa)
+    try:
+        num = char_dkappa(kind, lam, coeffs, tau, kappa)
+        den = char_dlambda(kind, lam, coeffs, tau, kappa)
+    except OverflowError:  # a float power of kappa raises rather than give inf
+        raise ConvergenceError(f"crossing at kappa = {kappa!r}, whose powers overflow") from None
     if den == 0:
         raise ConvergenceError("degenerate crossing: d(char)/d(lambda) = 0")
     value = (-num / den).real

@@ -18,8 +18,6 @@ from aqmlab.fluid import (
 )
 from aqmlab.normalform import classify_at_hopf
 from aqmlab.packetsim import (
-    PacketRed,
-    PacketThreshold,
     compute_afct,
     config_digest,
     desk_config,
@@ -295,7 +293,7 @@ def _batch(configs: dict) -> dict:
 def red_desk_runs():
     return _batch({
         (rtt, seed): desk_config(
-            PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002), rtt, seed=seed
+            RedParams(b_min=50, b_max=100, p_max=0.1, w_q=0.002), rtt, seed=seed
         )
         for rtt in (0.01, 0.2)
         for seed in SEEDS
@@ -343,8 +341,8 @@ def test_criterion_11_threshold_policy_comparison():
         )
         for seed in SEEDS
         for name, pol in (
-            ("red", PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4)),
-            ("threshold", PacketThreshold(q_th=15)),
+            ("red", RedParams(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4)),
+            ("threshold", ThresholdParams(q_th=15)),
         )
     })
     for seed in SEEDS:
@@ -395,7 +393,7 @@ def test_criterion_12_property_suite_spot_checks():
     ok &= float(np.abs(np.asarray(traj.columns).T - np.asarray(eq.state())).max()) < 1e-6
 
     # conservation and determinism of the packet simulator
-    cfg = desk_config(PacketThreshold(q_th=15), 0.05, seed=2, duration=10.0,
+    cfg = desk_config(ThresholdParams(q_th=15), 0.05, seed=2, duration=10.0,
                       n_flows=6, capacity=10e6)
     m1, m2 = run_simulation(cfg), run_simulation(cfg)
     ok &= all(

@@ -106,6 +106,14 @@ def test_parameter_outside_domain_exit_code_two(option, value, capsys):
     ["fluid-sim", "--system", "threshold", "--tau", "5", "--horizon", "1e308"],
     ["fluid-sim", "--system", "threshold", "--tau", "0.5", "--horizon", "1e308"],
     ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--tau", "5", "--horizon", "1e308"],
+    # every sweep value is checked before the first one is integrated
+    ["bifurcation-diagram", "--sweep", "qth=0:10:3", "--horizon", "10", "--transient", "5"],
+    # packet policy values outside the shared types' domains, refused before any run
+    *([command, *option] for command in ("packet-sim", "compare-policies") for option in (
+        ["--red-wq", "0"], ["--red-wq", "1.5"], ["--red-bmin", "200"], ["--red-pmax", "1"],
+        ["--red-bmax", "inf"], ["--red-pmax", "1e-320"])),
+    ["packet-sim", "--policy", "threshold", "--qth", "0.5"],
+    ["compare-policies", "--qth", "0.5"],
 ], ids=" ".join)
 def test_bad_argument_value_exit_code_two(argv, capsys):
     assert _exit_code(argv) == 2
@@ -132,6 +140,12 @@ def test_stability_chart_rejects_names_the_system_lacks(
     if "both" not in named:
         assert "is not one of tau, c, kappa, alpha, k, beta" in err
     assert not out.exists()
+
+
+def test_packet_option_defaults_are_the_type_defaults():
+    args = aqmlab.cli.build_parser().parse_args(["packet-sim"])
+    assert aqmlab.cli._packet_policy(args, "red") == RedParams(b_max=100.0)
+    assert aqmlab.cli._packet_policy(args, "threshold") == ThresholdParams()
 
 
 @pytest.mark.parametrize("argv", [
@@ -215,6 +229,12 @@ _HOPF_OPTIONS = {
     "--tau-max": _around(0.05, 5.0, (0.0, -1.0, 1e-4)),
     "--at-tau": _around(0.01, 2.0, (0.0, -0.1)),
     "--c": _around(1.0, 1000.0, (0.0, -1.0)),
+    **{name: _EQUILIBRIUM_OPTIONS[name] for name in (
+        "--alpha", "--k", "--beta", "--gamma", "--b-min", "--b-max")},
+    # tiny values too: the equilibrium queue and the critical rate multiplier
+    # grow as 1 / p_max
+    "--p-max": st.one_of(_EQUILIBRIUM_OPTIONS["--p-max"],
+                         st.floats(1e-300, 1e-4).map(repr)),
 }
 
 
@@ -222,6 +242,11 @@ _HOPF_OPTIONS = {
 @given(options=st.fixed_dictionaries({}, optional=_HOPF_OPTIONS))
 # no crossing frequency exists at this delay and capacity
 @example(options={"--at-tau": "0.01", "--c": "1"})
+# the critical rate multiplier is 7.7e157: its square overflows
+@example(options={"--at-tau": "1", "--p-max": "1e-160"})
+# the manifold-correction system is singular
+@example(options={"--at-tau": "5", "--c": "600000", "--p-max": "1e-11", "--b-min": "200",
+                  "--b-max": "540", "--alpha": "0.02", "--k": "0.3", "--beta": "0.25"})
 def test_hopf_classify_never_ends_in_a_traceback(options):
     argv = ["hopf-classify"]
     for name, value in options.items():
@@ -536,6 +561,28 @@ def test_packet_sim_malformed_scenario_number_exit_two(tmp_path, capsys):
     )
     assert run(["packet-sim", "--scenario", str(scenario)]) == 2
     assert "capacity_mbps = 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("red.wq = 2", "w_q"), ("red.bmin = 100", "b_min < b_max"), ("red.bmax = inf", "b_max"),
+    ("red.pmax = 1", "p_max"), ("policy = threshold\nthreshold.qth = 0", "q_th"),
+    ("topology = parking-lot", "route"),
+])
+def test_packet_sim_scenario_value_outside_domain_exit_two(line, named, tmp_path, capsys):
+    # the value replaces the one the scenario sets; nothing is run
+    base = {"topology": "dumbbell", "capacity_mbps": "10", "buffer_pkts": "400",
+            "packet_bytes": "1500", "duration_s": "5", "seed": "3", "policy": "red",
+            "red.bmin": "20", "red.bmax": "60", "red.pmax": "0.1",
+            "flow.0.protocol": "compound", "flow.0.access_mbps": "12", "flow.0.rtt_ms": "30"}
+    for pair in line.split("\n"):
+        key, value = pair.split(" = ")
+        base[key] = value
+    scenario = tmp_path / "bad.txt"
+    scenario.write_text("".join(f"{key} = {value}\n" for key, value in base.items()))
+    assert run(["packet-sim", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_threshold_equilibrium_with_long_delay_and_high_qth(capsys):

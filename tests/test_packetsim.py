@@ -30,6 +30,7 @@ from aqmlab.packetsim import (
     run_simulation,
     write_metrics_csv,
 )
+from aqmlab.params import RedParams, ThresholdParams
 from aqmlab.protocols import red_drop_probability
 
 ON_ACK, ON_LOSS = compound_window_laws()
@@ -160,7 +161,7 @@ def test_bound_compound_laws_match_oracle_bits(cwnd, dwnd, base_rtt, rtt_sample,
        avg=st.floats(0.0, 600.0), lens=st.lists(st.integers(0, 700), min_size=1, max_size=8),
        buffer=st.integers(1, 700), seed=st.integers(0, 2**32))
 def test_bound_red_rule_matches_oracle_bits(b_min, width, p_max, w_q, avg, lens, buffer, seed):
-    red = PacketRed(b_min=b_min, b_max=b_min + width, p_max=p_max, w_q=w_q)
+    red = RedParams(b_min=b_min, b_max=b_min + width, p_max=p_max, w_q=w_q)
     rng_bound, rng_oracle = random.Random(seed), random.Random(seed)
     q = _Queue(0, buffer)
     q.avg = avg_oracle = avg
@@ -180,7 +181,7 @@ def test_bound_red_rule_matches_oracle_bits(b_min, width, p_max, w_q, avg, lens,
 def test_red_law_is_zero_up_to_b_min(b_min, width, p_max, share):
     # the RED admit rule calls the law only past b_min: below it, and at it,
     # the law is 0.0 and no number is drawn
-    red = PacketRed(b_min=b_min, b_max=b_min + width, p_max=p_max)
+    red = RedParams(b_min=b_min, b_max=b_min + width, p_max=p_max)
     avg = min(share * b_min, b_min)
     assert red_drop_probability(avg, red) == 0.0
 
@@ -196,7 +197,7 @@ def _red_decision(red, buffer, rng, queue_len, avg):
 # -- queue decisions ----------------------------------------------------------
 
 def test_red_no_drops_below_min_threshold():
-    red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.5)
+    red = RedParams(b_min=50, b_max=100, p_max=0.1, w_q=0.5)
     rng = random.Random(1)
     avg = 0.0
     for q in range(40):
@@ -205,7 +206,7 @@ def test_red_no_drops_below_min_threshold():
 
 
 def test_red_always_drops_beyond_twice_max_threshold():
-    red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=1.0)
+    red = RedParams(b_min=50, b_max=100, p_max=0.1, w_q=1.0)
     rng = random.Random(1)
     for q in (200, 250, 400):
         admit, avg = _red_decision(red, 1000, rng, q, 150.0)
@@ -214,7 +215,7 @@ def test_red_always_drops_beyond_twice_max_threshold():
 
 def test_red_empirical_drop_rate_matches_probability():
     # hold the average at mid-band: the drop probability there is p_max/2
-    red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.0 + 1e-12)
+    red = RedParams(b_min=50, b_max=100, p_max=0.1, w_q=0.0 + 1e-12)
     rng = random.Random(7)
     n = 100_000
     mid = 75.0
@@ -228,13 +229,13 @@ def test_red_empirical_drop_rate_matches_probability():
 
 
 def test_red_full_buffer_forces_drop():
-    red = PacketRed(b_min=50, b_max=100, p_max=0.1, w_q=0.002)
+    red = RedParams(b_min=50, b_max=100, p_max=0.1, w_q=0.002)
     admit, _ = _red_decision(red, 64, random.Random(3), 64, 10.0)
     assert not admit
 
 
 def test_threshold_decision_boundary():
-    th = PacketThreshold(q_th=15)
+    th = ThresholdParams(q_th=15)
     assert limit_admit_rule(th, buffer=100)(14)
     assert not limit_admit_rule(th, buffer=100)(15)
     # a buffer below the threshold caps it
@@ -243,6 +244,22 @@ def test_threshold_decision_boundary():
     # drop-tail: the buffer is the limit
     assert limit_admit_rule(DropTail(), buffer=10)(9)
     assert not limit_admit_rule(DropTail(), buffer=10)(10)
+    # the queue holds whole packets: a fractional threshold counts as its
+    # integer part, as the command line's --qth always has
+    assert limit_admit_rule(ThresholdParams(q_th=15.7), buffer=100)(14)
+    assert not limit_admit_rule(ThresholdParams(q_th=15.7), buffer=100)(15)
+
+
+def test_packet_policy_names_are_the_shared_types():
+    # the old packet-queue names stay for the benchmark's recorded run keys
+    # only: each is the shared type under another name, with nothing of its own
+    for old, shared in ((PacketRed, RedParams), (PacketThreshold, ThresholdParams)):
+        assert old.__mro__[1:] == shared.__mro__
+        assert [name for name in vars(old) if not name.startswith("__")] == []
+        assert old.__post_init__ is shared.__post_init__
+    assert isinstance(PacketRed(b_min=20, b_max=60, p_max=0.1), RedParams)
+    # positional arguments keep the packet queue's order
+    assert PacketRed(20, 60, 0.1, 0.01) == PacketRed(b_min=20, b_max=60, p_max=0.1, w_q=0.01)
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -270,7 +287,7 @@ def test_single_reno_flow_sanity():
 
 
 def test_determinism_and_seed_sensitivity():
-    cfg = desk_config(PacketRed(b_min=50, b_max=100, p_max=0.1), 0.02, seed=5,
+    cfg = desk_config(RedParams(b_min=50, b_max=100, p_max=0.1), 0.02, seed=5,
                       duration=20.0)
     a = run_simulation(cfg)
     b = run_simulation(cfg)
@@ -279,13 +296,13 @@ def test_determinism_and_seed_sensitivity():
     assert a.throughput_bps == b.throughput_bps
     assert a.loss_pct == b.loss_pct
     other = run_simulation(desk_config(
-        PacketRed(b_min=50, b_max=100, p_max=0.1), 0.02, seed=6, duration=20.0))
+        RedParams(b_min=50, b_max=100, p_max=0.1), 0.02, seed=6, duration=20.0))
     assert other.queue_len != a.queue_len
 
 
 def test_conservation_across_policies_and_topologies():
-    for policy in (PacketRed(b_min=20, b_max=60, p_max=0.1),
-                   PacketThreshold(q_th=20), DropTail()):
+    for policy in (RedParams(b_min=20, b_max=60, p_max=0.1),
+                   ThresholdParams(q_th=20), DropTail()):
         cfg = desk_config(policy, 0.04, seed=2, duration=15.0, n_flows=8,
                           capacity=10e6)
         assert _conservation_ok(run_simulation(cfg))
@@ -299,7 +316,7 @@ def test_conservation_across_policies_and_topologies():
     )
     cfg = SimConfig(
         topology="parking-lot", capacity=8e6, buffer=200, packet_size=1500,
-        flows=flows, policy=PacketThreshold(q_th=15), duration=20.0, seed=3,
+        flows=flows, policy=ThresholdParams(q_th=15), duration=20.0, seed=3,
     )
     m = run_simulation(cfg)
     assert _conservation_ok(m)
@@ -338,7 +355,7 @@ def test_short_flow_size_must_be_positive(size):
 
 
 def test_threshold_hard_cap_long_run():
-    cfg = desk_config(PacketThreshold(q_th=15), 0.08, seed=4, duration=60.0)
+    cfg = desk_config(ThresholdParams(q_th=15), 0.08, seed=4, duration=60.0)
     m = run_simulation(cfg)
     assert max(max(q) for q in m.queue_len) <= 15
     assert _conservation_ok(m)
@@ -352,7 +369,7 @@ def test_heterogeneous_mix_runs_and_conserves():
     )
     cfg = SimConfig(
         topology="dumbbell", capacity=12e6, buffer=300, packet_size=1500,
-        flows=flows, policy=PacketRed(b_min=20, b_max=60, p_max=0.1),
+        flows=flows, policy=RedParams(b_min=20, b_max=60, p_max=0.1),
         duration=25.0, seed=9,
         short_flows=ShortFlowProfile(rate_per_s=20.0, rtt_propagation=0.06),
     )
@@ -362,9 +379,9 @@ def test_heterogeneous_mix_runs_and_conserves():
 
 
 def test_halving_capacity_never_raises_throughput():
-    base = desk_config(PacketRed(b_min=20, b_max=60, p_max=0.1), 0.05, seed=8,
+    base = desk_config(RedParams(b_min=20, b_max=60, p_max=0.1), 0.05, seed=8,
                        duration=25.0, n_flows=10, capacity=20e6)
-    halved = desk_config(PacketRed(b_min=20, b_max=60, p_max=0.1), 0.05, seed=8,
+    halved = desk_config(RedParams(b_min=20, b_max=60, p_max=0.1), 0.05, seed=8,
                          duration=25.0, n_flows=10, capacity=10e6)
     m_full = run_simulation(base)
     m_half = run_simulation(halved)
@@ -376,9 +393,9 @@ def test_instantaneous_feedback_variant_is_steadier():
     # queue), the queue stays below the upper threshold where the lagged
     # average lets it overshoot
     rtt = 0.15
-    slow = desk_config(PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4),
+    slow = desk_config(RedParams(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4),
                        rtt, seed=1, duration=60.0)
-    inst = desk_config(PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.0),
+    inst = desk_config(RedParams(b_min=8, b_max=15, p_max=0.1, w_q=1.0),
                        rtt, seed=1, duration=60.0)
     m_slow = run_simulation(slow)
     m_inst = run_simulation(inst)
@@ -408,8 +425,8 @@ def test_afct_uncontended_back_of_envelope():
 
 
 def test_afct_increases_with_rtt_for_both_policies():
-    for policy in (PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4),
-                   PacketThreshold(q_th=15)):
+    for policy in (RedParams(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4),
+                   ThresholdParams(q_th=15)):
         afcts = []
         for rtt in (0.03, 0.25):
             cfg = desk_config(policy, rtt, seed=2, bytes_to_send=4_000_000,
@@ -419,7 +436,7 @@ def test_afct_increases_with_rtt_for_both_policies():
 
 
 def test_compute_afct_reports_stragglers():
-    cfg = desk_config(PacketThreshold(q_th=15), 0.05, seed=3, duration=2.0,
+    cfg = desk_config(ThresholdParams(q_th=15), 0.05, seed=3, duration=2.0,
                       bytes_to_send=10**9, n_flows=2, capacity=5e6)
     # far too little time to finish a gigabyte: completion must be absent
     cfg = SimConfig(**{**cfg.__dict__, "run_to_completion": False})
@@ -433,7 +450,7 @@ def test_paper_profile_shape():
     # construction and invariants only here)
     from aqmlab.packetsim import paper_config
 
-    cfg = paper_config(PacketRed(b_min=50, b_max=100, p_max=0.1), 0.01, seed=1)
+    cfg = paper_config(RedParams(b_min=50, b_max=100, p_max=0.1), 0.01, seed=1)
     assert len(cfg.flows) == 60
     assert cfg.capacity == 100e6
     assert cfg.duration == 500.0
@@ -480,6 +497,12 @@ def test_scenario_parses():
     cfg = parse_scenario(SCENARIO)
     assert cfg.capacity == 10e6
     assert cfg.flows[1].bytes_to_send == 1_000_000
+
+
+def test_scenario_rejects_parking_lot_without_routes():
+    # the format has no route key, so every flow would cross the first hop only
+    with pytest.raises(ConfigError, match="route"):
+        parse_scenario(SCENARIO.replace("topology = dumbbell", "topology = parking-lot"))
 
 
 def test_scenario_rejects_unknown_keys():
@@ -539,8 +562,8 @@ def _metrics_digest(m: Metrics) -> str:
 
 def _golden_configs() -> dict[str, SimConfig]:
     out = {}
-    for name, pol in (("red", PacketRed(b_min=20, b_max=60, p_max=0.1)),
-                      ("threshold", PacketThreshold(q_th=15)), ("droptail", DropTail())):
+    for name, pol in (("red", RedParams(b_min=20, b_max=60, p_max=0.1)),
+                      ("threshold", ThresholdParams(q_th=15)), ("droptail", DropTail())):
         for seed in (1, 2):
             out[f"{name}-dumbbell-{seed}"] = desk_config(
                 pol, 0.05, seed=seed, n_flows=8, capacity=10e6, duration=8.0)
@@ -553,12 +576,12 @@ def _golden_configs() -> dict[str, SimConfig]:
     )
     out["parking-lot-short"] = SimConfig(
         topology="parking-lot", capacity=8e6, buffer=200, packet_size=1500,
-        flows=two_hop, policy=PacketThreshold(q_th=15), duration=15.0, seed=3,
+        flows=two_hop, policy=ThresholdParams(q_th=15), duration=15.0, seed=3,
         short_flows=ShortFlowProfile(rate_per_s=20.0, rtt_propagation=0.06,
                                      route=(0, 1)),
     )
-    for name, pol in (("threshold", PacketThreshold(q_th=15)),
-                      ("red", PacketRed(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4))):
+    for name, pol in (("threshold", ThresholdParams(q_th=15)),
+                      ("red", RedParams(b_min=8, b_max=15, p_max=0.1, w_q=1.2e-4))):
         out[f"sized-{name}"] = desk_config(
             pol, 0.05, seed=4, n_flows=8, capacity=10e6, bytes_to_send=1_000_000,
             duration=400.0, overload=1.4)
@@ -574,7 +597,7 @@ def _golden_configs() -> dict[str, SimConfig]:
     )
     out["mix-parking-lot-red"] = SimConfig(
         topology="parking-lot", capacity=4e6, buffer=150, packet_size=1500,
-        flows=mix, policy=PacketRed(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
+        flows=mix, policy=RedParams(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
         duration=20.0, seed=5,
         short_flows=ShortFlowProfile(rate_per_s=10.0, rtt_propagation=0.04, route=(1,)),
     )
@@ -621,7 +644,7 @@ def _tie_configs() -> dict[str, SimConfig]:
     out["red-tied-starts"] = SimConfig(
         topology="dumbbell", capacity=10e6, buffer=100, packet_size=1500,
         flows=tuple(FlowSpec("compound", 2e6, 0.04) for _ in range(6)),
-        policy=PacketRed(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
+        policy=RedParams(b_min=10, b_max=40, p_max=0.1, w_q=0.01),
         duration=6.0, seed=6)
     # short flows with the round trip of the first long flow
     long_flows = (
@@ -631,7 +654,7 @@ def _tie_configs() -> dict[str, SimConfig]:
     )
     out["parking-lot-shared-rtt"] = SimConfig(
         topology="parking-lot", capacity=5e6, buffer=40, packet_size=1500,
-        flows=long_flows, policy=PacketThreshold(q_th=12), duration=8.0, seed=8,
+        flows=long_flows, policy=ThresholdParams(q_th=12), duration=8.0, seed=8,
         short_flows=ShortFlowProfile(rate_per_s=30.0, bytes_per_flow=20000,
                                      rtt_propagation=0.05, route=(0, 1)),
     )

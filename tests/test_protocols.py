@@ -154,6 +154,21 @@ def test_red_slopes_must_be_normal_floats(fields):
         RedParams(**fields)
 
 
+@pytest.mark.parametrize("policy, fields", [
+    (RedParams, {"w_q": 0.0}), (RedParams, {"w_q": 1.5}), (RedParams, {"w_q": float("nan")}),
+    (RedParams, {"gamma": 0.0}), (RedParams, {"gamma": 1.01}),
+    (RedParams, {"b_min": 100.0, "b_max": 60.0}), (RedParams, {"b_min": 0.0}),
+    (RedParams, {"b_max": float("inf")}),
+    (RedParams, {"p_max": 0.0}), (RedParams, {"p_max": 1.0}),
+    (ThresholdParams, {"q_th": 0.5}), (ThresholdParams, {"q_th": 0}),
+    (ThresholdParams, {"q_th": float("inf")}),
+])
+def test_policy_values_outside_their_domain(policy, fields):
+    # one type per policy, for the fluid models and the packet queue alike
+    with pytest.raises(DomainError):
+        policy(**fields)
+
+
 def test_threshold_drop_probability():
     net = NetworkParams(c_per_flow=100.0, rtt=1.0)
     th = ThresholdParams(q_th=39.0)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .fluid import (
     MIN_STEPS_PER_DELAY,
+    MIN_WINDOW_SAMPLES,
     FluidSystemKind,
     default_history,
     equilibrium_no_averaging,
@@ -32,6 +33,7 @@ from .fluid import (
     equilibrium_with_averaging,
     integrate_dde,
     oscillation_metrics,
+    post_transient_samples,
     threshold_bifurcation_sweep,
 )
 from .normalform import classification_report, classify_at_hopf
@@ -211,7 +213,8 @@ def _check_run_length(args) -> None:
     """Refuse, before any integration, a --steps-per-delay below the
     integrator's floor, a --horizon that is not positive and finite or whose
     length in seconds (x --tau) or in steps (x --steps-per-delay) overflows,
-    and a --transient that is not finite or leaves no post-transient window."""
+    and a --transient that is not finite or leaves fewer post-transient
+    samples than the oscillation metrics need."""
     if args.steps_per_delay < MIN_STEPS_PER_DELAY:
         raise ConfigError(f"--steps-per-delay must be at least {MIN_STEPS_PER_DELAY}, "
                           f"got {args.steps_per_delay}")
@@ -222,6 +225,12 @@ def _check_run_length(args) -> None:
     if not math.isfinite(args.transient) or args.transient >= args.horizon:
         raise ConfigError(f"--transient must be finite and below --horizon "
                           f"{args.horizon!r}, got {args.transient!r}")
+    kept = post_transient_samples(args.horizon * args.tau, args.transient * args.tau,
+                                  args.tau, args.steps_per_delay)
+    if kept is not None and kept < MIN_WINDOW_SAMPLES:
+        raise ConfigError(f"--transient {args.transient!r} leaves {kept} samples before "
+                          f"--horizon {args.horizon!r}; the oscillation metrics need "
+                          f"{MIN_WINDOW_SAMPLES}")
 
 
 def _cmd_fluid_sim(args) -> int:

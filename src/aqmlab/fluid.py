@@ -36,6 +36,7 @@ from .protocols import (
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
+MIN_WINDOW_SAMPLES = 8  # post-transient samples the oscillation metrics need
 # A stored step is at most three states and a time, each a float64 in an
 # array: 32 bytes. A run whose nodes would pass 1 GiB is refused: 33.5 M steps.
 MAX_STEPS = 2**30 // 32
@@ -483,8 +484,7 @@ def integrate_dde(
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
     tau = net.rtt if delay is None else delay
     m = steps_per_delay
-    h = tau / m
-    steps = horizon / h - 1e-12
+    h, steps = _grid(horizon, tau, m)
     if steps > MAX_STEPS:
         raise ConfigError(f"a run of {steps:.4g} steps exceeds the integrator's budget "
                           f"of {MAX_STEPS} steps (1 GiB of stored nodes)")
@@ -541,6 +541,24 @@ def integrate_dde(
     return Trajectory(times, out, kind, h)
 
 
+def _grid(horizon, delay, steps_per_delay):
+    """(h, steps) of a run: the step delay / steps_per_delay, and the horizon
+    in steps, less a guard so that rounding past a whole step adds none."""
+    h = delay / steps_per_delay
+    return h, horizon / h - 1e-12
+
+
+def post_transient_samples(horizon, transient_cut, delay, steps_per_delay):
+    """How many nodes j*h of integrate_dde's grid oscillation_metrics keeps
+    at or after transient_cut; None for a run past MAX_STEPS, which
+    integrate_dde refuses."""
+    h, steps = _grid(horizon, delay, steps_per_delay)
+    if steps > MAX_STEPS:
+        return None
+    nodes = range(math.ceil(steps) + 1)
+    return len(nodes) - bisect_left(nodes, transient_cut, key=lambda j: j * h)
+
+
 def default_history(eq: Equilibrium, scale: float = 1.1):
     """Constant history at scale * equilibrium (small perturbation)."""
     return tuple(scale * v for v in eq.state())
@@ -567,7 +585,7 @@ def oscillation_metrics(
     fewer than twice.
     """
     start = bisect_left(traj.times, transient_cut)
-    if len(traj.times) - start < 8 or math.isnan(transient_cut):
+    if len(traj.times) - start < MIN_WINDOW_SAMPLES or math.isnan(transient_cut):
         raise DomainError("post-transient window too short")
     x = traj.component("w")[start:]
     t = traj.times[start:]

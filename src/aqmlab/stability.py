@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -97,8 +97,11 @@ def linear_coefficients(
     Both the raw form (in i, i', d, d') and the power-law simplification are
     evaluated and must agree; positivity is enforced.
     """
-    w = eq.w_star
-    p = eq.p_star
+    return _coefficients(kind, spec, net, eq.w_star, eq.p_star, red, th)
+
+
+def _coefficients(kind, spec, net, w, p, red, th):
+    """linear_coefficients at the equilibrium (w, p) = (w*, p*)."""
     tau = net.rtt
     cap = net.c_per_flow
     iw = increase_rate(spec, w)
@@ -611,18 +614,28 @@ def transversality(
     return value
 
 
+# Each setter builds the one object a trial changes with its keyword
+# constructor: the same validation as dataclasses.replace, without its walk
+# over fields(). A test checks every setter against replace.
 _PARAM_SETTERS = {
-    "tau": lambda s, r, t, n, v: (s, r, t, replace(n, rtt=v)),
-    "c": lambda s, r, t, n, v: (s, r, t, replace(n, c_per_flow=v)),
-    "kappa": lambda s, r, t, n, v: (s, r, t, replace(n, kappa=v)),
-    "gamma": lambda s, r, t, n, v: (s, replace(r, gamma=v), t, n),
-    "b_min": lambda s, r, t, n, v: (s, replace(r, b_min=v), t, n),
-    "b_max": lambda s, r, t, n, v: (s, replace(r, b_max=v), t, n),
-    "p_max": lambda s, r, t, n, v: (s, replace(r, p_max=v), t, n),
+    "tau": lambda s, r, t, n, v: (s, r, t, NetworkParams(
+        c_per_flow=n.c_per_flow, rtt=v, kappa=n.kappa, buffer=n.buffer)),
+    "c": lambda s, r, t, n, v: (s, r, t, NetworkParams(
+        c_per_flow=v, rtt=n.rtt, kappa=n.kappa, buffer=n.buffer)),
+    "kappa": lambda s, r, t, n, v: (s, r, t, NetworkParams(
+        c_per_flow=n.c_per_flow, rtt=n.rtt, kappa=v, buffer=n.buffer)),
+    "gamma": lambda s, r, t, n, v: (s, RedParams(
+        b_min=r.b_min, b_max=r.b_max, p_max=r.p_max, w_q=r.w_q, gamma=v), t, n),
+    "b_min": lambda s, r, t, n, v: (s, RedParams(
+        b_min=v, b_max=r.b_max, p_max=r.p_max, w_q=r.w_q, gamma=r.gamma), t, n),
+    "b_max": lambda s, r, t, n, v: (s, RedParams(
+        b_min=r.b_min, b_max=v, p_max=r.p_max, w_q=r.w_q, gamma=r.gamma), t, n),
+    "p_max": lambda s, r, t, n, v: (s, RedParams(
+        b_min=r.b_min, b_max=r.b_max, p_max=v, w_q=r.w_q, gamma=r.gamma), t, n),
     "q_th": lambda s, r, t, n, v: (s, r, ThresholdParams(q_th=v), n),
-    "alpha": lambda s, r, t, n, v: (replace(s, alpha=v), r, t, n),
-    "k": lambda s, r, t, n, v: (replace(s, k=v), r, t, n),
-    "beta": lambda s, r, t, n, v: (replace(s, beta=v), r, t, n),
+    "alpha": lambda s, r, t, n, v: (ProtocolSpec(alpha=v, k=s.k, beta=s.beta), r, t, n),
+    "k": lambda s, r, t, n, v: (ProtocolSpec(alpha=s.alpha, k=v, beta=s.beta), r, t, n),
+    "beta": lambda s, r, t, n, v: (ProtocolSpec(alpha=s.alpha, k=s.k, beta=v), r, t, n),
 }
 
 DEFAULT_BRACKETS = {
@@ -641,6 +654,21 @@ DEFAULT_BRACKETS = {
 def _check_solvable(name):
     if name not in DEFAULT_BRACKETS:
         raise DomainError(f"no Hopf search in {name!r}: one of {', '.join(DEFAULT_BRACKETS)}")
+
+
+def _within_red(free_param, bracket, red):
+    """The bracket of a search in b_min or b_max, kept strictly on its side
+    of the other threshold: RedParams needs b_min < b_max."""
+    lo, hi = bracket
+    if free_param == "b_min":
+        hi = min(hi, math.nextafter(red.b_max, 0.0))
+    elif free_param == "b_max":
+        lo = max(lo, math.nextafter(red.b_min, math.inf))
+    else:
+        return bracket
+    if not lo < hi:
+        raise BracketError(f"no {free_param} in {bracket} keeps b_min < b_max")
+    return lo, hi
 
 
 def _system_at(kind, free_param, value, spec, net, red, th):
@@ -687,9 +715,10 @@ def hopf_phase_residual(kind: FluidSystemKind, coeffs: CharCoefficients, tau: fl
 def _hopf_search(kind, free_param, bracket, spec, net, red, th):
     """(phi, trial, unknown at the bracket ends) of a Hopf search. tau, c,
     alpha and threshold q_th move the equilibrium, so the unknown is p* and
-    trial(p) builds (value, equilibrium) from the explicit map; the other
+    trial(p) builds (value, w*, p*) from the explicit map; the other
     parameters are their own unknown, with one equilibrium held."""
     _check_solvable(free_param)
+    bracket = _within_red(free_param, bracket, red)
     moves = free_param in ("tau", "c", "alpha") or (
         free_param == "q_th" and kind is FluidSystemKind.THRESHOLD
     )
@@ -698,16 +727,18 @@ def _hopf_search(kind, free_param, bracket, spec, net, red, th):
         ends = [_system_at(kind, free_param, v, spec, net, red, th)[4]
                 for v in bracket[: 2 if moves else 1]]
 
+    w0, p0 = ends[0].w_star, ends[0].p_star  # the equilibrium a non-moving search holds
+
     def trial(u):
         if not moves:
-            return u, ends[0]
+            return u, w0, p0
         value, w = _explicit_equilibrium(kind, free_param, u, spec, net, th)
-        return value, Equilibrium(kind, w, u)
+        return value, w, u
 
     def phi(u):
-        value, eq = trial(u)
+        value, w, p = trial(u)
         s, r, t, n = _PARAM_SETTERS[free_param](spec, red, th, net, value)
-        co = linear_coefficients(kind, s, n, eq, red=r, th=t)
+        co = _coefficients(kind, s, n, w, p, r, t)
         return hopf_phase_residual(kind, co, n.rtt, n.kappa)
 
     return phi, trial, [eq.p_star for eq in ends] if moves else bracket
@@ -775,7 +806,7 @@ def _chart_point(kind, solve_for, spec, net, red, th, seed):
                                        spec, net, red, th)
         except (BracketError, DomainError):
             pass  # no crossing in the seed's bracket, or it leaves the domain
-    y_bracket = DEFAULT_BRACKETS[solve_for]
+    y_bracket = _within_red(solve_for, DEFAULT_BRACKETS[solve_for], red)
     phi, trial, (lo, hi) = _hopf_search(kind, solve_for, y_bracket, spec, net, red, th)
     scanned = {}  # the solve in the scan's bracket reuses its residuals
     found = find_bracket(lambda u: scanned.setdefault(u, phi(u)), lo, hi, n=96,

@@ -108,6 +108,12 @@ def test_parameter_outside_domain_exit_code_two(option, value, capsys):
     ["bifurcation-diagram", "--sweep", "qth=20:20:1", "--tau", "5", "--horizon", "1e308"],
     # every sweep value is checked before the first one is integrated
     ["bifurcation-diagram", "--sweep", "qth=0:10:3", "--horizon", "10", "--transient", "5"],
+    # a --transient that leaves fewer post-transient samples than the metrics need
+    ["fluid-sim", "--system", "threshold", "--tau", "1", "--horizon", "1", "--transient", "0.99"],
+    ["fluid-sim", "--system", "threshold", "--tau", "1", "--horizon", "1",
+     "--transient", "0.966", "--steps-per-delay", "200"],
+    ["bifurcation-diagram", "--sweep", "qth=20:30:2", "--tau", "1", "--horizon", "1",
+     "--transient", "0.99"],
     # packet policy values outside the shared types' domains, refused before any run
     *([command, *option] for command in ("packet-sim", "compare-policies") for option in (
         ["--red-wq", "0"], ["--red-wq", "1.5"], ["--red-bmin", "200"], ["--red-pmax", "1"],
@@ -118,6 +124,39 @@ def test_parameter_outside_domain_exit_code_two(option, value, capsys):
 def test_bad_argument_value_exit_code_two(argv, capsys):
     assert _exit_code(argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_transient_leaving_eight_samples_runs(tmp_path, capsys):
+    # 8 grid nodes lie at or after 0.965 delays of a one-delay run: the fewest
+    # the oscillation metrics take; 0.966 leaves 7 and is refused above
+    out = tmp_path / "traj.csv"
+    assert run(["fluid-sim", "--system", "threshold", "--tau", "1", "--horizon", "1",
+                "--transient", "0.965", "--steps-per-delay", "200", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 201
+    assert "post-transient: " in capsys.readouterr().out
+
+
+def _no_b_min_below(b_max):
+    return (f"failed at b_max={b_max}: no stability change for b_min in "
+            f"{(1.0, math.nextafter(float(b_max), 0.0))}")
+
+
+@pytest.mark.parametrize("argv, code, errors, solved", [
+    (["--system", "with-averaging", "--sweep", "b_max=200:400:3"], 1,
+     [_no_b_min_below(b) for b in (200, 300, 400)], []),
+    (["--system", "no-averaging", "--tau", "0.2", "--sweep", "b_max=200:400:3"], 0,
+     [_no_b_min_below(200)], ["55.2070297811", "155.207029781"]),
+    (["--system", "no-averaging", "--b-min", "0.1", "--sweep", "b_max=0.5:0.5:1"], 1,
+     ["failed at b_max=0.5: no b_min in (1.0, 500.0) keeps b_min < b_max"], []),
+])
+def test_b_min_chart_searches_below_b_max(argv, code, errors, solved, tmp_path, capsys):
+    # each point's search in b_min stays strictly below its b_max, so a point
+    # without a crossing there reports it instead of an invalid RedParams
+    out = tmp_path / "chart.csv"
+    assert run(["stability-chart", *argv, "--solve", "b_min", "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == errors
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == solved
 
 
 @pytest.mark.parametrize("system, sweep, solve, named", [

@@ -11,10 +11,12 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 import aqmlab.fluid
 import aqmlab.stability
 from aqmlab.fluid import FluidSystemKind
-from aqmlab.params import NetworkParams, ProtocolSpec, RedParams
+from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from aqmlab.stability import solve_hopf_boundary
 
 BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
@@ -107,3 +109,28 @@ def test_hopf_solve_calls_bisect_through_both_module_bindings(monkeypatch):
     )
     assert counts.get("aqmlab.fluid", 0) > 0
     assert counts.get("aqmlab.stability", 0) > 0
+
+
+@pytest.mark.parametrize("kind, name, bracket, rtt", [
+    (FluidSystemKind.NO_AVERAGING, "tau", (0.01, 2.0), 0.05),  # a search in p*
+    (FluidSystemKind.WITH_AVERAGING, "gamma", (1e-4, 0.05), 0.1),  # one equilibrium held
+    (FluidSystemKind.THRESHOLD, "q_th", (10.0, 100.0), 1.0),
+])
+def test_every_hopf_trial_calls_the_residual_through_its_module_binding(
+        kind, name, bracket, rtt, monkeypatch):
+    # the tracer counts stability.residual at this binding: each evaluation
+    # of the Hopf search's bisection, and the check at the root, must use it
+    evals, residuals = [], []
+    bisect, residual = aqmlab.stability.bisect, aqmlab.stability.hopf_phase_residual
+
+    def counting_bisect(f, *args, **kwargs):
+        return bisect(lambda u: evals.append(u) or f(u), *args, **kwargs)
+
+    monkeypatch.setattr(aqmlab.stability, "bisect", counting_bisect)
+    monkeypatch.setattr(aqmlab.stability, "hopf_phase_residual",
+                        lambda *a: residuals.append(a) or residual(*a))
+    solve_hopf_boundary(kind, name, bracket, ProtocolSpec.compound_tcp(),
+                        NetworkParams(c_per_flow=100.0, rtt=rtt), red=RedParams(),
+                        th=ThresholdParams())
+    assert len(evals) > 2
+    assert len(residuals) == len(evals) + 1

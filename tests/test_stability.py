@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -39,6 +40,7 @@ from aqmlab.stability import (
     trace_stability_chart,
     chart_to_csv,
     transversality,
+    _PARAM_SETTERS,
     _crossing_angle,
     _explicit_equilibrium,
     _system_at,
@@ -634,6 +636,20 @@ def test_hopf_boundary_requires_sign_change(compound, red_defaults):
                             red=red_defaults)
 
 
+def test_red_threshold_search_keeps_b_min_below_b_max(compound):
+    # a bracket that reaches past the other threshold is cut strictly short
+    # of it; for the instantaneous system the boundary is one b_max - b_min
+    net = NetworkParams(c_per_flow=100.0, rtt=0.2)
+    hi = solve_hopf_boundary(K.NO_AVERAGING, "b_max", (1.0, 5000.0), compound, net,
+                             red=RedParams(b_min=50.0))
+    lo = solve_hopf_boundary(K.NO_AVERAGING, "b_min", (1.0, 500.0), compound, net,
+                             red=RedParams(b_max=300.0))
+    assert hi.param_value - 50.0 == pytest.approx(300.0 - lo.param_value, rel=1e-12)
+    with pytest.raises(BracketError, match="keeps b_min < b_max"):
+        solve_hopf_boundary(K.NO_AVERAGING, "b_max", (1.0, 40.0), compound, net,
+                            red=RedParams(b_min=50.0))
+
+
 def test_unsupported_free_parameter_is_domain_error(compound, red_defaults):
     # k and beta move the equilibrium, which has no explicit map in them
     net = NetworkParams(c_per_flow=100.0, rtt=0.1)
@@ -953,6 +969,11 @@ CHART_DIGESTS = {
         1, "0aea53cf33a5fbc94e986bdc373f4009f9792eac49045e6eae23558deefc1f51",
         ["--system", "with-averaging", "--solve", "tau", "--gamma", "0.03",
          "--sweep", "c=100:100:1"]),
+    "anchor-noavg": (1, "aab57a5f7ccfa58cbf353e169da139e9d33114b902adbd0a17fca728c7b21d55",
+                     ["--system", "no-averaging", "--solve", "tau", "--sweep", "c=100:100:1"]),
+    "anchor-threshold": (
+        1, "5e6a85078bf67a48207baf6c7264fb1106a253495ef7d1942759fb83c6ecedc1",
+        ["--system", "threshold", "--solve", "q_th", "--tau", "1", "--sweep", "c=100:100:1"]),
 }
 
 
@@ -966,3 +987,56 @@ def test_chart_columns_keep_their_digits(key, tmp_path):
     assert len(rows) == n
     text = "\n".join(",".join(r[:5] + r[6:]) for r in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# a valid value for every init field of the types a Hopf trial rebuilds; a
+# field added to one of them has to be given a strategy here, so the setters
+# are checked against it
+_FIELD_VALUES = {
+    (ProtocolSpec, "alpha"): st.floats(1e-3, 10.0),
+    (ProtocolSpec, "k"): st.floats(0.0, 0.95),
+    (ProtocolSpec, "beta"): st.floats(0.05, 0.95),
+    (RedParams, "b_min"): st.floats(1.0, 200.0),
+    (RedParams, "b_max"): st.floats(250.0, 5000.0),
+    (RedParams, "p_max"): st.floats(1e-3, 0.99),
+    (RedParams, "w_q"): st.floats(1e-4, 1.0),
+    (RedParams, "gamma"): st.floats(1e-6, 1.0),
+    (ThresholdParams, "q_th"): st.floats(1.0, 500.0),
+    (NetworkParams, "c_per_flow"): st.floats(1.0, 1e4),
+    (NetworkParams, "rtt"): st.floats(1e-4, 30.0),
+    (NetworkParams, "kappa"): st.floats(1e-3, 1e3),
+    (NetworkParams, "buffer"): st.none() | st.floats(1.0, 1e4),
+}
+# setter name -> (slot in (spec, red, th, net), field it replaces)
+_SETTER_FIELDS = {
+    "alpha": (0, "alpha"), "k": (0, "k"), "beta": (0, "beta"),
+    "gamma": (1, "gamma"), "b_min": (1, "b_min"), "b_max": (1, "b_max"),
+    "p_max": (1, "p_max"), "q_th": (2, "q_th"),
+    "tau": (3, "rtt"), "c": (3, "c_per_flow"), "kappa": (3, "kappa"),
+}
+_TRIAL_TYPES = (ProtocolSpec, RedParams, ThresholdParams, NetworkParams)
+
+
+def _drawn(cls):
+    fields = {f.name: _FIELD_VALUES[cls, f.name] for f in dataclasses.fields(cls) if f.init}
+    return st.fixed_dictionaries(fields).map(lambda kw: cls(**kw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_SETTER_FIELDS)),
+       objs=st.tuples(*map(_drawn, _TRIAL_TYPES)), data=st.data())
+def test_param_setters_build_what_replace_builds(name, objs, data):
+    # every setter keeps each field it does not set and revalidates as replace does
+    assert set(_SETTER_FIELDS) == set(_PARAM_SETTERS)
+    slot, field = _SETTER_FIELDS[name]
+    value = data.draw(_FIELD_VALUES[_TRIAL_TYPES[slot], field] | st.floats(-1.0, 1e4))
+    expected = list(objs)
+    try:
+        expected[slot] = dataclasses.replace(objs[slot], **{field: value})
+    except DomainError:
+        with pytest.raises(DomainError):
+            _PARAM_SETTERS[name](*objs, value)
+        return
+    built = _PARAM_SETTERS[name](*objs, value)
+    assert [type(o) for o in built] == [type(o) for o in expected]
+    assert [vars(o) for o in built] == [vars(o) for o in expected]  # rho and eta too

@@ -667,16 +667,28 @@ def _tie_configs() -> dict[str, SimConfig]:
                FlowSpec("reno", 4e6, 0.04, start_time=0.1),
                FlowSpec("reno", 4e6, 0.06, start_time=0.3, bytes_to_send=400_000)),
         policy=DropTail(), duration=5.0, seed=9)
+    # every time a power of two: a service takes 1/1024 s, the access links
+    # send a packet in 1/256 s and 1/512 s, the round trips are 1/16 s and
+    # 1/8 s and the samples 1/8 s apart, so services tie exactly with acks,
+    # first-hop arrivals and samples
+    out["red-power-of-two"] = SimConfig(
+        topology="dumbbell", capacity=8.192e6, buffer=30, packet_size=1000,
+        flows=(*(FlowSpec("compound", 2.048e6, 1 / 16) for _ in range(4)),
+               FlowSpec("reno", 4.096e6, 1 / 8)),
+        policy=RedParams(b_min=5, b_max=20, p_max=0.1, w_q=1 / 128),
+        duration=8.0, seed=10, sample_interval=1 / 8)
     return out
 
 
 # recorded, like _GOLDEN_DIGESTS, with one heap of all events, before the
 # per-flow, ack, loss and next-hop event lines (droptail-small-buffer: before
-# the UDP source was removed, with its UDP flow made a Reno one)
+# the UDP source was removed, with its UDP flow made a Reno one;
+# red-power-of-two: with services on the main heap, before their own heap)
 _TIE_DIGESTS = {
     "red-tied-starts": "de3c4bcf37244a9f0f3532d45bf5f3dab4d9662e67851ff114024143fe1e31bf",
     "parking-lot-shared-rtt": "9d84bc697058507d86cdf60ce617fad68122f24c452350ea9acdb11bdea31ca2",
     "droptail-small-buffer": "61b2bbb58603c9f3cebb1cf49e50bad257f7bf6dce1690cb369c3746a6af7be9",
+    "red-power-of-two": "ec73c6108284e3cda1a6dba5b15d6e975a8f75e8243f24f21561505f7205f21d",
 }
 
 

@@ -49,7 +49,7 @@ from .packetsim import (
     write_metrics_csv,
 )
 from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
-from .stability import chart_to_csv, trace_stability_chart
+from .stability import DEFAULT_BRACKETS, chart_to_csv, trace_stability_chart
 
 _KINDS = {
     "with-averaging": FluidSystemKind.WITH_AVERAGING,
@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=sorted(_KINDS), required=True)
     p.add_argument("--sweep", type=_parse_sweep, required=True,
                    metavar="name=start:stop:count")
-    p.add_argument("--solve", required=True,
-                   choices=("tau", "c", "gamma", "b_min", "q_th", "alpha", "kappa"))
+    p.add_argument("--solve", required=True, choices=tuple(DEFAULT_BRACKETS))
     _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_stability_chart)
 

@@ -11,21 +11,25 @@ is deliberately not reproduced. A queue's policy is `params.RedParams` or
 
 Events that fall due a fixed delay after the event that makes them are made
 in the order they fall due, so they wait in FIFO lines under a small heap
-(the idea of Brown's calendar queue, CACM 1988); `Simulator` lists the lines
-and why each stays sorted. The tie rule is unchanged: the next event is the
-pending one of smallest (time, tie), as with one heap of every event.
+(the idea of Brown's calendar queue, CACM 1988); each queue's one pending
+service waits on a second heap. `Simulator` lists the lines and why each
+stays sorted. The tie rule is unchanged: the next event is the pending one
+of smallest (time, tie), as with one heap of every event.
 
-The per-packet laws are bound once, not looked up per packet:
+Each packet step is one handler call, and the handler holds its laws, with
+their constants bound once per run:
 
-- the Compound window laws, once at import: `compound_window_laws` binds
-  alpha, k and beta of `ProtocolSpec.compound_tcp()` (params) and its
-  gamma_thresh and zeta defaults, and `_WINDOW_LAWS` holds the (ack, loss)
-  pair each flow calls;
-- each queue's admit rule, once per queue per run, inside that queue's
-  arrival handler: `red_admit_rule` over the queue's w_q, 1 - w_q, b_min,
-  buffer and the run's `rng.random`, or `limit_admit_rule` over the
-  threshold or the buffer. The drop law RED draws against is
-  `protocols.red_drop_probability`, shared with the fluid model.
+- a queue's arrival handler: RED's average and a Bernoulli draw against
+  `protocols.red_drop_probability`, the law the fluid model shares, past
+  b_min; or the threshold or drop-tail limit;
+- the ack handler: slow start, the Compound law (alpha, k and beta of
+  `ProtocolSpec.compound_tcp()`, `_GAMMA_THRESH`, `_ZETA`) or Reno's, then
+  the send loop;
+- a service runs inside the event loop, without a call.
+
+`tests/packet_oracle.py` keeps these laws as stand-alone functions and the
+one-heap loop that called them, the oracle the simulator is tested against
+bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -76,6 +81,12 @@ class FlowSpec:
             raise ConfigError("access rate and propagation delay must be positive and finite")
         if not 0 <= self.start_time < math.inf:
             raise ConfigError("start time must be >= 0 and finite")
+        # an empty transfer never sends and so never completes, and a window
+        # <= 0 never sends either
+        if self.bytes_to_send is not None and not self.bytes_to_send > 0:
+            raise ConfigError("a flow's transfer size must be positive")
+        if not 0 < self.initial_cwnd < math.inf:
+            raise ConfigError("initial window must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -178,17 +189,17 @@ class Metrics:
 
 class _Flow:
     """A source's sending state, with what its spec fixes for the whole run:
-    the protocol's window laws and the propagation constants. `Simulator.run`
-    adds the arrival handler of the route's first queue, the next-hop table
-    (queue index -> the next queue's arrival handler, or None) and the
-    flow's event lines: its own first-hop arrivals (`sent`, dropped once a
-    sized flow completes) and the ack and loss lines it shares with every
-    flow of its delay."""
+    its protocol, its transfer size (None: unlimited) and the propagation
+    constants. `Simulator.run` adds the arrival handler of the route's first
+    queue, the next-hop table (queue index -> the next queue's arrival
+    handler, or None) and the flow's event lines: its own first-hop arrivals
+    (`sent`, dropped once a sized flow completes) and the ack and loss lines
+    it shares with every flow of its delay."""
 
     __slots__ = (
         "fid", "spec", "cwnd", "dwnd", "ssthresh", "slow_start", "in_flight",
-        "bytes_unsent", "bytes_acked", "base_rtt", "next_seq", "recover_seq",
-        "access_free", "completed_at", "started", "on_ack", "on_loss",
+        "bytes_to_send", "bytes_unsent", "bytes_acked", "base_rtt", "next_seq",
+        "recover_seq", "access_free", "completed_at", "started", "compound",
         "access_rate", "rtt", "half_rtt", "arrive", "next_hop", "sent", "acks",
         "losses",
     )
@@ -201,7 +212,7 @@ class _Flow:
         self.ssthresh = math.inf
         self.slow_start = not spec.start_in_ca
         self.in_flight = 0
-        self.bytes_unsent = spec.bytes_to_send
+        self.bytes_to_send = self.bytes_unsent = spec.bytes_to_send
         self.bytes_acked = 0
         self.base_rtt = math.inf
         self.next_seq = 0
@@ -209,97 +220,18 @@ class _Flow:
         self.access_free = 0.0
         self.completed_at = None
         self.started = False
-        self.on_ack, self.on_loss = _WINDOW_LAWS[spec.protocol]
+        self.compound = spec.protocol == "compound"  # else Reno
         self.access_rate = spec.access_rate
         self.rtt = spec.rtt_propagation
         self.half_rtt = spec.rtt_propagation / 2.0
 
 
-def compound_window_laws(*, gamma_thresh: float = 30.0, zeta: float = 0.5):
-    """(on_ack, on_loss) of the dual-window protocol, with alpha, k and beta of
-    `ProtocolSpec.compound_tcp()` bound once.
-
-    The per-window branch rule is applied at per-ack granularity, scaled by
-    1/window, so that one lossless round trip reproduces the aggregate
-    window increase of the fluid law. on_ack takes a positive rtt sample;
-    on_loss takes the window cwnd + dwnd at the loss. `b if b > a else a` is
-    max(a, b) to the bit, without the call.
-    """
-    spec = ProtocolSpec.compound_tcp()
-    alpha, k, keep = spec.alpha, spec.k, 1.0 - spec.beta
-
-    def on_ack(fl, rtt_sample):
-        win = fl.cwnd + fl.dwnd
-        base = fl.base_rtt
-        if rtt_sample < base:
-            fl.base_rtt = base = rtt_sample
-        div = 1.0 if 1.0 > win else win
-        fl.cwnd += 1.0 / div
-        diff = (win / base - win / rtt_sample) * base
-        if diff < gamma_thresh:
-            grow = alpha * win**k - 1.0
-            fl.dwnd += (0.0 if 0.0 > grow else grow) / div
-        else:
-            dwnd = fl.dwnd - zeta * diff
-            fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
-
-    def on_loss(fl, win):
-        cwnd = fl.cwnd / 2.0
-        dwnd = win * keep - cwnd
-        fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
-        fl.cwnd = 1.0 if 1.0 > cwnd else cwnd
-
-    return on_ack, on_loss
-
-
-# Congestion-avoidance ack laws and loss laws, (flow, rtt sample or window at
-# the loss); slow start and loss recovery are common to both protocols.
-
-def _reno_ack(fl, rtt_sample):
-    fl.base_rtt = min(fl.base_rtt, rtt_sample)
-    fl.cwnd += 1.0 / fl.cwnd
-
-
-def _reno_loss(fl, win):
-    fl.cwnd = max(win / 2.0, 1.0)
-
-
-_WINDOW_LAWS = {
-    "compound": compound_window_laws(),
-    "reno": (_reno_ack, _reno_loss),
-}
-
-
-def red_admit_rule(red: RedParams, q: _Queue, rng: random.Random):
-    """The RED admit rule of one queue, queue length -> admit?: the EWMA
-    update of `q.avg`, then a Bernoulli draw at `red_drop_probability` of the
-    new average. w_q, 1 - w_q, b_min, the buffer and the draw are bound once.
-    The law is 0.0 up to b_min, where no draw is made, so it is called only
-    past b_min."""
-    w_q = red.w_q
-    keep = 1.0 - w_q
-    b_min = red.b_min
-    buffer = q.buffer
-    draw = rng.random
-
-    def admits(queue_len):
-        avg = q.avg = keep * q.avg + w_q * queue_len
-        if queue_len >= buffer:
-            return False
-        if avg <= b_min:
-            return True
-        p = red_drop_probability(avg, red)
-        return not (p > 0.0 and draw() < p)
-
-    return admits
-
-
-def limit_admit_rule(policy: ThresholdParams | DropTail, buffer: int):
-    """The admit rule of a threshold or drop-tail queue, queue length ->
-    admit?: a deterministic drop once the queue holds the threshold's whole
-    packets (capped by the buffer) or, under drop-tail, the buffer."""
-    limit = min(int(policy.q_th), buffer) if isinstance(policy, ThresholdParams) else buffer
-    return lambda queue_len: queue_len < limit
+# The Compound window laws' constants: alpha, k and beta of
+# `ProtocolSpec.compound_tcp()`, the backlog (packets) past which the delay
+# window shrinks, and the share of the backlog it shrinks by per ack.
+_COMPOUND = ProtocolSpec.compound_tcp()
+_GAMMA_THRESH = 30.0
+_ZETA = 0.5
 
 
 class _Queue:
@@ -340,13 +272,26 @@ class Simulator:
 
     `now` never decreases, adding a constant to a float is monotone and ties
     only grow, so each line is sorted by (time, tie) as it is appended to.
-    The heap holds each non-empty line's head and the events made one at a
-    time (services, samples, starts and short-flow spawns), so
-    its smallest entry is the smallest pending event: the dispatch order,
-    and with it every output, is that of one heap of all events. `run`
-    settles before the first event what the handlers would otherwise look up
-    per packet: each queue's arrival handler with its admit rule bound, each
-    flow's window laws, lines and the next-hop handlers of its route.
+    The main heap holds each non-empty line's head and the events made one
+    at a time (samples, starts and short-flow spawns). A queue has at most
+    one pending service, (time, tie, queue), which waits on a second heap
+    of at most `n_queues` entries. The loop runs whichever head is smaller
+    by (time, tie), so the dispatch order, and with it every output, is
+    that of one heap of all events.
+
+    Each packet step is one call or none:
+
+    - a queue's arrival handler updates RED's average and applies the buffer
+      limit and RED's draw, or the threshold / drop-tail limit;
+    - the loop itself serves a queue's head packet, on to the next hop or
+      back as an ack, and puts the queue's next service in its place;
+    - `ack` applies slow start, the Compound law or Reno's, then the send
+      loop. Loss notices, starts and short-flow spawns end in the same send
+      loop through `ack(None, flow)`.
+
+    `run` settles before the first event what the handlers would otherwise
+    look up per packet: the policy's constants, each flow's lines and the
+    next-hop handlers of its route.
     """
 
     def __init__(self, config: SimConfig):
@@ -363,11 +308,16 @@ class Simulator:
     def run(self) -> Metrics:
         cfg = self.cfg
         rng = random.Random(cfg.seed)
+        draw = rng.random
         policy = cfg.policy
         red = isinstance(policy, RedParams)
         queues = self.queues
         flows = self.flows
-        heap = []
+        # Each heap ends in a sentinel past every event, the main heap's
+        # first: the loop compares the two heads without testing for an
+        # empty heap, and stops at the main heap's sentinel.
+        heap = [(math.inf, -1, None, None, None)]
+        services = [(math.inf, 0, None)]  # (time, tie, queue)
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         tick = itertools.count(1).__next__
         capacity = cfg.capacity
@@ -377,15 +327,97 @@ class Simulator:
         prof = cfg.short_flows
         now = 0.0
         pending = 0  # sized flows not yet complete
+        to_completion = cfg.run_to_completion
+        # The loop ends before the first event later than `stop`: the
+        # duration, or in a run to completion the largest float, which only
+        # the sentinels pass, until the last sized flow completes.
+        stop = sys.float_info.max if to_completion else duration
         hop_line = deque()  # next-hop arrivals
         ack_lines = {}  # half round trip -> line
         loss_lines = {}  # round trip -> line
         hops = {}  # route -> (first queue's arrival handler, next-hop table)
+        # a queue admits below `limit` packets: the threshold's whole
+        # packets, capped by the buffer, or the buffer; RED also draws
+        limit = (min(int(policy.q_th), cfg.buffer) if isinstance(policy, ThresholdParams)
+                 else cfg.buffer)
+        w_q, b_min = (policy.w_q, policy.b_min) if red else (0.0, 0.0)
+        avg_keep = 1.0 - w_q
+        alpha, k, keep = _COMPOUND.alpha, _COMPOUND.k, 1.0 - _COMPOUND.beta
 
         # A line's head is on the heap: an event appended to an empty line
         # is pushed there too; the loop replaces it by the line's next.
 
-        def try_send(fl):
+        def arrival_handler(q):
+            pkts = q.pkts
+
+            def arrive(pkt):
+                q.arrivals += 1
+                held = len(pkts)
+                admit = held < limit
+                if red:
+                    # the average moves at every arrival, a dropped one too;
+                    # the drop law is 0.0 up to b_min, where nothing is drawn
+                    avg = q.avg = avg_keep * q.avg + w_q * held
+                    if admit and avg > b_min:
+                        p = red_drop_probability(avg, policy)
+                        admit = not (p > 0.0 and draw() < p)
+                if admit:
+                    pkts.append((now, pkt))
+                    if not held:  # the link was idle
+                        heappush(services, (now + pkt[2] * 8 / capacity, tick(), q))
+                    return
+                q.drops += 1
+                fl = pkt[0]
+                losses = fl.losses
+                event = (now + fl.rtt, tick(), loss, pkt, losses)
+                if not losses:
+                    heappush(heap, event)
+                losses.append(event)
+
+            return arrive
+
+        def ack(pkt, fl=None):
+            # without a packet, only the send loop runs
+            nonlocal pending, stop
+            if pkt is not None:
+                fl, _, size, send_time = pkt
+                if fl.completed_at is not None:
+                    return
+                fl.in_flight -= 1
+                fl.bytes_acked += size
+                rtt_sample = now - send_time
+                base = fl.base_rtt
+                if rtt_sample < base:
+                    fl.base_rtt = base = rtt_sample
+                if fl.slow_start:
+                    fl.cwnd += 1.0
+                    if fl.cwnd >= fl.ssthresh:
+                        fl.slow_start = False
+                elif fl.compound:
+                    # the per-window rule at per-ack granularity, scaled by
+                    # 1/window, so that one lossless round trip gives the
+                    # fluid law's aggregate increase; `b if b > a else a` is
+                    # max(a, b) to the bit, without the call
+                    win = fl.cwnd + fl.dwnd
+                    div = 1.0 if 1.0 > win else win
+                    fl.cwnd += 1.0 / div
+                    diff = (win / base - win / rtt_sample) * base
+                    if diff < _GAMMA_THRESH:
+                        grow = alpha * win**k - 1.0
+                        fl.dwnd += (0.0 if 0.0 > grow else grow) / div
+                    else:
+                        dwnd = fl.dwnd - _ZETA * diff
+                        fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
+                else:  # Reno
+                    fl.cwnd += 1.0 / fl.cwnd
+                goal = fl.bytes_to_send
+                if goal is not None and fl.bytes_acked >= goal:
+                    fl.completed_at = now
+                    fl.sent = None  # it sends no more: free its line
+                    pending -= 1
+                    if to_completion and not pending:
+                        stop = -math.inf
+                    return
             size = packet_size
             win = fl.cwnd + fl.dwnd
             sent, arrive = fl.sent, fl.arrive
@@ -404,74 +436,6 @@ class Simulator:
                     heappush(heap, event)
                 sent.append(event)
 
-        def arrival_handler(q, admits):
-            pkts = q.pkts
-
-            def arrive(pkt):
-                q.arrivals += 1
-                held = len(pkts)
-                if admits(held):
-                    pkts.append((now, pkt))
-                    if not held:  # the link was idle
-                        heappush(heap, (now + pkt[2] * 8 / capacity, tick(), service, q, None))
-                    return
-                q.drops += 1
-                fl = pkt[0]
-                losses = fl.losses
-                event = (now + fl.rtt, tick(), loss, pkt, losses)
-                if not losses:
-                    heappush(heap, event)
-                losses.append(event)
-
-            return arrive
-
-        def service(q):
-            pkts = q.pkts
-            arrived_at, pkt = pkts.popleft()
-            q.served += 1
-            q.sojourn_sum += now - arrived_at
-            bits = pkt[2] * 8
-            q.bits_interval += bits
-            fl = pkt[0]
-            nxt = fl.next_hop[q.idx]
-            if nxt is not None:
-                event = (now, tick(), nxt, pkt, hop_line)
-                if not hop_line:
-                    heappush(heap, event)
-                hop_line.append(event)
-            else:
-                q.bits_total += bits
-                acks = fl.acks
-                event = (now + fl.half_rtt, tick(), ack, pkt, acks)
-                if not acks:
-                    heappush(heap, event)
-                acks.append(event)
-            if pkts:
-                heappush(heap, (now + pkts[0][1][2] * 8 / capacity, tick(), service, q, None))
-
-        def ack(pkt):
-            nonlocal pending
-            fl, _, size, send_time = pkt
-            if fl.completed_at is not None:
-                return
-            fl.in_flight -= 1
-            fl.bytes_acked += size
-            rtt_sample = now - send_time
-            if fl.slow_start:
-                fl.base_rtt = min(fl.base_rtt, rtt_sample)
-                fl.cwnd += 1.0
-                if fl.cwnd >= fl.ssthresh:
-                    fl.slow_start = False
-            else:
-                fl.on_ack(fl, rtt_sample)
-            goal = fl.spec.bytes_to_send
-            if goal is not None and fl.bytes_acked >= goal:
-                fl.completed_at = now
-                fl.sent = None  # it sends no more: free its line
-                pending -= 1
-                return
-            try_send(fl)
-
         def loss(pkt):
             fl, seq, size, _ = pkt
             if fl.completed_at is not None:
@@ -485,12 +449,18 @@ class Simulator:
                 if fl.slow_start:
                     fl.slow_start = False
                     fl.ssthresh = max(win / 2.0, 2.0)
-                fl.on_loss(fl, win)
-            try_send(fl)
+                if fl.compound:
+                    cwnd = fl.cwnd / 2.0
+                    dwnd = win * keep - cwnd
+                    fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
+                    fl.cwnd = 1.0 if 1.0 > cwnd else cwnd
+                else:
+                    fl.cwnd = max(win / 2.0, 1.0)
+            ack(None, fl)
 
         def start(fl):
             fl.started = True
-            try_send(fl)
+            ack(None, fl)
 
         samples = list(zip(self.queues, self.queue_len_trace,
                            self.queue_avg_trace, self.util_trace))
@@ -507,11 +477,7 @@ class Simulator:
             if now + dt <= duration + 1e-9:
                 heappush(heap, (now + dt, tick(), sample, None, None))
 
-        arrive_at = [
-            arrival_handler(q, red_admit_rule(policy, q, rng) if red
-                            else limit_admit_rule(policy, q.buffer))
-            for q in queues
-        ]
+        arrive_at = [arrival_handler(q) for q in queues]
 
         def add_flow(spec: FlowSpec, is_short=False) -> _Flow:
             fl = _Flow(len(flows), spec)
@@ -535,19 +501,17 @@ class Simulator:
 
         def spawn_short(_):
             nonlocal pending
-            spec = FlowSpec(
+            fl = add_flow(FlowSpec(
                 protocol="reno",
                 access_rate=prof.access_rate,
                 rtt_propagation=prof.rtt_propagation,
                 start_time=now,
                 bytes_to_send=prof.bytes_per_flow,
                 route=prof.route,
-            )
-            fl = add_flow(spec, is_short=True)
-            if spec.bytes_to_send is not None:
-                pending += 1
+            ), is_short=True)
+            pending += 1
             fl.started = True
-            try_send(fl)
+            ack(None, fl)
             gap = rng.expovariate(prof.rate_per_s)
             if now + gap < duration:
                 heappush(heap, (now + gap, tick(), spawn_short, None, None))
@@ -561,17 +525,46 @@ class Simulator:
         heappush(heap, (0.0, tick(), sample, None, None))
         if prof is not None:
             heappush(heap, (rng.expovariate(prof.rate_per_s), tick(), spawn_short, None, None))
+        if to_completion and not pending:
+            stop = -math.inf
 
-        to_completion = cfg.run_to_completion
-        hard_stop = math.inf if to_completion else duration
         try:
             # a runaway configuration ends after 5e8 events
             for _ in itertools.repeat(None, 500_000_001):
-                if not heap:
-                    break
+                if services[0] < heap[0]:
+                    # the head packet of queue q leaves its link, on to the
+                    # next hop or back to its source as an ack; the queue's
+                    # next service takes this one's place on `services`
+                    t, _, q = services[0]
+                    if t > stop:
+                        break
+                    now = t
+                    pkts = q.pkts
+                    arrived_at, pkt = pkts.popleft()
+                    q.served += 1
+                    q.sojourn_sum += t - arrived_at
+                    bits = pkt[2] * 8
+                    q.bits_interval += bits
+                    fl = pkt[0]
+                    nxt = fl.next_hop[q.idx]
+                    if nxt is not None:
+                        event = (t, tick(), nxt, pkt, hop_line)
+                        if not hop_line:
+                            heappush(heap, event)
+                        hop_line.append(event)
+                    else:
+                        q.bits_total += bits
+                        acks = fl.acks
+                        event = (t + fl.half_rtt, tick(), ack, pkt, acks)
+                        if not acks:
+                            heappush(heap, event)
+                        acks.append(event)
+                    if pkts:
+                        heapreplace(services, (t + pkts[0][1][2] * 8 / capacity, tick(), q))
+                    else:
+                        heappop(services)
+                    continue
                 t, _, handler, arg, line = heap[0]
-                if t > hard_stop or (to_completion and pending == 0):
-                    break
                 if line is None:
                     heappop(heap)
                 else:
@@ -580,6 +573,8 @@ class Simulator:
                         heapreplace(heap, line[0])
                     else:
                         heappop(heap)
+                if t > stop:
+                    break
                 now = t
                 handler(arg)
             else:
@@ -591,6 +586,7 @@ class Simulator:
             # slots frees the run's state on return, not at the next full
             # garbage collection
             heap.clear()
+            services.clear()
             hop_line.clear()
             for line in (*ack_lines.values(), *loss_lines.values()):
                 line.clear()
@@ -598,7 +594,7 @@ class Simulator:
                 if fl.sent is not None:
                     fl.sent.clear()
                 fl.arrive = fl.next_hop = None
-            del try_send, service, ack, loss, start, sample, add_flow, spawn_short
+            del arrive_at, ack, loss, start, sample, add_flow, spawn_short
         self.now = now
         return self._collect()
 
@@ -894,24 +890,19 @@ def _scenario_value(key: str, text: str, kind):
 
 def write_metrics_csv(metrics: Metrics, outdir) -> None:
     """queue.csv, flows.csv, util.csv, summary.csv in outdir."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
+    times = [f"{t:.12g}" for t in metrics.sample_times]  # each formatted once
     with open(os.path.join(outdir, "queue.csv"), "w") as fh:
         fh.write("t,q,avg_q\n")
-        for i, t in enumerate(metrics.sample_times):
-            fh.write(
-                f"{t:.12g},{metrics.queue_len[0][i]},{metrics.queue_avg[0][i]:.12g}\n"
-            )
+        fh.writelines(f"{t},{q},{avg:.12g}\n" for t, q, avg in
+                      zip(times, metrics.queue_len[0], metrics.queue_avg[0]))
     with open(os.path.join(outdir, "flows.csv"), "w") as fh:
         fh.write("t,flow_id,window\n")
         for fid, wins in metrics.windows.items():
-            for t, w in zip(metrics.sample_times, wins):
-                fh.write(f"{t:.12g},{fid},{w:.12g}\n")
+            fh.writelines(f"{t},{fid},{w:.12g}\n" for t, w in zip(times, wins))
     with open(os.path.join(outdir, "util.csv"), "w") as fh:
         fh.write("t,utilization_pct\n")
-        for t, u in zip(metrics.sample_times, metrics.utilization_pct[0]):
-            fh.write(f"{t:.12g},{u:.12g}\n")
+        fh.writelines(f"{t},{u:.12g}\n" for t, u in zip(times, metrics.utilization_pct[0]))
     post = metrics.post_transient(metrics.transient)
     min_util = min(
         (metrics.utilization_pct[0][i] for i in post[1:]), default=0.0

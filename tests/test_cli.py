@@ -22,7 +22,7 @@ from aqmlab.errors import InternalConsistencyError
 from aqmlab.fluid import MAX_STEPS, OperatingRegionWarning
 from aqmlab.packetsim import run_simulation
 from aqmlab.params import ProtocolSpec, RedParams, ThresholdParams
-from aqmlab.stability import _PARAM_SETTERS
+from aqmlab.stability import DEFAULT_BRACKETS, _PARAM_SETTERS
 
 
 def run(args):
@@ -159,6 +159,21 @@ def test_b_min_chart_searches_below_b_max(argv, code, errors, solved, tmp_path, 
     assert [r[3] for r in rows] == solved
 
 
+def test_stability_chart_solves_b_max(tmp_path):
+    # --solve offers every name stability.DEFAULT_BRACKETS solves; argparse
+    # used to refuse b_max and p_max
+    assert set(DEFAULT_BRACKETS) >= {"b_max", "p_max"}
+    out = tmp_path / "chart.csv"
+    assert run(["stability-chart", "--system", "no-averaging", "--tau", "0.2",
+                "--sweep", "b_min=100:300:3", "--solve", "b_max", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # the boundary fixes the RED slope p_max / (b_max - b_min), so the
+    # critical band width is the same at every b_min
+    widths = [float(r[3]) - float(r[1]) for r in rows]
+    assert len(widths) == 3
+    assert widths == pytest.approx([widths[0]] * 3, rel=1e-9)
+
+
 @pytest.mark.parametrize("system, sweep, solve, named", [
     ("with-averaging", "foo=1:2:2", "tau", "--sweep 'foo'"),
     ("threshold", "gamma=0.01:0.02:2", "tau", "--sweep 'gamma'"),
@@ -248,7 +263,7 @@ _SWEEP_NAMES = sorted({*_PARAM_SETTERS, *aqmlab.cli._SWEEP_ALIASES, "bogus"})
         st.floats(-1.0, 1000.0),
         st.sampled_from((0.0, 1e-3, 0.1, 0.5, 0.99, 1.0, 2.0, 39.0, 100.0)),
     ),
-    solve=st.sampled_from(("tau", "c", "gamma", "b_min", "q_th", "alpha", "kappa")),
+    solve=st.sampled_from(tuple(DEFAULT_BRACKETS)),
 )
 # no tau boundary exists here; a trial point at the bracket's low end once
 # failed the raw/simplified coefficient check
@@ -606,6 +621,8 @@ def test_packet_sim_malformed_scenario_number_exit_two(tmp_path, capsys):
     ("red.wq = 2", "w_q"), ("red.bmin = 100", "b_min < b_max"), ("red.bmax = inf", "b_max"),
     ("red.pmax = 1", "p_max"), ("policy = threshold\nthreshold.qth = 0", "q_th"),
     ("topology = parking-lot", "route"),
+    # an empty transfer used to run and write an empty afct
+    ("flow.0.bytes = 0", "transfer size"), ("flow.0.bytes = -5", "transfer size"),
 ])
 def test_packet_sim_scenario_value_outside_domain_exit_two(line, named, tmp_path, capsys):
     # the value replaces the one the scenario sets; nothing is run

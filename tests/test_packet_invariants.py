@@ -14,7 +14,9 @@ takes the same time. What must hold whatever the event order:
 - every completion is a sized flow's, later than its start;
 - Little's law per queue (see `_littles_law_gap`);
 - `run_batch` gives each run bit for bit, and a run repeats its seed's
-  result.
+  result;
+- the event loop and handlers give the oracle simulator's result bit for
+  bit (`packet_oracle`: the stand-alone laws and the one-heap loop).
 """
 
 import math
@@ -33,6 +35,7 @@ from aqmlab.packetsim import (
     run_batch,
     run_simulation,
 )
+from packet_oracle import run_oracle
 
 
 # incommensurate with every service time the configurations can have
@@ -146,3 +149,11 @@ def test_simulator_invariants(cfg):
     batch = run_batch([cfg, other])
     assert _same_run(batch[(config_digest(cfg), cfg.seed)], m)
     assert _same_run(batch[(config_digest(other), other.seed)], run_simulation(other))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=sim_configs())
+def test_simulator_matches_oracle_bits(cfg):
+    # the handlers write the oracle's laws out, and services wait on a heap
+    # of their own: every metric, float and counter must come out the same
+    assert _same_run(run_simulation(cfg), run_oracle(cfg))

@@ -19,19 +19,17 @@ from aqmlab.packetsim import (
     SimConfig,
     _Flow,
     _Queue,
-    compound_window_laws,
     compute_afct,
     config_digest,
     desk_config,
     parse_scenario,
-    limit_admit_rule,
-    red_admit_rule,
     run_batch,
     run_simulation,
     write_metrics_csv,
 )
 from aqmlab.params import RedParams, ThresholdParams
 from aqmlab.protocols import red_drop_probability
+from packet_oracle import compound_window_laws, limit_admit_rule, red_admit_rule, run_oracle
 
 ON_ACK, ON_LOSS = compound_window_laws()
 
@@ -352,6 +350,20 @@ def test_short_flow_size_must_be_positive(size):
     # an empty transfer started flows that never completed
     with pytest.raises(ConfigError, match="size"):
         ShortFlowProfile(bytes_per_flow=size)
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_flow_transfer_size_must_be_positive(size):
+    # an empty transfer sent nothing and never completed: afct None and no
+    # arrivals
+    with pytest.raises(ConfigError, match="transfer size"):
+        FlowSpec("reno", 1e6, 0.05, bytes_to_send=size)
+
+
+@pytest.mark.parametrize("cwnd", [0.0, -1.0, math.nan, math.inf])
+def test_flow_initial_window_must_be_positive_and_finite(cwnd):
+    with pytest.raises(ConfigError, match="initial window"):
+        FlowSpec("reno", 1e6, 0.05, initial_cwnd=cwnd)
 
 
 def test_threshold_hard_cap_long_run():
@@ -694,3 +706,12 @@ _TIE_DIGESTS = {
 
 def test_event_line_ties_bit_identical_to_recorded_digests():
     _assert_digests(_tie_configs(), _TIE_DIGESTS)
+
+
+def test_oracle_simulator_gives_the_recorded_digests():
+    # the oracle is the loop every digest was recorded with (or gave the
+    # same bits as): one heap for services too, and the stand-alone laws
+    for configs, digests in ((_golden_configs(), _GOLDEN_DIGESTS),
+                             (_tie_configs(), _TIE_DIGESTS)):
+        assert {name: _metrics_digest(run_oracle(cfg))
+                for name, cfg in configs.items()} == digests

@@ -343,6 +343,7 @@ class Simulator:
         w_q, b_min = (policy.w_q, policy.b_min) if red else (0.0, 0.0)
         avg_keep = 1.0 - w_q
         alpha, k, keep = _COMPOUND.alpha, _COMPOUND.k, 1.0 - _COMPOUND.beta
+        gamma_thresh, zeta = _GAMMA_THRESH, _ZETA
 
         # A line's head is on the heap: an event appended to an empty line
         # is pushed there too; the loop replaces it by the line's next.
@@ -402,11 +403,11 @@ class Simulator:
                     div = 1.0 if 1.0 > win else win
                     fl.cwnd += 1.0 / div
                     diff = (win / base - win / rtt_sample) * base
-                    if diff < _GAMMA_THRESH:
+                    if diff < gamma_thresh:
                         grow = alpha * win**k - 1.0
                         fl.dwnd += (0.0 if 0.0 > grow else grow) / div
                     else:
-                        dwnd = fl.dwnd - _ZETA * diff
+                        dwnd = fl.dwnd - zeta * diff
                         fl.dwnd = 0.0 if 0.0 > dwnd else dwnd
                 else:  # Reno
                     fl.cwnd += 1.0 / fl.cwnd

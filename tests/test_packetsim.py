@@ -31,6 +31,10 @@ from aqmlab.params import RedParams, ThresholdParams
 from aqmlab.protocols import red_drop_probability
 from packet_oracle import compound_window_laws, limit_admit_rule, red_admit_rule, run_oracle
 
+# The law tests below run against the stand-alone laws of `packet_oracle`;
+# the simulator's handlers write the same laws out, and
+# test_packet_invariants.py::test_simulator_matches_oracle_bits holds them
+# to the oracle bit for bit.
 ON_ACK, ON_LOSS = compound_window_laws()
 
 

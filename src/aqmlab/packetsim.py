@@ -291,7 +291,8 @@ class Simulator:
 
     `run` settles before the first event what the handlers would otherwise
     look up per packet: the policy's constants, each flow's lines and the
-    next-hop handlers of its route.
+    next-hop handlers of its route. `tests/packet_oracle.py` keeps the
+    one-heap loop and the stand-alone laws that this loop is tested against.
     """
 
     def __init__(self, config: SimConfig):

@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fluid_sim)
 
     p = sub.add_parser("bifurcation-diagram", help="oscillation amplitude sweep")
-    p.add_argument("--system", choices=("threshold",), default="threshold")
     p.add_argument("--sweep", type=_parse_sweep, required=True,
                    metavar="qth=start:stop:count")
     p.add_argument("--horizon", type=float, default=300.0, help="in delays")

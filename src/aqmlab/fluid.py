@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import pairwise
 from operator import add
 
@@ -33,6 +33,7 @@ from .protocols import (
     increase_rate,
     threshold_drop_probability,
 )
+from .workers import map_in_workers
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
@@ -627,6 +628,23 @@ def _mean(x: list[float]) -> float:
     return pairwise_sum(0, len(x)) / len(x)
 
 
+def _sweep_point(th, spec, net, horizon_delays, transient_delays, steps_per_delay):
+    # one bifurcation point, sent to a worker by name (the public names it
+    # calls may be rebound, wrapped for tracing, say); only the small row
+    # comes back, never the trajectory
+    eq = equilibrium_threshold(spec, net, th)
+    traj = integrate_dde(
+        FluidSystemKind.THRESHOLD,
+        spec,
+        net,
+        th=th,
+        initial_history=default_history(eq),
+        horizon=horizon_delays * net.rtt,
+        steps_per_delay=steps_per_delay,
+    )
+    return th.q_th, eq, oscillation_metrics(traj, transient_delays * net.rtt)
+
+
 def threshold_bifurcation_sweep(
     spec: ProtocolSpec,
     net: NetworkParams,
@@ -639,22 +657,14 @@ def threshold_bifurcation_sweep(
     """Amplitude of the window oscillation versus the drop threshold.
 
     Returns a list of (q_th, Equilibrium, OscillationMetrics), suitable for a
-    bifurcation diagram. Sweep points are independent; results are ordered by
-    the input sequence.
+    bifurcation diagram, ordered by the input sequence. Every q_th is checked
+    before the first integration. The points are independent and are spread
+    over worker processes by `workers.map_in_workers`, each bit-identical to
+    a run in this process.
     """
-    out = []
-    for q_th in q_th_values:
-        th = ThresholdParams(q_th=float(q_th))
-        eq = equilibrium_threshold(spec, net, th)
-        traj = integrate_dde(
-            FluidSystemKind.THRESHOLD,
-            spec,
-            net,
-            th=th,
-            initial_history=default_history(eq),
-            horizon=horizon_delays * net.rtt,
-            steps_per_delay=steps_per_delay,
-        )
-        metrics = oscillation_metrics(traj, transient_delays * net.rtt)
-        out.append((float(q_th), eq, metrics))
-    return out
+    points = [ThresholdParams(q_th=float(q_th)) for q_th in q_th_values]
+    return map_in_workers(
+        partial(_sweep_point, spec=spec, net=net, horizon_delays=horizon_delays,
+                transient_delays=transient_delays, steps_per_delay=steps_per_delay),
+        points,
+    )

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, usage_errors
 from .params import ProtocolSpec, RedParams, ThresholdParams
 from .protocols import red_drop_probability
+from .workers import map_in_workers
 
 
 class PacketRed(RedParams):
@@ -146,6 +147,8 @@ class SimConfig:
                 raise ConfigError(f"route {route} names a queue outside [0, {n_queues})")
             if len(set(route)) != len(route):
                 raise ConfigError(f"route {route} visits a queue twice")
+        if self.run_to_completion and all(f.bytes_to_send is None for f in self.flows):
+            raise ConfigError("a run to completion needs a flow with bytes to send")
 
     @property
     def n_queues(self) -> int:
@@ -527,8 +530,6 @@ class Simulator:
         heappush(heap, (0.0, tick(), sample, None, None))
         if prof is not None:
             heappush(heap, (rng.expovariate(prof.rate_per_s), tick(), spawn_short, None, None))
-        if to_completion and not pending:
-            stop = -math.inf
 
         try:
             # a runaway configuration ends after 5e8 events
@@ -615,7 +616,9 @@ class Simulator:
         arrivals = sum(c.arrivals for c in counters)
         drops = sum(c.drops for c in counters)
         loss_pct = 100.0 * drops / arrivals if arrivals else 0.0
-        horizon = min(self.now, cfg.duration)
+        # a run to completion delivers until its last sized flow completes,
+        # which may be after the duration
+        horizon = self.now if cfg.run_to_completion else min(self.now, cfg.duration)
         delivered_bits = sum(q.bits_total for q in self.queues)
         throughput = delivered_bits / horizon if horizon > 0 else 0.0
 
@@ -685,39 +688,18 @@ def config_digest(cfg: SimConfig) -> str:
 def _run_in_worker(config: SimConfig) -> Metrics:
     # what the pool sends to a worker, by name; run_simulation itself may be
     # rebound (wrapped for tracing, say) to something a worker cannot import
-    return Simulator(config).run()
+    return run_simulation(config)
 
 
 def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
     """Independent runs keyed by (config digest, seed); order-insensitive.
 
-    The runs are spread over worker processes, at most one per CPU this
-    process may run on; each result is bit-identical to `run_simulation` of
-    its config in this process. With one config, one CPU or no `fork` start
-    method, the runs are made here, one after another.
+    The runs are spread over worker processes by `workers.map_in_workers`;
+    each result is bit-identical to `run_simulation` of its config in this
+    process.
     """
     configs = list(configs)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(len(configs), cpus)
-    results = None
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn or forkserver: those re-run the caller's main
-            # script in every worker (which then needs a __main__ guard) and
-            # import the package again, at no gain.
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                results = list(pool.map(_run_in_worker, configs))
-    if results is None:
-        results = [run_simulation(cfg) for cfg in configs]
+    results = map_in_workers(_run_in_worker, configs)
     return {(config_digest(cfg), cfg.seed): m for cfg, m in zip(configs, results)}
 
 

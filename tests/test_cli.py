@@ -571,6 +571,17 @@ def test_bifurcation_rejects_other_sweeps(capsys):
     assert run(["bifurcation-diagram", "--sweep", "alpha=1:2:2"]) == 2
 
 
+def test_bifurcation_diagram_has_no_system_option(tmp_path):
+    out = tmp_path / "bif.csv"
+    assert _exit_code(["bifurcation-diagram", "--system", "threshold",
+                       "--sweep", "qth=20:20:1"]) == 2
+    assert run(["bifurcation-diagram", "--sweep", "qth=20:20:1", "--horizon", "10",
+                "--transient", "5", "--profile", "paper", "--out", str(out)]) == 0
+    lines = (tmp_path / "params.txt").read_text().splitlines()
+    assert "sweep = qth=20.0:20.0:1" in lines
+    assert not any(line.startswith("system") for line in lines)
+
+
 def test_packet_sim_scenario_and_outputs(tmp_path):
     scenario = tmp_path / "scen.txt"
     scenario.write_text(

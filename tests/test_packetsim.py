@@ -461,6 +461,22 @@ def test_compute_afct_reports_stragglers():
         compute_afct(m)
 
 
+def test_run_to_completion_past_duration_stays_within_capacity():
+    # the last flow completes well after the 2 s duration; every delivered
+    # bit counts, so the run's whole length divides them
+    cfg = desk_config(ThresholdParams(q_th=15), 0.05, seed=4, n_flows=8, capacity=10e6,
+                      bytes_to_send=1_000_000, duration=2.0)
+    m = run_simulation(cfg)
+    assert max(m.completions.values()) > 3 * cfg.duration
+    assert 0.5 * cfg.capacity < m.throughput_bps <= cfg.capacity
+
+
+def test_run_to_completion_needs_a_sized_flow():
+    cfg = desk_config(ThresholdParams(q_th=15), 0.05, seed=1, n_flows=4)
+    with pytest.raises(ConfigError, match="bytes to send"):
+        SimConfig(**{**cfg.__dict__, "run_to_completion": True})
+
+
 def test_paper_profile_shape():
     # full-scale target: 60 flows at 100 Mbps for 500 s (run separately;
     # construction and invariants only here)

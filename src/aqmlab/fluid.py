@@ -48,9 +48,10 @@ class FluidSystemKind(Enum):
     NO_AVERAGING = "no-averaging"
     THRESHOLD = "threshold"
 
-    @property
-    def dim(self) -> int:
-        return {"with-averaging": 3, "no-averaging": 2, "threshold": 1}[self.value]
+    def __init__(self, value: str) -> None:
+        # the number of states; a plain attribute, since the stability code reads
+        # it on every call and an Enum property read costs about 40 times as much
+        self.dim = {"with-averaging": 3, "no-averaging": 2, "threshold": 1}[value]
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -80,11 +81,7 @@ class Equilibrium:
     wk1_closed_form: float | None = None
 
     def state(self) -> tuple[float, ...]:
-        if self.kind is FluidSystemKind.WITH_AVERAGING:
-            return (self.w_star, self.q_star, self.p_star)
-        if self.kind is FluidSystemKind.NO_AVERAGING:
-            return (self.w_star, self.q_star)
-        return (self.w_star,)
+        return (self.w_star, self.q_star, self.p_star)[: self.kind.dim]
 
 
 def _window_balance_residual(spec, w, p):

@@ -2,7 +2,13 @@
 coefficients, crossover frequencies, sufficient and exact stability tests,
 transversality of the critical root pair, and boundary-curve tracing.
 
-All three characteristic equations share a scaling property in the rate
+All three systems linearise to one characteristic quasi-polynomial,
+
+    P(lambda) = lambda^n + sum_{i=1..n} kappa^i a_i lambda^(n-i)
+                + kappa^n a_(n+1) exp(-lambda tau),
+
+with n = kind.dim: 3 with averaging, 2 without, 1 under the threshold
+policy. Each function of P below has one body over n. P scales in the rate
 multiplier kappa: the crossover frequency is proportional to kappa and the
 crossing angle is kappa-free, so the critical multiplier has the closed form
 kappa_c = angle / (omega(1) * tau).
@@ -53,7 +59,13 @@ class Condition(str, Enum):
 
 @dataclass(frozen=True)
 class CharCoefficients:
-    """Coefficients of the characteristic quasi-polynomial (kappa excluded)."""
+    """Coefficients a_1 .. a_(n+1) of the characteristic quasi-polynomial
+
+        P(lambda) = lambda^n + sum_{i=1..n} kappa^i a_i lambda^(n-i)
+                    + kappa^n a_(n+1) exp(-lambda tau),
+
+    n = kind.dim (kappa excluded): a1..a4 with averaging, a1..a3 without,
+    a1, a2 under the threshold policy; the fields past a_(n+1) are None."""
 
     kind: FluidSystemKind
     a1: float
@@ -185,20 +197,13 @@ def char_residual(
     kappa: float = 1.0,
 ) -> complex:
     """Value of the characteristic quasi-polynomial at lam."""
-    k = kappa
-    e = cmath.exp(-lam * tau)
-    a = coeffs
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        return (
-            lam**3
-            + k * a.a1 * lam**2
-            + k**2 * a.a2 * lam
-            + k**3 * a.a3
-            + k**3 * a.a4 * e
-        )
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return lam**2 + k * a.a1 * lam + k**2 * a.a2 + k**2 * a.a3 * e
-    return lam + k * a.a1 + k * a.a2 * e
+    n = kind.dim
+    a = (coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)
+    value = lam**n
+    for i in range(1, n):
+        value += kappa**i * a[i - 1] * lam ** (n - i)
+    kn = kappa**n
+    return value + kn * a[n - 1] + kn * a[n] * cmath.exp(-lam * tau)
 
 
 def char_dlambda(
@@ -209,14 +214,12 @@ def char_dlambda(
     kappa: float = 1.0,
 ) -> complex:
     """d/d lambda of the characteristic quasi-polynomial."""
-    k = kappa
-    e = cmath.exp(-lam * tau)
-    a = coeffs
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        return 3 * lam**2 + 2 * k * a.a1 * lam + k**2 * a.a2 - tau * k**3 * a.a4 * e
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return 2 * lam + k * a.a1 - tau * k**2 * a.a3 * e
-    return 1.0 - tau * k * a.a2 * e
+    n = kind.dim
+    a = (coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)
+    value = n * lam ** (n - 1)
+    for i in range(1, n):
+        value += (n - i) * kappa**i * a[i - 1] * lam ** (n - i - 1)
+    return value - tau * kappa**n * a[n] * cmath.exp(-lam * tau)
 
 
 def char_dkappa(
@@ -227,14 +230,12 @@ def char_dkappa(
     kappa: float = 1.0,
 ) -> complex:
     """d/d kappa of the characteristic quasi-polynomial."""
-    k = kappa
-    e = cmath.exp(-lam * tau)
-    a = coeffs
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        return a.a1 * lam**2 + 2 * k * a.a2 * lam + 3 * k**2 * a.a3 + 3 * k**2 * a.a4 * e
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return a.a1 * lam + 2 * k * a.a2 + 2 * k * a.a3 * e
-    return a.a1 + a.a2 * e
+    n = kind.dim
+    a = (coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4)
+    value = a[0] * lam ** (n - 1)
+    for i in range(2, n + 1):
+        value += i * kappa ** (i - 1) * a[i - 1] * lam ** (n - i)
+    return value + n * kappa ** (n - 1) * a[n] * cmath.exp(-lam * tau)
 
 
 def crossover_frequency(
@@ -244,103 +245,80 @@ def crossover_frequency(
 ) -> float | None:
     """Frequency at which a root pair crosses the imaginary axis rightward.
 
-    The averaged system can have two such frequencies; the one returned is
-    that of the first crossing as the delay grows. Returns None when no pair
-    crosses rightward at any delay. The frequency scales linearly with kappa
-    for every system.
+    A root j omega needs |Q(j omega)| = a_(n+1), Q being P at kappa = 1
+    without its delayed term: x = omega^2 is a positive root of
+    F(x) = |Q(j sqrt x)|^2 - a_(n+1)^2, monic of degree n. A pair
+    crosses rightward as the delay grows only where F rises (Cooke and van
+    den Driessche 1986); of those crossings (the averaged system can have
+    two) the one returned is the first, at the smallest angle / omega.
+    Returns None when no pair crosses rightward at any delay. The frequency
+    scales linearly with kappa for every system.
     """
+    n = kind.dim
     a = coeffs
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        A = a.a1**2 - 2.0 * a.a2
-        B = a.a2**2 - 2.0 * a.a1 * a.a3
-        C = a.a3**2 - a.a4**2
-        # a pair crosses the axis rightward as the delay grows only where
-        # x^3 + A x^2 + B x + C rises (Cooke and van den Driessche 1986); of
-        # those crossings the first is at the smallest angle / omega
-        rising = [math.sqrt(x) for x in cubic_real_roots(A, B, C)
-                  if x > 0.0 and (3.0 * x + 2.0 * A) * x + B > 0.0]
-        if not rising:
-            return None
-        omega = rising[0] if len(rising) == 1 else min(
-            rising, key=lambda w: _crossing_angle(kind, coeffs, w) / w)
-        # confirm omega on the sextic w^6 + A w^4 + B w^2 + C itself: up to
-        # four Newton steps from omega must leave it in place, on the rising side
-        root = omega
-        for _ in range(4):
-            x = root * root
-            dp = 2.0 * root * ((3.0 * x + 2.0 * A) * x + B)
-            if dp == 0:
-                break
-            step = (((x + A) * x + B) * x + C) / dp
-            root -= step
-            if abs(step) <= 1e-15 * root:
-                break
-        x = root * root
-        if not (abs(root - omega) <= 1e-9 * omega and (3.0 * x + 2.0 * A) * x + B > 0.0):
-            raise InternalConsistencyError(
-                f"crossover frequency {omega} not confirmed on the sextic: {root}"
-            )
-        return kappa * omega
-    if kind is FluidSystemKind.NO_AVERAGING:
-        A = a.a1**2 - 2.0 * a.a2
-        B = a.a2**2 - a.a3**2
-        disc = A * A - 4.0 * B
+    # Q(lambda) = q3 lambda^3 + q2 lambda^2 + q1 lambda + q0 at kappa = 1, its
+    # leading coefficients zero below degree 3, and d = a_(n+1)
+    q3, q2, q1, q0, d = (0.0, 0.0, 1.0, a.a1, a.a2, a.a3, a.a4)[n - 1:n + 4]
+    # F(x) = q3 x^3 + f2 x^2 + f1 x + f0 (q3^2 = q3): monic of degree n, so
+    # q3 = 1, or q3 = 0 and f2 = 1, or q3 = f2 = 0 and f1 = 1
+    f2 = q2**2 - 2.0 * q1 * q3
+    f1 = q1**2 - 2.0 * q0 * q2
+    f0 = q0**2 - d**2
+    if n == 3:
+        roots = cubic_real_roots(f2, f1, f0)
+    elif n == 2:
+        disc = f1 * f1 - 4.0 * f0
         if disc < 0.0:
             return None
-        # largest root of x^2 + A x + B, in the cancellation-free form when
-        # -A + sqrt(disc) would lose digits
-        if A >= 0.0:
-            denom = A + math.sqrt(disc)
-            x = -2.0 * B / denom if denom > 0 else 0.0
-        else:
-            x = 0.5 * (-A + math.sqrt(disc))
-        if x <= 0.0:
-            return None
-        omega = math.sqrt(x)
-        # confirm omega as the largest root of the quartic w^4 + A w^2 + B:
-        # Newton steps on it must leave omega in place, and x = omega^2 must
-        # lie on the rising side of x^2 + A x + B, as only its largest root does
-        root = omega
-        for _ in range(4):
-            p = ((root * root + A) * root * root) + B
-            dp = 4.0 * root**3 + 2.0 * A * root
-            if dp == 0:
-                break
-            root -= p / dp
-        if abs(root - omega) > 1e-9 * omega or 2.0 * x + A < 0.0:
-            raise InternalConsistencyError(
-                f"discriminant frequency {omega} not confirmed on the quartic: {root}"
-            )
-        return kappa * omega
-    if a.a2 > a.a1:
-        return kappa * math.sqrt(a.a2**2 - a.a1**2)
-    return None
+        # both roots, the larger free of cancellation when f1 >= 0
+        r = -0.5 * (f1 + math.copysign(math.sqrt(disc), f1))
+        roots = (r, f0 / r) if r else (r,)
+    else:
+        roots = (-f0,)
+    rising = []  # a loop: a list comprehension's call costs more than the filter
+    for x in roots:
+        if x > 0.0 and (3.0 * q3 * x + 2.0 * f2) * x + f1 > 0.0:
+            rising.append(math.sqrt(x))
+    if not rising:
+        return None
+    omega = rising[0] if len(rising) == 1 else min(
+        rising, key=lambda w: _crossing_angle(kind, coeffs, w) / w)
+    # confirm omega on F itself: F(omega^2) must vanish to within 1e-12 of the
+    # sum of its terms' magnitudes, however close another root lies (that sum
+    # is at least |f0|, the cheap bound tried first)
+    x = omega * omega
+    residual = abs(((q3 * x + f2) * x + f1) * x + f0)
+    if not (residual <= 1e-12 * abs(f0)
+            or residual <= 1e-12 * (((q3 * x + abs(f2)) * x + abs(f1)) * x + abs(f0))):
+        raise InternalConsistencyError(
+            f"crossover frequency {omega} not confirmed on the "
+            f"{('quadratic', 'quartic', 'sextic')[n - 1]}: |F(omega^2)| = {residual!r}"
+        )
+    return kappa * omega
 
 
 def _crossing_angle(kind: FluidSystemKind, coeffs: CharCoefficients, omega1: float) -> float:
-    """Principal angle that omega*tau must reach for a crossing, computed
-    from the real/imaginary pair at kappa = 1 (it is kappa-free).
+    """Principal angle that omega*tau must reach for a crossing: arg of
+    -conj Q(j omega1) at kappa = 1 (it is kappa-free).
 
     For the averaged system the angle passes through zero exactly where the
     zero-delay-limit cubic loses its Hurwitz property; a non-positive angle
     therefore means the root pair sits in the right half plane for every
     positive rate multiplier. The other two systems always have a positive
     sine side, so their angle lies in (0, pi)."""
+    n = kind.dim
     a = coeffs
+    q3, q2, q1, q0 = (0.0, 0.0, 1.0, a.a1, a.a2, a.a3)[n - 1:n + 3]  # as in crossover_frequency
     v = omega1
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        return math.atan2(a.a2 * v - v**3, a.a1 * v**2 - a.a3)
-    if kind is FluidSystemKind.NO_AVERAGING:
-        return math.atan2(a.a1 * v, v**2 - a.a2)
-    return math.atan2(v, -a.a1)
+    return math.atan2(q1 * v - q3 * v**3, q2 * v**2 - q0)
 
 
 def _zero_delay_stable(kind: FluidSystemKind, coeffs: CharCoefficients) -> bool:
-    """Whether every root lies in the left half plane in the zero-delay
-    limit: always for the no-averaging and threshold systems, and for the
-    averaged system iff its cubic is Hurwitz, a1 a2 > a3 + a4."""
+    """Whether every root of Q(lambda) + a_(n+1), the zero-delay limit, lies
+    in the left half plane: always at degree 1 or 2, whose coefficients are
+    positive, and at degree 3 iff the cubic is Hurwitz, a1 a2 > a3 + a4."""
     a = coeffs
-    return kind is not FluidSystemKind.WITH_AVERAGING or a.a1 * a.a2 > a.a3 + a.a4
+    return kind.dim < 3 or a.a1 * a.a2 > a.a3 + a.a4
 
 
 def kappa_critical(
@@ -417,8 +395,8 @@ def count_unstable_roots(kind: FluidSystemKind, coeffs: CharCoefficients, tau: f
 class SufficientAssessment:
     """Outcome of the two loop-gain sufficient tests for the averaged system.
 
-    The Nyquist verdict is None when its phase-crossover prerequisite could
-    not be established (reported as inconclusive, not as a failure)."""
+    The phase crossover omega_c, and so the Nyquist verdict, always exists
+    (see `sufficient_stable_with_averaging`)."""
 
     omega_c: float | None
     nyquist: StabilityVerdict | None
@@ -433,9 +411,17 @@ def sufficient_stable_with_averaging(
 ) -> SufficientAssessment:
     """Loop-gain sufficient stability test for the averaged-queue system.
 
-    Finds the first phase crossover of the loop transfer in (0, pi/tau) and
-    checks that the loop gain there is below one; also evaluates the cruder
-    closed-form bound obtained by forcing the crossover angle to pi/2.
+    Finds the phase crossover of the loop transfer a4 exp(-s tau) / D(s),
+    D(s) = s^3 + a1 s^2 + a2 s + a3, in (0, pi/tau) and checks that the loop
+    gain there is below one; also evaluates the cruder closed-form bound
+    obtained by forcing the crossover angle to pi/2.
+
+    D is Hurwitz at every equilibrium: with g = (2 - k) i(w*) (1 - p*),
+    a1 a2 - a3 = (gamma c)^2 (rho w* + g) / tau + gamma c g^2 / tau^2 > 0.
+    By Mikhailov's criterion arg D(j omega) then rises from 0 through pi/2
+    at sqrt(a3/a1) and pi at sqrt(a2) to 3 pi/2, so omega tau + arg D - pi
+    rises from -pi to a positive value on (0, pi/tau): one bracketed root,
+    which lies below sqrt(a2), where the loop gain's denominator is nonzero.
     """
     if eq is None:
         eq = equilibrium_with_averaging(spec, red, net)
@@ -443,48 +429,15 @@ def sufficient_stable_with_averaging(
     tau = net.rtt
     a1, a2, a3, a4 = co.a1, co.a2, co.a3, co.a4
 
-    def denom_angle(w):
-        return math.atan2(a2 * w - w**3, a3 - a1 * w**2)
+    def phase(w):
+        # arg D(jw), continuous: atan2, lifted by 2 pi where Im D < 0, above sqrt(a2)
+        ang = math.atan2(a2 * w - w**3, a3 - a1 * w**2)
+        return w * tau + (ang if ang >= 0.0 else ang + 2.0 * math.pi) - math.pi
 
-    def unwrap_near(ang, ref):
-        twopi = 2.0 * math.pi
-        while ang - ref > math.pi:
-            ang -= twopi
-        while ang - ref < -math.pi:
-            ang += twopi
-        return ang
-
-    # cumulative unwrap of the open-loop phase along a fine grid; the raw
-    # atan2 angle jumps across the negative real axis, often inside the very
-    # cell that holds the crossover
-    omega_c = None
-    n = 4096
     hi = math.pi / tau
-    lo = hi * 1e-9
-    ratio = (hi / lo) ** (1.0 / n)
-    grid = [lo * ratio**i for i in range(1, n + 1)]
-    prev_w = lo
-    prev_ang = denom_angle(prev_w)
-    prev_phase = prev_w * tau + prev_ang - math.pi
-    for w in grid:
-        ang = unwrap_near(denom_angle(w), prev_ang)
-        ph = w * tau + ang - math.pi
-        if prev_phase == 0.0 or (prev_phase < 0) != (ph < 0):
-            ref = prev_ang
-
-            def phase(x):
-                return x * tau + unwrap_near(denom_angle(x), ref) - math.pi
-
-            omega_c = bisect(phase, prev_w, w, rtol=1e-14)
-            break
-        prev_w, prev_ang, prev_phase = w, ang, ph
-
-    nyq = None
-    if omega_c is not None:
-        gain_den = abs(a2 * omega_c - omega_c**3)
-        if gain_den > 0:
-            lhs = a4 * abs(math.sin(omega_c * tau)) / gain_den
-            nyq = StabilityVerdict(lhs < 1.0, lhs - 1.0, Condition.SUFFICIENT_NYQUIST)
+    omega_c = bisect(phase, hi * 1e-9, hi, rtol=1e-14)
+    lhs = a4 * abs(math.sin(omega_c * tau)) / abs(a2 * omega_c - omega_c**3)
+    nyq = StabilityVerdict(lhs < 1.0, lhs - 1.0, Condition.SUFFICIENT_NYQUIST)
 
     alpha, k, beta = spec.alpha, spec.k, spec.beta
     w, p = eq.w_star, eq.p_star

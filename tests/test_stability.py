@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import aqmlab.stability
 from aqmlab.cli import main
-from aqmlab.errors import BracketError, DomainError, InternalConsistencyError
+from aqmlab.errors import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    InternalConsistencyError,
+)
 from aqmlab.fluid import (
     FluidSystemKind,
     default_history,
@@ -26,6 +31,8 @@ from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParam
 from aqmlab.stability import (
     CharCoefficients,
     Condition,
+    char_dkappa,
+    char_dlambda,
     char_residual,
     count_unstable_roots,
     crossover_frequency,
@@ -44,13 +51,21 @@ from aqmlab.stability import (
     _crossing_angle,
     _explicit_equilibrium,
     _system_at,
+    _zero_delay_stable,
 )
 
 from hopf_oracle import (
+    crossing_angle_by_kind,
+    crossover_by_kind,
     crossover_cubic_root_by_scan,
+    dkappa_by_kind,
+    dlambda_by_kind,
+    nyquist_crossover_by_scan,
     per_point_chart,
     refine_root,
+    residual_by_kind,
     transversality_numeric,
+    zero_delay_stable_by_kind,
 )
 
 K = FluidSystemKind
@@ -395,6 +410,22 @@ def test_averaged_kappa_critical_is_zero_on_the_hurwitz_boundary(coeffs):
     assert hopf_phase_residual(K.WITH_AVERAGING, co, 1.0, 1.0) > 0.0
 
 
+def test_averaged_crossover_of_a_near_double_root_is_confirmed():
+    # a1 a2 is above a3 + a4 by one rounding. F has two positive roots within
+    # 4e-9 of a2; the rising one is ill-conditioned, and Newton steps on the
+    # sextic move it by 1.3e-8 relative, so the oracle's confirmation by
+    # step size refuses it. Its residual is at the rounding level of F's terms.
+    co = CharCoefficients(K.WITH_AVERAGING, 0.0015460039777741802, 26.734173175104246,
+                          0.03806288716158139, 0.003268250909633553)
+    assert co.a1 * co.a2 > co.a3 + co.a4
+    with pytest.raises(InternalConsistencyError, match="not confirmed on the sextic"):
+        crossover_by_kind(K.WITH_AVERAGING, co)
+    omega = crossover_frequency(K.WITH_AVERAGING, co)
+    assert omega == pytest.approx(math.sqrt(co.a2), rel=1e-8)
+    assert 0.0 < kappa_critical(K.WITH_AVERAGING, co, 1.0) < 1e-3
+    assert hopf_phase_residual(K.WITH_AVERAGING, co, 1.0, 1.0) > 0.0
+
+
 def test_averaged_crossover_confirmation_rejects_a_root_off_the_sextic(
         compound, red_defaults, monkeypatch):
     net = NetworkParams(c_per_flow=100.0, rtt=0.0848)
@@ -406,7 +437,52 @@ def test_averaged_crossover_confirmation_rejects_a_root_off_the_sextic(
         crossover_frequency(K.WITH_AVERAGING, co)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the type of the numerical error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ConvergenceError, InternalConsistencyError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(K)), a=st.tuples(*[_decades] * 4),
+       re=st.floats(-10.0, 10.0), im=st.floats(-100.0, 100.0),
+       kappa=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+       tau=st.floats(-3.0, 1.0).map(lambda e: 10.0**e), omega=_decades)
+def test_one_body_over_the_degree_matches_the_per_system_forms(kind, a, re, im, kappa,
+                                                               tau, omega):
+    # each function of the quasi-polynomial has one body over n = kind.dim;
+    # the oracles write it out once per system
+    co = CharCoefficients(kind, *a[: kind.dim + 1])
+    lam = complex(re, im)
+    args = (kind, lam, co, tau, kappa)
+    assert repr(char_residual(*args)) == repr(residual_by_kind(*args))  # bit for bit
+    for new, old in ((char_dlambda, dlambda_by_kind), (char_dkappa, dkappa_by_kind)):
+        assert abs(new(*args) - old(*args)) <= 1e-12 * abs(old(*args))
+    assert _zero_delay_stable(kind, co) == zero_delay_stable_by_kind(kind, co)
+    assert _crossing_angle(kind, co, omega) == pytest.approx(
+        crossing_angle_by_kind(kind, co, omega), rel=1e-12, abs=0.0)
+    new, old = _outcome(crossover_frequency, kind, co), _outcome(crossover_by_kind, kind, co)
+    if not isinstance(old, float) or not isinstance(new, float):
+        assert new == old  # None, or the same exception type
+        return
+    assert new == pytest.approx(old, rel=1e-12)
+    assert _crossing_angle(kind, co, new) == pytest.approx(
+        crossing_angle_by_kind(kind, co, old), rel=1e-12, abs=0.0)
+
+
 # -- sufficient conditions, averaged system -----------------------------------
+
+def test_nyquist_crossover_matches_the_scan_oracle():
+    # the loop's phase has one root in (0, pi/tau), found by one bracketed
+    # root search; a log-grid scan with its own unwrap finds the same one
+    for spec, red, net, _ in random_systems(60, seed=7, in_band_only=True):
+        eq = equilibrium_with_averaging(spec, red, net)
+        co = linear_coefficients(K.WITH_AVERAGING, spec, net, eq, red=red)
+        omega_c = sufficient_stable_with_averaging(spec, red, net, eq).omega_c
+        assert omega_c == pytest.approx(nyquist_crossover_by_scan(co, net.rtt), rel=1e-12)
+
 
 def test_sufficient_certifies_tiny_delay(compound, red_defaults):
     net = NetworkParams(c_per_flow=100.0, rtt=1e-3)

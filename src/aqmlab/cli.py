@@ -247,7 +247,7 @@ def _cmd_fluid_sim(args) -> int:
     out = args.out or "trajectory.csv"
     traj.to_csv(out)
     metrics = oscillation_metrics(traj, args.transient * net.rtt)
-    print(f"wrote {len(traj.times)} samples to {out}")
+    print(f"wrote {len(traj)} samples to {out}")
     print(
         f"post-transient: min={metrics.minimum:.6g} max={metrics.maximum:.6g} "
         f"amplitude={metrics.amplitude:.6g} period={metrics.period}"

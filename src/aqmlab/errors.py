@@ -29,6 +29,11 @@ class InternalConsistencyError(RuntimeError):
     """Two redundant computations of the same quantity disagree."""
 
 
+class WorkerError(OSError):
+    """A worker process ended without sending its results (killed by a
+    signal, say)."""
+
+
 class ConfigError(ValueError):
     """Invalid simulation or scenario configuration, or a command-line
     parameter value outside its domain."""

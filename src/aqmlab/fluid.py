@@ -38,9 +38,9 @@ from .workers import map_in_workers
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
 MIN_WINDOW_SAMPLES = 8  # post-transient samples the oscillation metrics need
-# A stored step is at most three states and a time, each a float64 in an
-# array: 32 bytes. A run whose nodes would pass 1 GiB is refused: 33.5 M steps.
-MAX_STEPS = 2**30 // 32
+# A stored step is at most three states, each a float64 in an array: 24 bytes.
+# A run of more than 2**25 steps (33.5 M; 768 MiB of stored states) is refused.
+MAX_STEPS = 2**25
 
 
 class FluidSystemKind(Enum):
@@ -175,13 +175,25 @@ def equilibrium_threshold(
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled solution of one fluid system: the sample times and
-    one float64 array per state, in `kind.columns` order."""
+    """Uniformly sampled solution of one fluid system: one float64 array per
+    state, in `kind.columns` order, sampled at t_j = j*step. `len` is the
+    number of samples; the times are not stored but derived."""
 
-    times: array
     columns: list[array]
     kind: FluidSystemKind
     step: float
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def times(self) -> array:
+        """The sample times j*step as float64, built on each read."""
+        return array("d", self._times())
+
+    def _times(self):
+        h = self.step
+        return (j * h for j in range(len(self)))
 
     def component(self, name: str) -> array:
         return self.columns[self.kind.columns.index(name)]
@@ -190,7 +202,7 @@ class Trajectory:
         row = "%.12g" + ",%.12g" * self.kind.dim + "\n"
         with open(path, "w") as fh:
             fh.write("t," + ",".join(self.kind.columns) + "\n")
-            fh.writelines(row % r for r in zip(self.times, *self.columns))
+            fh.writelines(row % r for r in zip(self._times(), *self.columns))
 
 
 # The three RK4 kernels below advance one system each by n_steps <= m steps,
@@ -474,7 +486,8 @@ def integrate_dde(
 
     The kernel advances one delay per call on a window of the last delay's
     nodes and midpoints; the nodes it finishes are packed into float64
-    arrays, so a run holds 8 bytes per state and 8 for the time a step.
+    arrays, so a run holds 8 bytes per state and step. The sample times are
+    j*h exactly, so the trajectory derives them rather than storing them.
     """
     if steps_per_delay < MIN_STEPS_PER_DELAY:
         raise DomainError(f"steps_per_delay must be at least {MIN_STEPS_PER_DELAY}")
@@ -485,7 +498,7 @@ def integrate_dde(
     h, steps = _grid(horizon, tau, m)
     if steps > MAX_STEPS:
         raise ConfigError(f"a run of {steps:.4g} steps exceeds the integrator's budget "
-                          f"of {MAX_STEPS} steps (1 GiB of stored nodes)")
+                          f"of {MAX_STEPS} steps (768 MiB of stored states)")
     n_steps = int(math.ceil(steps))
     dim = kind.dim
     params = th if kind is FluidSystemKind.THRESHOLD else red
@@ -535,8 +548,7 @@ def integrate_dde(
     for a, c in zip(out, cols):
         a.append(c[m])
 
-    times = array("d", (j * h for j in range(n_steps + 1)))
-    return Trajectory(times, out, kind, h)
+    return Trajectory(out, kind, h)
 
 
 def _grid(horizon, delay, steps_per_delay):
@@ -582,11 +594,12 @@ def oscillation_metrics(
     mean; it is None when the signal is (numerically) constant or crosses
     fewer than twice.
     """
-    start = bisect_left(traj.times, transient_cut)
-    if len(traj.times) - start < MIN_WINDOW_SAMPLES or math.isnan(transient_cut):
+    h = traj.step
+    n = len(traj)
+    start = bisect_left(range(n), transient_cut, key=lambda j: j * h)
+    if n - start < MIN_WINDOW_SAMPLES or math.isnan(transient_cut):
         raise DomainError("post-transient window too short")
     x = traj.component("w")[start:]
-    t = traj.times[start:]
     lo = min(x)
     hi = max(x)
     amplitude = hi - lo
@@ -595,9 +608,11 @@ def oscillation_metrics(
         mean = _mean(x)
         up = [i for i, (a, b) in enumerate(pairwise(x)) if a < mean <= b]
         if len(up) >= 2:
-            # linear interpolation of each crossing instant
+            # linear interpolation of each crossing instant between the
+            # sample times (start + i)*h and (start + i + 1)*h
             crossings = [
-                t[i] + (mean - x[i]) / ((x[i + 1] - mean) - (x[i] - mean)) * (t[i + 1] - t[i])
+                (start + i) * h + (mean - x[i]) / ((x[i + 1] - mean) - (x[i] - mean))
+                * ((start + i + 1) * h - (start + i) * h)
                 for i in up
             ]
             period = _mean([b - a for a, b in pairwise(crossings)])
@@ -626,9 +641,8 @@ def _mean(x: list[float]) -> float:
 
 
 def _sweep_point(th, spec, net, horizon_delays, transient_delays, steps_per_delay):
-    # one bifurcation point, sent to a worker by name (the public names it
-    # calls may be rebound, wrapped for tracing, say); only the small row
-    # comes back, never the trajectory
+    # one bifurcation point; a worker sends back only this small row, never
+    # the trajectory
     eq = equilibrium_threshold(spec, net, th)
     traj = integrate_dde(
         FluidSystemKind.THRESHOLD,

@@ -685,12 +685,6 @@ def config_digest(cfg: SimConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run_in_worker(config: SimConfig) -> Metrics:
-    # what the pool sends to a worker, by name; run_simulation itself may be
-    # rebound (wrapped for tracing, say) to something a worker cannot import
-    return run_simulation(config)
-
-
 def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
     """Independent runs keyed by (config digest, seed); order-insensitive.
 
@@ -699,7 +693,7 @@ def run_batch(configs: list[SimConfig]) -> dict[tuple[str, int], Metrics]:
     process.
     """
     configs = list(configs)
-    results = map_in_workers(_run_in_worker, configs)
+    results = map_in_workers(run_simulation, configs)
     return {(config_digest(cfg), cfg.seed): m for cfg, m in zip(configs, results)}
 
 

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import os
+import sys
+
+from .errors import WorkerError
 
 
 def map_in_workers(fn, items) -> list:
     """`[fn(x) for x in items]`, spread over worker processes.
 
-    At most one worker runs per CPU this process may run on, and the pool is
-    joined before return. A worker is a forked copy of this process, so each
-    result is bit-identical to `fn(x)` here; an exception in a worker reaches
-    the caller as raised, after a pickle round trip. With one item, one CPU
-    or no `fork` start method, the items are mapped here, in turn. `fn` goes
-    to a worker by name, so it is a module-level function that nothing
-    rebinds (a tracer may wrap a public name in something a worker cannot
-    import), or a `functools.partial` of one.
+    At most one worker runs per CPU this process may run on, and every worker
+    is reaped before return, on every path. A worker is a forked copy of this
+    process: it inherits `fn` and the items, so only results are pickled, and
+    each result is bit-identical to `fn(x)` here. Workers take item indices
+    one at a time from a shared pipe and send their results back on their
+    own pipe when the items run out. An exception raised by `fn` reaches the
+    caller as raised, after a pickle round trip, with the worker's traceback
+    text as its `__cause__`; of several, the one of the lowest item index. A
+    worker that dies before sending its results (killed by a signal, say)
+    raises `WorkerError`. With one item, one CPU or no `os.fork`, the items
+    are mapped here, in turn.
     """
     items = list(items)
     if hasattr(os, "sched_getaffinity"):
@@ -23,17 +29,103 @@ def map_in_workers(fn, items) -> list:
     else:
         cpus = os.cpu_count() or 1
     workers = min(len(items), cpus)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn or forkserver: those re-run the caller's main
-            # script in every worker (which then needs a __main__ guard) and
-            # import the package again, at no gain.
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                return list(pool.map(fn, items))
+    if workers > 1 and hasattr(os, "fork"):
+        return _forked_map(fn, items, workers)
     return [fn(x) for x in items]
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker."""
+
+
+def _forked_map(fn, items, workers):
+    import pickle
+    import select
+    import signal
+    import traceback  # here, so that no worker imports it anew
+
+    # output still buffered here would be flushed again by every worker
+    sys.stdout.flush()
+    sys.stderr.flush()
+    tasks, feed = os.pipe()
+    readers = {}  # worker pid -> the read end of its result pipe
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, items, tasks, feed, w)
+            os.close(w)
+            readers[pid] = open(r, "rb")
+        os.close(tasks)
+        tasks = -1
+        # whole 4-byte indices in writes of at most PIPE_BUF bytes, which the
+        # pipe keeps atomic, so no worker reads part of an index
+        payload = b"".join(i.to_bytes(4, sys.byteorder) for i in range(len(items)))
+        try:
+            for at in range(0, len(payload), select.PIPE_BUF):
+                os.write(feed, payload[at:at + select.PIPE_BUF])
+        except BrokenPipeError:  # every worker is gone; reported below
+            pass
+        os.close(feed)
+        feed = -1
+        sent = [fh.read() for fh in readers.values()]
+    except BaseException:
+        for pid in readers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in (tasks, feed):
+            if fd >= 0:
+                os.close(fd)
+        for fh in readers.values():
+            fh.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in readers]
+
+    for code in statuses:
+        if code < 0:
+            raise WorkerError(f"a worker process was killed by signal "
+                              f"{signal.Signals(-code).name}")
+        if code > 0:
+            raise WorkerError(f"a worker process exited with status {code}")
+    out = [None] * len(items)
+    failed = None
+    for data in sent:
+        for i, ok, value in pickle.loads(data):
+            if ok:
+                out[i] = value
+            elif failed is None or i < failed[0]:
+                failed = (i, value)
+    if failed is not None:
+        exc, text = failed[1]
+        raise exc from _WorkerTraceback(text)
+    return out
+
+
+def _work(fn, items, tasks, feed, out):
+    """A worker's life: map the indices read from `tasks`, send the list of
+    (index, ok, value or (exception, traceback text)) to `out`, exit."""
+    import pickle
+    import traceback
+
+    status = 1
+    try:
+        os.close(feed)
+        done = []
+        while index := os.read(tasks, 4):
+            i = int.from_bytes(index, sys.byteorder)
+            try:
+                done.append((i, True, fn(items[i])))
+            except Exception as exc:
+                done.append((i, False, (exc, traceback.format_exc())))
+        with open(out, "wb") as fh:
+            pickle.dump(done, fh)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)

@@ -295,7 +295,7 @@ class History:
     def from_trajectory(cls, traj: Trajectory, window: float) -> "History":
         """The most recent delay window of a computed trajectory."""
         n = int(round(window / traj.step))
-        if n < 1 or n >= len(traj.times):
+        if n < 1 or n >= len(traj):
             raise DomainError("trajectory does not span the requested window")
         return cls(traj.step, zip(*(c[-(n + 1):] for c in traj.columns)))
 

@@ -653,7 +653,8 @@ def test_kernel_restarted_each_delay_matches_one_call(
 
 
 def test_long_run_peak_allocation_per_step(compound, red_defaults):
-    # the trajectory keeps 8 bytes per state and step (32 with the time);
+    # the trajectory keeps 8 bytes per state and step (24 here; the times
+    # are derived, not stored);
     # the window of the last delay is all the integrator holds besides. Its
     # fixed cost weighs more per step in a shorter run, so 10 000 steps are
     # a stricter test of the bound than 30 000, at a third of the time under
@@ -670,29 +671,26 @@ def test_long_run_peak_allocation_per_step(compound, red_defaults):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj.times) == steps + 1
+    assert len(traj) == steps + 1
     assert peak / steps < 64.0
 
 
 # -- oscillation metrics ------------------------------------------------------
 
-def _synthetic_traj(times, values):
-    return Trajectory(
-        [float(t) for t in times], [[float(v) for v in values]], K.THRESHOLD,
-        float(times[1] - times[0]),
-    )
+def _synthetic_traj(step, values):
+    return Trajectory([[float(v) for v in values]], K.THRESHOLD, step)
 
 
 def test_metrics_constant_signal():
     t = np.arange(0.0, 100.0, 0.01)
-    m = oscillation_metrics(_synthetic_traj(t, np.full_like(t, 3.0)), 10.0)
+    m = oscillation_metrics(_synthetic_traj(0.01, np.full_like(t, 3.0)), 10.0)
     assert m.amplitude == 0.0
     assert m.period is None
 
 
 def test_metrics_sinusoid():
     t = np.arange(0.0, 100.0, 0.01)
-    m = oscillation_metrics(_synthetic_traj(t, 3.0 + np.sin(2 * np.pi * t / 5.0)), 10.0)
+    m = oscillation_metrics(_synthetic_traj(0.01, 3.0 + np.sin(2 * np.pi * t / 5.0)), 10.0)
     assert m.amplitude == pytest.approx(2.0, abs=1e-3)
     assert m.period == pytest.approx(5.0, abs=0.01)
 
@@ -700,9 +698,9 @@ def test_metrics_sinusoid():
 def test_metrics_window_too_short():
     t = np.arange(0.0, 1.0, 0.01)
     with pytest.raises(DomainError):
-        oscillation_metrics(_synthetic_traj(t, np.sin(t)), 0.999)
+        oscillation_metrics(_synthetic_traj(0.01, np.sin(t)), 0.999)
     with pytest.raises(DomainError):
-        oscillation_metrics(_synthetic_traj(t, np.sin(t)), math.nan)
+        oscillation_metrics(_synthetic_traj(0.01, np.sin(t)), math.nan)
 
 
 def _oscillation_oracle(traj, transient_cut, component="w", amplitude_floor=1e-9):
@@ -756,7 +754,7 @@ def test_metrics_bit_identical_to_numpy_oracle(shape, n, seed, level, cut):
             for t in times
         ]
     values = [v + 0.0 for v in values]  # no -0.0: min/max may pick either zero
-    traj = _synthetic_traj(times, values)
+    traj = _synthetic_traj(h, values)
     transient_cut = cut * times[-8]
     got = oscillation_metrics(traj, transient_cut, amplitude_floor=0.0)
     want = _oscillation_oracle(traj, transient_cut, amplitude_floor=0.0)

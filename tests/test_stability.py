@@ -221,12 +221,14 @@ def _quartic_oracle(co):
     """Largest positive real root of the no-averaging quartic
     w^4 + (a1^2 - 2 a2) w^2 + (a2^2 - a3^2), or None: companion-matrix roots,
     each polished by Newton steps on the quartic, since those roots lose
-    relative accuracy when the root magnitudes are far apart."""
+    relative accuracy when the root magnitudes are far apart. A root counts
+    as real when its imaginary part is below 1e-6 of its modulus; an
+    absolute floor would take a tiny imaginary pair for real roots."""
     A = co.a1**2 - 2.0 * co.a2
     B = co.a2**2 - co.a3**2
     real_pos = []
     for r in np.roots([1.0, 0.0, A, 0.0, B]):
-        if abs(r.imag) >= 1e-6 * max(1.0, abs(r)) or r.real <= 0:
+        if abs(r.imag) >= 1e-6 * abs(r) or r.real <= 0:
             continue
         root = r.real
         for _ in range(4):
@@ -243,6 +245,10 @@ def _log_uniform(lo, hi):
 
 
 @settings(max_examples=300, deadline=None)
+@example(  # an imaginary pair of modulus 8e-7 and no positive root
+    c=1.0, tau=1.0, alpha=math.exp(0.375), k=0.25, beta=0.21875, gamma=1.0,
+    b_min=1.0, band=math.exp(6.5), p_max=0.001,
+)
 @given(
     c=_log_uniform(1.0, 1e4),
     tau=_log_uniform(1e-4, 30.0),

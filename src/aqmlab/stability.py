@@ -122,7 +122,10 @@ def _coefficients(kind, spec, net, w, p, red, th):
     dpr = decrease_rate(spec, w, 1)
     slope = ipr * (1.0 - p) - dpr * p  # d/dw of the window balance
 
-    if kind is FluidSystemKind.WITH_AVERAGING:
+    k = spec.k
+    gain = (2.0 - k) * iw * (1.0 - p)  # equals -slope * w at equilibrium
+    n = kind.dim  # a plain int; an Enum member test costs about 95 ns
+    if n == 3:
         if red is None:
             raise DomainError("with-averaging coefficients need RedParams")
         gC = red.gamma * cap
@@ -133,7 +136,13 @@ def _coefficients(kind, spec, net, w, p, red, th):
             -rho * gC * slope * (w / tau) ** 2,
             rho * gC * (iw + dw) * (1.0 - p) * w / tau**2,
         )
-    elif kind is FluidSystemKind.NO_AVERAGING:
+        simplified = (
+            gC + gain / tau,
+            gC * (rho * w + gain) / tau,
+            rho * gC * cap * (2.0 - k) * iw / tau,
+            rho * gC * cap * iw / (p * tau),
+        )
+    elif n == 2:
         if red is None:
             raise DomainError("no-averaging coefficients need RedParams")
         rho = red.rho
@@ -141,6 +150,12 @@ def _coefficients(kind, spec, net, w, p, red, th):
             (rho - slope) * w / tau,
             -rho * slope * (w / tau) ** 2,
             rho * (iw + dw) * (1.0 - p) * w / tau**2,
+            None,
+        )
+        simplified = (
+            (rho * w + gain) / tau,
+            rho * cap * (2.0 - k) * iw / tau,
+            rho * cap * iw / (p * tau),
             None,
         )
     else:
@@ -153,27 +168,6 @@ def _coefficients(kind, spec, net, w, p, red, th):
             None,
             None,
         )
-
-    k = spec.k
-    gain = (2.0 - k) * iw * (1.0 - p)  # equals -slope * w at equilibrium
-    if kind is FluidSystemKind.WITH_AVERAGING:
-        gC = red.gamma * cap
-        rho = red.rho
-        simplified = (
-            gC + gain / tau,
-            gC * (rho * w + gain) / tau,
-            rho * gC * cap * (2.0 - k) * iw / tau,
-            rho * gC * cap * iw / (p * tau),
-        )
-    elif kind is FluidSystemKind.NO_AVERAGING:
-        rho = red.rho
-        simplified = (
-            (rho * w + gain) / tau,
-            rho * cap * (2.0 - k) * iw / tau,
-            rho * cap * iw / (p * tau),
-            None,
-        )
-    else:
         simplified = (gain / tau, th.q_th * iw / tau, None, None)
     for r, s in zip(raw, simplified):
         if r is None:

@@ -11,26 +11,31 @@ from .errors import WorkerError
 def map_in_workers(fn, items) -> list:
     """`[fn(x) for x in items]`, spread over worker processes.
 
-    At most one worker runs per CPU this process may run on, and every worker
-    is reaped before return, on every path. A worker is a forked copy of this
-    process: it inherits `fn` and the items, so only results are pickled, and
-    each result is bit-identical to `fn(x)` here. Workers take item indices
-    one at a time from a shared pipe and send their results back on their
-    own pipe when the items run out. An exception raised by `fn` reaches the
-    caller as raised, after a pickle round trip, with the worker's traceback
-    text as its `__cause__`; of several, the one of the lowest item index. A
-    worker that dies before sending its results (killed by a signal, say)
-    raises `WorkerError`. With one item, one CPU or no `os.fork`, the items
-    are mapped here, in turn.
+    One worker runs per CPU of this process's affinity mask, at most one per
+    item, each pinned to its own CPU; the caller's mask is untouched. A
+    forked child starts on its parent's CPU, and on a 2-vCPU VM the scheduler
+    was seen to leave both workers there for a whole map, at about twice the
+    wall time. A worker whose CPU is refused (offline, outside the cgroup or
+    absent) runs unpinned. A worker is a forked copy of this process: it
+    inherits `fn` and the items, so only results are pickled, and each
+    result is bit-identical to `fn(x)` here. Workers take item indices one at
+    a time from a shared pipe, so a worker on a busy CPU simply takes fewer,
+    and send their results back on their own pipe when the items run out.
+    Every worker is reaped before return, on every path. An exception raised
+    by `fn` reaches the caller as raised, after a pickle round trip, with the
+    worker's traceback text as its `__cause__`; of several, the one of the
+    lowest item index. A worker that dies before sending its results (killed
+    by a signal, say) raises `WorkerError`. With one item, one CPU or no
+    `os.fork`, the items are mapped here, in turn.
     """
     items = list(items)
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
     else:
-        cpus = os.cpu_count() or 1
-    workers = min(len(items), cpus)
-    if workers > 1 and hasattr(os, "fork"):
-        return _forked_map(fn, items, workers)
+        cpus = [None] * (os.cpu_count() or 1)  # no mask, so no pinning
+    cpus = cpus[:len(items)]
+    if len(cpus) > 1 and hasattr(os, "fork"):
+        return _forked_map(fn, items, cpus)
     return [fn(x) for x in items]
 
 
@@ -38,7 +43,7 @@ class _WorkerTraceback(Exception):
     """The traceback text of an exception raised in a worker."""
 
 
-def _forked_map(fn, items, workers):
+def _forked_map(fn, items, cpus):
     import pickle
     import select
     import signal
@@ -50,11 +55,16 @@ def _forked_map(fn, items, workers):
     tasks, feed = os.pipe()
     readers = {}  # worker pid -> the read end of its result pipe
     try:
-        for _ in range(workers):
+        for cpu in cpus:
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
-                _work(fn, items, tasks, feed, w)
+                _work(fn, items, tasks, feed, w, cpu)
             os.close(w)
             readers[pid] = open(r, "rb")
         os.close(tasks)
@@ -102,14 +112,20 @@ def _forked_map(fn, items, workers):
     return out
 
 
-def _work(fn, items, tasks, feed, out):
-    """A worker's life: map the indices read from `tasks`, send the list of
-    (index, ok, value or (exception, traceback text)) to `out`, exit."""
+def _work(fn, items, tasks, feed, out, cpu):
+    """A worker's life: pin itself to `cpu`, map the indices read from
+    `tasks`, send the list of (index, ok, value or (exception, traceback
+    text)) to `out`, exit."""
     import pickle
     import traceback
 
     status = 1
     try:
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # the CPU is offline, outside the cgroup or absent
+                pass
         os.close(feed)
         done = []
         while index := os.read(tasks, 4):

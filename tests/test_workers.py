@@ -1,12 +1,15 @@
 """The shared map over forked workers, and the batch entry points on it:
 the pooled path is forced by an affinity mask of two CPUs, the serial one by
-a mask of one, whatever the machine has."""
+a mask of one, whatever the machine has; the placement tests read the real
+mask."""
 
+import errno
 import os
 import pickle
 import signal
 import time
 from contextlib import redirect_stdout
+from functools import partial
 
 import pytest
 
@@ -25,6 +28,13 @@ def _cpus(monkeypatch, n):
 
 def _square_and_pid(x):
     return x * x, os.getpid()
+
+
+_affinity = getattr(os, "sched_getaffinity", None)  # unpatched
+
+
+def _square_and_cpus(x):
+    return x * x, _affinity(0)
 
 
 def _blow_up(t):
@@ -46,6 +56,20 @@ def _slow_first(x):
 def _say(x):
     print(f"item {x}")
     return x
+
+
+def _placement_once_all_started(gate, n, _):
+    # holds its worker until n items have started, so each worker takes one
+    with open(gate, "a") as fh:
+        fh.write(".")
+    deadline = time.monotonic() + 10.0
+    while os.path.getsize(gate) < n and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return os.getpid(), os.sched_getaffinity(0)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
 
 
 def _no_child_left():
@@ -143,4 +167,49 @@ def test_run_batch_leaves_no_worker(monkeypatch):
     cfgs = [desk_config(DropTail(), 0.02, seed=s, duration=2.0, n_flows=2, capacity=5e6)
             for s in (1, 2)]
     assert len(run_batch(cfgs)) == 2
+    _no_child_left()
+
+
+@pytest.mark.skipif(_affinity is None or len(_affinity(0)) < 2, reason="needs two CPUs")
+def test_each_worker_is_pinned_to_its_own_cpu_of_the_mask(tmp_path):
+    mask = os.sched_getaffinity(0)
+    out = map_in_workers(partial(_placement_once_all_started, tmp_path / "gate", len(mask)),
+                         range(len(mask)))
+    assert len({pid for pid, _ in out}) == len(mask)
+    assert all(len(cpus) == 1 for _, cpus in out)
+    pinned = [cpu for _, cpus in out for cpu in cpus]
+    assert len(set(pinned)) == len(mask) and set(pinned) <= mask
+    assert os.sched_getaffinity(0) == mask
+    _no_child_left()
+
+
+@pytest.mark.skipif(_affinity is None, reason="needs sched_getaffinity")
+def test_a_cpu_the_machine_lacks_leaves_its_worker_unpinned(monkeypatch):
+    # CPU 4096 is past any machine's CPUs: pinning to it fails, so that
+    # worker runs unpinned
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 4096}, raising=False)
+    out = map_in_workers(_square_and_cpus, range(50))
+    assert [v for v, _ in out] == [x * x for x in range(50)]
+    assert all(cpus in ({0}, mask) for _, cpus in out)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_fork_closes_its_pipe_and_reaps_the_forked(monkeypatch):
+    _cpus(monkeypatch, 2)
+    real_fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    before = _open_fds()
+    with pytest.raises(OSError) as err:
+        map_in_workers(_square_and_pid, range(4))
+    assert err.value.errno == errno.EAGAIN and len(forks) == 2
+    assert _open_fds() == before
     _no_child_left()

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Fork-map speed: wall time of the two batch entry points that spread their
-items over worker processes, for this checkout and, with --against, another.
+"""Fork speed: wall time of the entry points that run part of their work in
+forked processes, for this checkout and, with --against, another.
 
     python scripts/map_speed.py --against ../other-checkout --pairs 10
 
 Jobs: a 4-point `threshold_bifurcation_sweep` (q_th = 25, 33, 41, 49 at
 c = 100, tau = 1, 120 delays with 80 of transient: the fluid-bifurcation
-benchmark's batch) and a 9-config desk `run_batch` (RED (20, 60, 0.1),
+benchmark's batch), a 9-config desk `run_batch` (RED (20, 60, 0.1),
 q_th = 20 and drop-tail, each at 10, 50 and 200 ms; 10 flows, 10 Mb/s,
-25 s). Each side is imported from its own `src/` in this one process, the
+25 s), and three `fluid-sim` calls, whose CSV a writer process formats
+while the integrator runs (the fluid-bifurcation benchmark's single phase
+at the middle of its parameter draws: with averaging at tau = 0.171 and
+gamma = 0.032 and 0.028, without averaging at tau = 0.27175 and
+kappa = 1.02; c = 100, 150 delays of 200 steps). Each side is imported from
+its own `src/` in this one process, the
 other checkout under the package name `aqmlab_against`. For each pair the
 two sides run in turn, in alternating order, and each run's wall time is
 scaled to reference speed by a calibration loop timed just before and after
@@ -17,29 +22,40 @@ it (the loop and the scaling of `benchmark/run.py`).
 Where /proc/self/stat is readable, each side's per-item function (the
 module-level `fluid._sweep_point` and `packetsim.run_simulation`, which the
 entry points look up at call time) is wrapped to read the CPU it runs on as
-each item starts and ends, about 20 us per item. Every run then prints one
-line: its scaled time and, per worker, the CPU its first item started on and
-the CPU its last item ended on (`1>1 1>1`: both workers on CPU 1 throughout).
+each item starts and ends, about 20 us per item; so is the writer's
+`fluid._spool_csv`, where the side has one. Every run then prints one line:
+its scaled time and, per worker or writer, the CPU its first item started on
+and the CPU its last item ended on (`1>1 1>1`: both workers on CPU 1
+throughout; `none`: no writer ran).
 
 It prints, per job, each side's median scaled time and the median over the
 pairs of the time ratio this / other (below 1: this checkout is faster), with
-its quartiles. Both sides must return the same results, compared by repr; a
-difference is reported, because a bit-identical change must not make one.
-Stdlib only.
+its quartiles. Both sides must return the same results, compared by repr (for
+`fluid-sim`, the exit codes and the sha256 of each CSV); a difference is
+reported, because a bit-identical change must not make one. Stdlib only.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import math
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CAL_STEPS = 10000
 CAL_REFERENCE_S = 0.025
+SIMS = [
+    ["--system", "with-averaging", "--tau", "0.171", "--gamma", "0.032"],
+    ["--system", "with-averaging", "--tau", "0.171", "--gamma", "0.028"],
+    ["--system", "no-averaging", "--tau", "0.27175", "--kappa", "1.02", "--perturb", "1.02"],
+]
 
 
 def calibrate() -> float:
@@ -55,8 +71,8 @@ def calibrate() -> float:
 
 
 def load(checkout: str, name: str):
-    """The `fluid`, `packetsim` and `params` modules of checkout/src/aqmlab,
-    imported as the package `name`."""
+    """The `fluid`, `packetsim`, `params` and `cli` modules of
+    checkout/src/aqmlab, imported as the package `name`."""
     pkg = os.path.join(os.path.abspath(checkout), "src", "aqmlab")
     if not os.path.isfile(os.path.join(pkg, "workers.py")):
         sys.exit(f"no src/aqmlab/workers.py under {checkout}")
@@ -65,7 +81,8 @@ def load(checkout: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return tuple(importlib.import_module(f"{name}.{m}") for m in ("fluid", "packetsim", "params"))
+    return tuple(importlib.import_module(f"{name}.{m}")
+                 for m in ("fluid", "packetsim", "params", "cli"))
 
 
 def cpu_now() -> int:
@@ -83,11 +100,32 @@ def placed(fn):
     return run
 
 
-def jobs(fluid, ps, params, watch: bool):
-    """name -> a call returning (results, placements), on one side's modules."""
+def logged(fn, log):
+    """fn, appending (pid, CPU at start, CPU at end) to the file log: for a
+    function that runs in a writer process, which returns nothing here."""
+    def run(*args, **kwargs):
+        start = cpu_now()
+        out = fn(*args, **kwargs)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {start} {cpu_now()}\n")
+        return out
+    return run
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def jobs(fluid, ps, params, cli, watch: bool, work: str):
+    """name -> a call returning (results, placements), on one side's modules;
+    fluid-sim writes its CSVs and the writers' log under work."""
+    log = os.path.join(work, "writers.log")
     if watch:
         fluid._sweep_point = placed(fluid._sweep_point)
         ps.run_simulation = placed(ps.run_simulation)
+        if hasattr(fluid, "_spool_csv"):
+            fluid._spool_csv = logged(fluid._spool_csv, log)
     spec = params.ProtocolSpec()
     net = params.NetworkParams(c_per_flow=100.0, rtt=1.0)
     configs = [
@@ -101,10 +139,24 @@ def jobs(fluid, ps, params, watch: bool):
     def split(out):
         return (out, []) if not watch else ([r for r, _ in out], [p for _, p in out])
 
+    def sims():
+        open(log, "w").close()
+        results = []
+        for i, flags in enumerate(SIMS):
+            out = os.path.join(work, f"sim{i}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["fluid-sim", "--c", "100", *flags, "--horizon", "150",
+                                 "--transient", "100", "--steps-per-delay", "200",
+                                 "--out", out])
+            results.append((code, sha256(out)))
+        with open(log) as fh:
+            return results, [tuple(int(v) for v in line.split()) for line in fh]
+
     return {
         "sweep": lambda: split(fluid.threshold_bifurcation_sweep(
             spec, net, [25.0, 33.0, 41.0, 49.0], horizon_delays=120.0, transient_delays=80.0)),
         "batch": lambda: split(list(ps.run_batch(configs).values())),
+        "fluid-sim": sims,
     }
 
 
@@ -114,7 +166,7 @@ def workers_cpus(placements) -> str:
     for pid, start, end in placements:  # in item order, so in each worker's order
         first.setdefault(pid, start)
         last[pid] = end
-    return " ".join(f"{first[pid]}>{last[pid]}" for pid in first)
+    return " ".join(f"{first[pid]}>{last[pid]}" for pid in first) or "none"
 
 
 def main(argv=None) -> int:
@@ -133,7 +185,18 @@ def main(argv=None) -> int:
     sides = {"this": load(os.path.join(HERE, ".."), "aqmlab")}
     if args.against:
         sides["other"] = load(args.against, "aqmlab_against")
-    built = {side: jobs(*mods, watch) for side, mods in sides.items()}
+    work = tempfile.mkdtemp(prefix="map_speed-")
+    try:
+        return run_pairs(args, sides, watch, work)
+    finally:
+        shutil.rmtree(work)
+
+
+def run_pairs(args, sides, watch, work) -> int:
+    built = {}
+    for side, mods in sides.items():
+        os.mkdir(os.path.join(work, side))
+        built[side] = jobs(*mods, watch, os.path.join(work, side))
 
     mismatch = False
     summary = []
@@ -151,11 +214,12 @@ def main(argv=None) -> int:
                 seconds = wall * 2.0 * CAL_REFERENCE_S / (before + after)
                 times[side].append(seconds)
                 digests[side] = hashlib.sha256(repr(results).encode()).hexdigest()
-                line = f"{name:<6}{side:>6}{seconds:>9.4f} s"
+                line = f"{name:<10}{side:>6}{seconds:>9.4f} s"
                 if watch:
-                    line += f"  workers {workers_cpus(placements)}"
+                    who = "writers" if name == "fluid-sim" else "workers"
+                    line += f"  {who} {workers_cpus(placements)}"
                 print(line, flush=True)
-        line = f"{name:<6}{statistics.median(times['this']):>10.4f}"
+        line = f"{name:<10}{statistics.median(times['this']):>10.4f}"
         if args.against:
             ratios = sorted(a / b for a, b in zip(times["this"], times["other"]))
             q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
@@ -165,7 +229,7 @@ def main(argv=None) -> int:
                 mismatch = True
                 line += "  results differ"
         summary.append(line)
-    head = f"{'job':<6}{'this s':>10}"
+    head = f"{'job':<10}{'this s':>10}"
     if args.against:
         head += f"{'other s':>10}{'ratio':>8}{'q1-q3':>14}"
     print("\n".join([head, *summary]))

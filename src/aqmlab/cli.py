@@ -238,14 +238,14 @@ def _cmd_fluid_sim(args) -> int:
     spec, red, th, net = _fluid_params(args)
     _check_run_length(args)
     eq = _equilibrium(kind, spec, red, th, net)
+    out = args.out or "trajectory.csv"
     traj = integrate_dde(
         kind, spec, net, red=red, th=th,
         initial_history=default_history(eq, args.perturb),
         horizon=args.horizon * net.rtt,
         steps_per_delay=args.steps_per_delay,
+        csv_path=out,
     )
-    out = args.out or "trajectory.csv"
-    traj.to_csv(out)
     metrics = oscillation_metrics(traj, args.transient * net.rtt)
     print(f"wrote {len(traj)} samples to {out}")
     print(

@@ -13,6 +13,7 @@ import math
 import warnings
 from array import array
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
@@ -33,7 +34,7 @@ from .protocols import (
     increase_rate,
     threshold_drop_probability,
 )
-from .workers import map_in_workers
+from .workers import map_in_workers, stream_to_worker
 
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
@@ -189,20 +190,41 @@ class Trajectory:
     @property
     def times(self) -> array:
         """The sample times j*step as float64, built on each read."""
-        return array("d", self._times())
-
-    def _times(self):
         h = self.step
-        return (j * h for j in range(len(self)))
+        return array("d", (j * h for j in range(len(self))))
 
     def component(self, name: str) -> array:
         return self.columns[self.kind.columns.index(name)]
 
     def to_csv(self, path) -> None:
-        row = "%.12g" + ",%.12g" * self.kind.dim + "\n"
         with open(path, "w") as fh:
-            fh.write("t," + ",".join(self.kind.columns) + "\n")
-            fh.writelines(row % r for r in zip(self._times(), *self.columns))
+            _write_csv(fh, self.kind, self.step, [self.columns])
+
+
+def _write_csv(fh, kind, h, chunks):
+    """Write to fh the CSV of a trajectory of step h given as successive
+    chunks of its columns: t_j = j*h and the states, at 12 digits."""
+    row = "%.12g" + ",%.12g" * kind.dim + "\n"
+    fh.write("t," + ",".join(kind.columns) + "\n")
+    start = 0
+    for columns in chunks:
+        times = (j * h for j in range(start, start + len(columns[0])))
+        fh.writelines(row % r for r in zip(times, *columns))
+        start += len(columns[0])
+
+
+def _spool_csv(path, kind, h, chunks):
+    """The writer of integrate_dde(csv_path=path): the CSV into a temporary
+    file as the chunks arrive, copied into path once they end, that is once
+    the run has succeeded."""
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile("w+") as spool:
+        _write_csv(spool, kind, h, chunks)
+        spool.seek(0)
+        with open(path, "w") as fh:
+            shutil.copyfileobj(spool, fh)
 
 
 # The three RK4 kernels below advance one system each by n_steps <= m steps,
@@ -471,6 +493,7 @@ def integrate_dde(
     horizon: float,
     steps_per_delay: int = 500,
     delay: float | None = None,
+    csv_path=None,
 ) -> Trajectory:
     """Integrate one system by the method of steps with classical RK4.
 
@@ -488,6 +511,10 @@ def integrate_dde(
     nodes and midpoints; the nodes it finishes are packed into float64
     arrays, so a run holds 8 bytes per state and step. The sample times are
     j*h exactly, so the trajectory derives them rather than storing them.
+
+    With csv_path, the trajectory is also written there as by `to_csv`, the
+    file opened only once the run has succeeded; where `stream_to_worker`
+    gives a writer, it formats each delay's nodes while the kernel runs on.
     """
     if steps_per_delay < MIN_STEPS_PER_DELAY:
         raise DomainError(f"steps_per_delay must be at least {MIN_STEPS_PER_DELAY}")
@@ -501,9 +528,8 @@ def integrate_dde(
                           f"of {MAX_STEPS} steps (768 MiB of stored states)")
     n_steps = int(math.ceil(steps))
     dim = kind.dim
-    params = th if kind is FluidSystemKind.THRESHOLD else red
+    params, needs = (th, "ThresholdParams") if dim == 1 else (red, "RedParams")
     if params is None:
-        needs = "ThresholdParams" if kind is FluidSystemKind.THRESHOLD else "RedParams"
         raise DomainError(f"{kind.value} system needs {needs}")
 
     if callable(initial_history):
@@ -536,19 +562,25 @@ def integrate_dde(
         for y, d in zip(cols, zip(*fs))
     ]
     kernel = _KERNELS[kind]
-    out = [array("d") for _ in cols]
-    for done in range(0, n_steps, m):
-        n = min(m, n_steps - done)
-        kernel(spec, net, params, cols, mids, m, n, h, done)
-        for a, c in zip(out, cols):
-            a.fromlist(c[m:m + n])
-            del c[:n]
-        for c in mids:
-            del c[:n]
-    for a, c in zip(out, cols):
-        a.append(c[m])
-
-    return Trajectory(out, kind, h)
+    out = [array("d", c[m:]) for c in cols]  # the node at t = 0
+    sent = 0
+    with nullcontext() if csv_path is None else stream_to_worker(
+            partial(_spool_csv, csv_path, kind, h)) as send:
+        for done in range(0, n_steps, m):
+            n = min(m, n_steps - done)
+            kernel(spec, net, params, cols, mids, m, n, h, done)
+            for a, c in zip(out, cols):
+                a.fromlist(c[m + 1:])
+                del c[:n]
+            for c in mids:
+                del c[:n]
+            if send:
+                send([a[sent:] for a in out])
+                sent = len(out[0])
+    traj = Trajectory(out, kind, h)
+    if csv_path is not None and send is None:
+        traj.to_csv(csv_path)
+    return traj
 
 
 def _grid(horizon, delay, steps_per_delay):

@@ -1,9 +1,17 @@
-"""One map over forked worker processes, for batches of independent runs."""
+"""Forked worker processes: a map for batches of independent runs, and a
+stream to one writer that consumes what its caller sends while the caller
+computes on. Both fork through `_fork`, which pins each child to its own CPU
+of this process's affinity mask (a forked child starts on its parent's CPU,
+where a 2-vCPU VM was seen to leave it, at up to twice the wall time), and
+reap through `_reap`: no child outlives the call that made it. With one CPU
+or no `os.fork`, none is made and the caller does the work itself.
+"""
 
 from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import WorkerError
 
@@ -11,60 +19,171 @@ from .errors import WorkerError
 def map_in_workers(fn, items) -> list:
     """`[fn(x) for x in items]`, spread over worker processes.
 
-    One worker runs per CPU of this process's affinity mask, at most one per
-    item, each pinned to its own CPU; the caller's mask is untouched. A
-    forked child starts on its parent's CPU, and on a 2-vCPU VM the scheduler
-    was seen to leave both workers there for a whole map, at about twice the
-    wall time. A worker whose CPU is refused (offline, outside the cgroup or
-    absent) runs unpinned. A worker is a forked copy of this process: it
-    inherits `fn` and the items, so only results are pickled, and each
-    result is bit-identical to `fn(x)` here. Workers take item indices one at
-    a time from a shared pipe, so a worker on a busy CPU simply takes fewer,
-    and send their results back on their own pipe when the items run out.
-    Every worker is reaped before return, on every path. An exception raised
-    by `fn` reaches the caller as raised, after a pickle round trip, with the
-    worker's traceback text as its `__cause__`; of several, the one of the
-    lowest item index. A worker that dies before sending its results (killed
-    by a signal, say) raises `WorkerError`. With one item, one CPU or no
-    `os.fork`, the items are mapped here, in turn.
+    One worker runs per CPU of the mask, at most one per item. A worker
+    inherits `fn` and the items, so only results are pickled, each
+    bit-identical to `fn(x)` here. Workers take item indices one at a time
+    from a shared pipe, so a worker on a busy CPU simply takes fewer. An
+    exception raised by `fn` reaches the caller as raised, with the worker's
+    traceback text as its `__cause__`; of several, the lowest item's. A
+    worker that dies before sending its results (killed by a signal, say)
+    raises `WorkerError`. With one item the items are mapped here.
     """
     items = list(items)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
-    else:
-        cpus = [None] * (os.cpu_count() or 1)  # no mask, so no pinning
-    cpus = cpus[:len(items)]
+    cpus = _cpus()[:len(items)]
     if len(cpus) > 1 and hasattr(os, "fork"):
         return _forked_map(fn, items, cpus)
     return [fn(x) for x in items]
+
+
+@contextmanager
+def stream_to_worker(consume):
+    """A writer process, pinned to the last CPU of the mask, that runs
+    `consume(objects)`; the `with` block gets the `send(obj)` function that
+    feeds `objects` (pickled, in order; never None), or None where no writer
+    can run. A block that ends without an exception commits: `objects` ends,
+    and the exit waits for `consume` and raises what it raised, as
+    `map_in_workers` would, or `WorkerError` if the writer died. A block that
+    ends by an exception kills the writer, so `consume` must act on its input
+    only once `objects` ends (were this process to die, `objects` would raise
+    `EOFError` instead).
+    """
+    cpus = _cpus()
+    if len(cpus) < 2 or not hasattr(os, "fork"):
+        yield None
+        return
+    import pickle
+    import signal
+
+    feed_r, feed = os.pipe()
+    back, back_w = os.pipe()
+    try:
+        pid = _fork(cpus[-1], lambda: _consume(consume, feed_r, feed, back, back_w))
+    except BaseException:
+        os.close(feed)
+        os.close(back)
+        raise
+    finally:
+        os.close(feed_r)
+        os.close(back_w)
+
+    def send(obj):
+        data = memoryview(pickle.dumps(obj))
+        try:
+            while data:
+                data = data[os.write(feed, data):]
+        except BrokenPipeError:  # the writer has ended; the commit says how
+            pass
+
+    try:
+        yield send
+        send(None)
+        with open(back, "rb", closefd=False) as fh:
+            reply = fh.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(feed)
+        os.close(back)
+        failure = _reap([pid])
+    if failure is not None:
+        raise failure
+    if (failed := pickle.loads(reply)) is not None:
+        raise failed[0] from _WorkerTraceback(failed[1])
+
+
+def _consume(consume, feed_r, feed, back, back_w):
+    """A writer's life: run `consume` on the objects read from `feed_r` up
+    to None, and send back None or (exception, traceback text)."""
+    import pickle
+    import traceback
+    from functools import partial
+
+    os.close(feed)  # else the writer would hold its own stream open
+    os.close(back)
+    with open(feed_r, "rb") as fh:
+        try:
+            consume(iter(partial(pickle.load, fh), None))
+            failed = None
+        except Exception as exc:
+            failed = (exc, traceback.format_exc())
+    with open(back_w, "wb") as fh:
+        pickle.dump(failed, fh)
 
 
 class _WorkerTraceback(Exception):
     """The traceback text of an exception raised in a worker."""
 
 
+def _cpus() -> list:
+    """This process's affinity mask, sorted; with no mask, one None (no
+    pinning) per CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
+
+
+def _fork(cpu, body) -> int:
+    """The pid of a forked child that pins itself to `cpu` (None: no
+    pinning), runs `body()` and exits: with status 0 if `body` returned,
+    else with 1 after printing the traceback."""
+    import traceback  # here, so that no child imports it anew
+
+    # output still buffered here would be flushed again by the child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    if pid := os.fork():
+        return pid
+    status = 1
+    try:
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:  # the CPU is offline, outside the cgroup or absent
+                pass
+        body()
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _reap(pids) -> WorkerError | None:
+    """Wait for every child in `pids`; the WorkerError of the first that was
+    killed by a signal or exited non-zero, else None."""
+    import signal
+
+    codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code in codes:
+        if code < 0:
+            return WorkerError(f"a worker process was killed by signal "
+                               f"{signal.Signals(-code).name}")
+        if code > 0:
+            return WorkerError(f"a worker process exited with status {code}")
+    return None
+
+
 def _forked_map(fn, items, cpus):
     import pickle
     import select
     import signal
-    import traceback  # here, so that no worker imports it anew
 
-    # output still buffered here would be flushed again by every worker
-    sys.stdout.flush()
-    sys.stderr.flush()
     tasks, feed = os.pipe()
     readers = {}  # worker pid -> the read end of its result pipe
     try:
         for cpu in cpus:
             r, w = os.pipe()
             try:
-                pid = os.fork()
+                pid = _fork(cpu, lambda: _work(fn, items, tasks, feed, w))
             except BaseException:
                 os.close(r)
                 os.close(w)
                 raise
-            if pid == 0:
-                _work(fn, items, tasks, feed, w, cpu)
             os.close(w)
             readers[pid] = open(r, "rb")
         os.close(tasks)
@@ -90,14 +209,10 @@ def _forked_map(fn, items, cpus):
                 os.close(fd)
         for fh in readers.values():
             fh.close()
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in readers]
+        failure = _reap(readers)
 
-    for code in statuses:
-        if code < 0:
-            raise WorkerError(f"a worker process was killed by signal "
-                              f"{signal.Signals(-code).name}")
-        if code > 0:
-            raise WorkerError(f"a worker process exited with status {code}")
+    if failure is not None:
+        raise failure
     out = [None] * len(items)
     failed = None
     for data in sent:
@@ -112,36 +227,19 @@ def _forked_map(fn, items, cpus):
     return out
 
 
-def _work(fn, items, tasks, feed, out, cpu):
-    """A worker's life: pin itself to `cpu`, map the indices read from
-    `tasks`, send the list of (index, ok, value or (exception, traceback
-    text)) to `out`, exit."""
+def _work(fn, items, tasks, feed, out):
+    """A worker's life: map the indices read from `tasks` and send the list
+    of (index, ok, value or (exception, traceback text)) to `out`."""
     import pickle
     import traceback
 
-    status = 1
-    try:
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:  # the CPU is offline, outside the cgroup or absent
-                pass
-        os.close(feed)
-        done = []
-        while index := os.read(tasks, 4):
-            i = int.from_bytes(index, sys.byteorder)
-            try:
-                done.append((i, True, fn(items[i])))
-            except Exception as exc:
-                done.append((i, False, (exc, traceback.format_exc())))
-        with open(out, "wb") as fh:
-            pickle.dump(done, fh)
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-    finally:
+    os.close(feed)
+    done = []
+    while index := os.read(tasks, 4):
+        i = int.from_bytes(index, sys.byteorder)
         try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
+            done.append((i, True, fn(items[i])))
+        except Exception as exc:
+            done.append((i, False, (exc, traceback.format_exc())))
+    with open(out, "wb") as fh:
+        pickle.dump(done, fh)

@@ -16,9 +16,9 @@ the machine counts against neither side.
 
 It prints, per scenario, each side's arrivals/s at its median scaled time
 and the median over the pairs of the time ratio this / other (below 1: this
-checkout is faster). Both sides must count the same arrivals and drops; a
-difference is reported, because a bit-identical change must not make one.
-Stdlib only.
+checkout is faster). Every run of a scenario, on either side, must give the
+same `Metrics`, compared by repr; a difference is reported and the script
+exits 1, because a bit-identical change must not make one. Stdlib only.
 """
 
 import argparse
@@ -86,14 +86,13 @@ def scenarios(ps, params):
 
 
 def timed(ps, cfg):
-    """(scaled seconds, arrivals, drops) of one run."""
+    """(scaled seconds, Metrics) of one run."""
     before = calibrate()
     t0 = time.perf_counter()
     m = ps.run_simulation(cfg)
     wall = time.perf_counter() - t0
     after = calibrate()
-    return (wall * 2.0 * CAL_REFERENCE_S / (before + after),
-            sum(c.arrivals for c in m.counters), sum(c.drops for c in m.counters))
+    return wall * 2.0 * CAL_REFERENCE_S / (before + after), m
 
 
 def main(argv=None) -> int:
@@ -116,23 +115,25 @@ def main(argv=None) -> int:
     mismatch = False
     for name in built["this"]:
         times = {side: [] for side in sides}
-        counts = {}
+        arrivals = {}
+        results = set()  # repr of every run's Metrics
         for i in range(args.pairs):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                seconds, arrivals, drops = timed(sides[side][0], built[side][name])
+                seconds, m = timed(sides[side][0], built[side][name])
                 times[side].append(seconds)
-                counts[side] = (arrivals, drops)
-        arrivals = counts["this"][0]
-        line = f"{name:<16}{arrivals:>10}{arrivals / statistics.median(times['this']):>12.0f}"
+                arrivals[side] = sum(c.arrivals for c in m.counters)
+                results.add(repr(m))
+        rate = {side: arrivals[side] / statistics.median(times[side]) for side in sides}
+        line = f"{name:<16}{arrivals['this']:>10}{rate['this']:>12.0f}"
         if args.against:
             ratios = sorted(a / b for a, b in zip(times["this"], times["other"]))
             q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-            line += (f"{counts['other'][0] / statistics.median(times['other']):>12.0f}"
+            line += (f"{rate['other']:>12.0f}"
                      f"{statistics.median(ratios):>8.3f}{q[0]:>7.3f}-{q[2]:.3f}")
-            if counts["this"] != counts["other"]:
-                mismatch = True
-                line += f"  arrivals/drops differ: {counts['this']} vs {counts['other']}"
+        if len(results) > 1:
+            mismatch = True
+            line += f"  Metrics differ between runs: {len(results)} distinct"
         print(line, flush=True)
     return 1 if mismatch else 0
 

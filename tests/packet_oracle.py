@@ -5,12 +5,17 @@
   arrival: the Compound ack and loss laws, the RED EWMA-and-draw admit rule
   and the threshold / drop-tail limit.
 - `OracleSimulator` is the event loop that called them, one heap for every
-  event made one at a time (services among them) and a send loop of its own
-  (`try_send`) after each ack, loss and start. `aqmlab.packetsim.Simulator`
-  keeps each queue's pending service on a heap of its own and writes the
-  same laws out inside its handlers with the same floating-point operations
-  and random draws, so `run_oracle` must give the same `Metrics`, bit for
-  bit, as `aqmlab.packetsim.run_simulation`.
+  line's head (ack lines among them) and every event made one at a time
+  (services among them), and a send loop of its own (`try_send`) after each
+  ack, loss and start. It computes each packet's access and service times
+  where it uses them. `aqmlab.packetsim.Simulator` keeps the ack lines'
+  heads and each queue's pending service on heaps of their own, computes a
+  packet's link times once, and writes the same laws out inside its
+  handlers with the same floating-point operations and random draws, so
+  `run_oracle` must give the same `Metrics`, bit for bit, as
+  `aqmlab.packetsim.run_simulation`. With `OracleSimulator.ties` set, the
+  loop counts the exact time ties between the kinds of head, which are
+  the ties the simulator's three-way head comparison must order.
 """
 
 import heapq
@@ -133,7 +138,16 @@ class _OracleFlow(_Flow):
 class OracleSimulator(Simulator):
     """`Simulator` with the event loop that called the stand-alone laws: one
     heap holds each event line's head and every event made one at a time,
-    services included, and acks, losses and starts end in `try_send`."""
+    services included, and acks, losses and starts end in `try_send`.
+
+    `ties`, when set to a `collections.Counter` before `run`, counts the
+    exact time ties the loop meets: before each event, one count per other
+    pending head of the same time, under the sorted pair of the two kinds
+    ("ack", "service", "first-hop", "next-hop", "loss", "sample", "start",
+    "spawn"). Only line heads are on the heap, so two acks that tie are on
+    two ack lines."""
+
+    ties = None
 
     def run(self) -> Metrics:
         cfg = self.cfg
@@ -335,6 +349,14 @@ class OracleSimulator(Simulator):
         if prof is not None:
             heappush(heap, (rng.expovariate(prof.rate_per_s), tick(), spawn_short, None, None))
 
+        kinds = {service: "service", ack: "ack", loss: "loss", sample: "sample",
+                 start: "start", spawn_short: "spawn"}
+
+        def kind(event):
+            _, _, handler, _, line = event
+            return kinds.get(handler) or ("next-hop" if line is hop_line else "first-hop")
+
+        ties = self.ties
         to_completion = cfg.run_to_completion
         hard_stop = math.inf if to_completion else duration
         for _ in itertools.repeat(None, 500_000_001):
@@ -343,6 +365,10 @@ class OracleSimulator(Simulator):
             t, _, handler, arg, line = heap[0]
             if t > hard_stop or (to_completion and pending == 0):
                 break
+            if ties is not None:
+                for other in heap[1:]:
+                    if other[0] == t:
+                        ties[tuple(sorted((kind(heap[0]), kind(other))))] += 1
             if line is None:
                 heappop(heap)
             else:

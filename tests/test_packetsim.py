@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -29,7 +30,13 @@ from aqmlab.packetsim import (
 )
 from aqmlab.params import RedParams, ThresholdParams
 from aqmlab.protocols import red_drop_probability
-from packet_oracle import compound_window_laws, limit_admit_rule, red_admit_rule, run_oracle
+from packet_oracle import (
+    OracleSimulator,
+    compound_window_laws,
+    limit_admit_rule,
+    red_admit_rule,
+    run_oracle,
+)
 
 # The law tests below run against the stand-alone laws of `packet_oracle`;
 # the simulator's handlers write the same laws out, and
@@ -709,18 +716,42 @@ def _tie_configs() -> dict[str, SimConfig]:
                FlowSpec("reno", 4.096e6, 1 / 8)),
         policy=RedParams(b_min=5, b_max=20, p_max=0.1, w_q=1 / 128),
         duration=8.0, seed=10, sample_interval=1 / 8)
+    # times of powers of two again, over two hops, with a service of 1/256 s
+    # and round trips down to 1/256 s: the one run here whose metrics show
+    # whether an ack due at the instant of a service, or of a main-heap
+    # event, runs in insertion order (a loop that ran services before acks,
+    # acks before services, or main-heap events before acks at such ties
+    # gives every other digest)
+    out["parking-lot-power-of-two"] = SimConfig(
+        topology="parking-lot", capacity=2.048e6, buffer=16, packet_size=1000,
+        flows=(FlowSpec("reno", 4.096e6, 1 / 16, start_time=0.25, bytes_to_send=200_000),
+               FlowSpec("compound", 8.192e6, 1 / 32),
+               FlowSpec("compound", 1.024e6, 1 / 32, start_time=0.125, bytes_to_send=200_000),
+               FlowSpec("compound", 4.096e6, 1 / 64, start_time=0.125),
+               FlowSpec("reno", 1.024e6, 1 / 256, start_time=0.125, bytes_to_send=200_000),
+               FlowSpec("compound", 4.096e6, 1 / 256, start_time=0.25, route=(0, 1)),
+               FlowSpec("compound", 4.096e6, 1 / 32, route=(1,), bytes_to_send=200_000),
+               FlowSpec("reno", 1.024e6, 1 / 64, start_time=0.125, route=(1,)),
+               FlowSpec("reno", 8.192e6, 1 / 16, route=(0, 1), bytes_to_send=200_000),
+               FlowSpec("compound", 8.192e6, 1 / 16, route=(0, 1), bytes_to_send=200_000)),
+        policy=RedParams(b_min=5, b_max=20, p_max=0.1, w_q=1 / 128),
+        duration=4.0, seed=66, sample_interval=1 / 8)
     return out
 
 
 # recorded, like _GOLDEN_DIGESTS, with one heap of all events, before the
 # per-flow, ack, loss and next-hop event lines (droptail-small-buffer: before
 # the UDP source was removed, with its UDP flow made a Reno one;
-# red-power-of-two: with services on the main heap, before their own heap)
+# red-power-of-two: with services on the main heap, before their own heap;
+# parking-lot-power-of-two: by `run_oracle`, with acks on the main heap,
+# before the ack heads' heap)
 _TIE_DIGESTS = {
     "red-tied-starts": "de3c4bcf37244a9f0f3532d45bf5f3dab4d9662e67851ff114024143fe1e31bf",
     "parking-lot-shared-rtt": "9d84bc697058507d86cdf60ce617fad68122f24c452350ea9acdb11bdea31ca2",
     "droptail-small-buffer": "61b2bbb58603c9f3cebb1cf49e50bad257f7bf6dce1690cb369c3746a6af7be9",
     "red-power-of-two": "ec73c6108284e3cda1a6dba5b15d6e975a8f75e8243f24f21561505f7205f21d",
+    "parking-lot-power-of-two":
+        "8f49af28c9c1edf442f9a389cbef30bfed8f6b201508625404ffbfbcc8210aae",
 }
 
 
@@ -735,3 +766,17 @@ def test_oracle_simulator_gives_the_recorded_digests():
                              (_tie_configs(), _TIE_DIGESTS)):
         assert {name: _metrics_digest(run_oracle(cfg))
                 for name, cfg in configs.items()} == digests
+
+
+def test_power_of_two_run_ties_acks_with_every_other_head():
+    # the loop compares the heads of the service heap, the ack heads' heap
+    # and the main heap by (time, tie): this run meets exact time ties of an
+    # ack with an ack of the other line, with a service and with each kind
+    # of main-heap event it has (parking-lot-power-of-two is the run whose
+    # metrics show the order of the last two kinds)
+    sim = OracleSimulator(_tie_configs()["red-power-of-two"])
+    sim.ties = collections.Counter()
+    sim.run()
+    pairs = [("ack", "ack"), ("ack", "service"), ("ack", "first-hop"), ("ack", "loss"),
+             ("ack", "sample")]
+    assert all(sim.ties[pair] for pair in pairs), sim.ties

@@ -24,8 +24,12 @@ from .errors import (
     usage_errors,
 )
 from .fluid import (
+    HISTORY_SCALE,
     MIN_STEPS_PER_DELAY,
     MIN_WINDOW_SAMPLES,
+    STEPS_PER_DELAY,
+    SWEEP_HORIZON_DELAYS,
+    SWEEP_TRANSIENT_DELAYS,
     FluidSystemKind,
     default_history,
     equilibrium_no_averaging,
@@ -36,8 +40,9 @@ from .fluid import (
     post_transient_samples,
     threshold_bifurcation_sweep,
 )
-from .normalform import classification_report, classify_at_hopf
+from .normalform import TAU_BRACKET, classification_report, classify_at_hopf
 from .packetsim import (
+    DESK_DURATION_S,
     DropTail,
     compute_afct,
     config_digest,
@@ -390,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "instantaneous-feedback Hopf point")
     p.add_argument("--at-tau", type=float, default=None,
                    help="classify at this delay instead of solving for it")
-    p.add_argument("--tau-min", type=float, default=1e-3)
-    p.add_argument("--tau-max", type=float, default=5.0)
+    p.add_argument("--tau-min", type=float, default=TAU_BRACKET[0])
+    p.add_argument("--tau-max", type=float, default=TAU_BRACKET[1])
     _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_hopf_classify)
 
@@ -399,17 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=sorted(_KINDS), required=True)
     p.add_argument("--horizon", type=float, default=300.0, help="in delays")
     p.add_argument("--transient", type=float, default=200.0, help="in delays")
-    p.add_argument("--perturb", type=float, default=1.1)
-    p.add_argument("--steps-per-delay", type=int, default=500)
+    p.add_argument("--perturb", type=float, default=HISTORY_SCALE)
+    p.add_argument("--steps-per-delay", type=int, default=STEPS_PER_DELAY)
     _add_common(p, tau_default=0.1)
     p.set_defaults(func=_cmd_fluid_sim)
 
     p = sub.add_parser("bifurcation-diagram", help="oscillation amplitude sweep")
     p.add_argument("--sweep", type=_parse_sweep, required=True,
                    metavar="qth=start:stop:count")
-    p.add_argument("--horizon", type=float, default=300.0, help="in delays")
-    p.add_argument("--transient", type=float, default=200.0, help="in delays")
-    p.add_argument("--steps-per-delay", type=int, default=200)
+    p.add_argument("--horizon", type=float, default=SWEEP_HORIZON_DELAYS, help="in delays")
+    p.add_argument("--transient", type=float, default=SWEEP_TRANSIENT_DELAYS, help="in delays")
+    p.add_argument("--steps-per-delay", type=int, default=MIN_STEPS_PER_DELAY)
     _add_common(p, tau_default=1.0)
     p.set_defaults(func=_cmd_bifurcation)
 
@@ -448,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qth", type=float, default=15.0)
     p.add_argument("--seeds", type=_parse_seeds, default="1,2,3")
     p.add_argument("--mb-per-flow", type=int, default=None)
-    p.add_argument("--duration", type=float, default=120.0)
+    p.add_argument("--duration", type=float, default=DESK_DURATION_S)
+    # criterion 11's overload, not desk_config's default of 1.2
     p.add_argument("--overload", type=float, default=1.4)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")

@@ -42,6 +42,11 @@ MIN_WINDOW_SAMPLES = 8  # post-transient samples the oscillation metrics need
 # A stored step is at most three states, each a float64 in an array: 24 bytes.
 # A run of more than 2**25 steps (33.5 M; 768 MiB of stored states) is refused.
 MAX_STEPS = 2**25
+# default run settings, which the CLI's options read: RK4 steps per delay,
+# the history's scale of the equilibrium, and a sweep point's run in delays
+STEPS_PER_DELAY = 500
+HISTORY_SCALE = 1.1
+SWEEP_HORIZON_DELAYS, SWEEP_TRANSIENT_DELAYS = 300.0, 200.0
 
 
 class FluidSystemKind(Enum):
@@ -491,7 +496,7 @@ def integrate_dde(
     *,
     initial_history,
     horizon: float,
-    steps_per_delay: int = 500,
+    steps_per_delay: int = STEPS_PER_DELAY,
     delay: float | None = None,
     csv_path=None,
 ) -> Trajectory:
@@ -601,7 +606,7 @@ def post_transient_samples(horizon, transient_cut, delay, steps_per_delay):
     return len(nodes) - bisect_left(nodes, transient_cut, key=lambda j: j * h)
 
 
-def default_history(eq: Equilibrium, scale: float = 1.1):
+def default_history(eq: Equilibrium, scale: float = HISTORY_SCALE):
     """Constant history at scale * equilibrium (small perturbation)."""
     return tuple(scale * v for v in eq.state())
 
@@ -693,9 +698,9 @@ def threshold_bifurcation_sweep(
     net: NetworkParams,
     q_th_values,
     *,
-    horizon_delays: float = 300.0,
-    transient_delays: float = 200.0,
-    steps_per_delay: int = 200,
+    horizon_delays: float = SWEEP_HORIZON_DELAYS,
+    transient_delays: float = SWEEP_TRANSIENT_DELAYS,
+    steps_per_delay: int = MIN_STEPS_PER_DELAY,  # a sweep runs at the floor
 ):
     """Amplitude of the window oscillation versus the drop threshold.
 

@@ -27,6 +27,10 @@ from .stability import (
     transversality,
 )
 
+# where classify_at_hopf looks for the critical delay, in seconds; the CLI's
+# --tau-min and --tau-max read it
+TAU_BRACKET = (1e-3, 5.0)
+
 
 @dataclass(frozen=True)
 class TaylorCoefficients:
@@ -367,7 +371,7 @@ def classify_at_hopf(
     red: RedParams,
     net: NetworkParams,
     tau_c: float | None = None,
-    tau_bracket: tuple[float, float] = (1e-3, 5.0),
+    tau_bracket: tuple[float, float] = TAU_BRACKET,
     phase: float = 0.0,
 ) -> tuple[NormalFormResult, "EigenData", ResonanceCoefficients]:
     """Full pipeline at the instantaneous-feedback Hopf point.

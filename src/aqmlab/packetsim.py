@@ -752,8 +752,11 @@ def compute_afct(metrics: Metrics) -> float:
 
 # -- desk- and paper-scale scenario builders ---------------------------------
 
+DESK_DURATION_S = 120.0  # a desk run's default length, which the CLI reads
+
+
 def desk_config(policy, rtt_s: float, seed: int, *, n_flows: int = 20,
-                capacity: float = 25e6, duration: float = 120.0,
+                capacity: float = 25e6, duration: float = DESK_DURATION_S,
                 bytes_to_send: int | None = None, overload: float = 1.2) -> SimConfig:
     """Scaled-down scenario for CI: a dumbbell with n_flows long-lived
     Compound sources offering overload x capacity in aggregate, sampled

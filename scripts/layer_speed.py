@@ -16,6 +16,10 @@ and the default RED and threshold parameters unless stated:
   chart         the stability-charts benchmark's four chart shapes at offset
                 0.5 (tau over c and gamma, alpha over q_th); 4 times over
   normal-form   classify_at_hopf at c = 60, 100, 200, 500; 30 times over
+  cli           the stability-charts benchmark's single-phase CLI mix: 150
+                `aqmlab equilibrium` calls through cli.main, cycling the
+                three systems over GRID, stdout captured and compared by
+                sha256
   rk4           one 150-delay integrate_dde per system, 200 steps per delay,
                 default_history, no CSV: at SIMS's first and last settings,
                 and the threshold system at tau = 1, q_th = 41
@@ -39,7 +43,9 @@ readable, each run of a fork layer (sweep, fluid-sim, batch) prints, per
 worker or writer, the CPU its first item started on and the CPU its last
 ended on (`1>1 0>0`; `none`: no writer ran), logged by wrapping
 `fluid._sweep_point`, `packetsim.run_simulation` and `fluid._spool_csv` for
-those runs only.
+those runs only. A writer's entry leads with the CPU its caller was on when
+it called `fluid.stream_to_worker` (`1:0>0`), so a writer sharing its
+caller's CPU shows.
 
 Per layer it prints the work of one run, this side's median scaled time and
 rate, and with --against the other side's rate and the median and quartiles
@@ -165,6 +171,19 @@ def normal_form(m, work):
                        for c in (60.0, 100.0, 200.0, 500.0)])
 
 
+def cli(m, work):
+    main, systems = m.cli.main, ("with-averaging", "no-averaging", "threshold")
+    calls = [["equilibrium", "--system", system, "--c", repr(c), "--tau", repr(tau)]
+             for c, tau in GRID for system in systems]
+
+    def job():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [main(calls[i % len(calls)]) for i in range(150)]
+        return (codes, hashlib.sha256(out.getvalue().encode()).hexdigest()), 150
+    return job
+
+
 def rk4(m, work):
     fluid, p, kinds = m.fluid, m.params, m.fluid.FluidSystemKind
     spec, red, th = p.ProtocolSpec(), p.RedParams(gamma=0.032), p.ThresholdParams(41.0)
@@ -251,6 +270,7 @@ LAYERS = {
     "hopf": (hopf, "points", False),
     "chart": (chart, "charts", False),
     "normal-form": (normal_form, "classifications", False),
+    "cli": (cli, "calls", False),
     "rk4": (rk4, "steps", False),
     "sweep": (sweep, "points", True),
     "fluid-sim": (fluid_sim, "runs", True),
@@ -272,6 +292,16 @@ def cpu_now() -> int | None:
         return None
 
 
+def caller_logged(fn, log):
+    """fn, appending `caller` and the CPU this process is on to the file log
+    before each call."""
+    def run(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"caller {cpu_now()}\n")
+        return fn(*args, **kwargs)
+    return run
+
+
 def logged(fn, log):
     """fn, appending (pid, CPU at start, CPU at end) of each call to the file
     log, which any forked worker or writer can reach."""
@@ -288,25 +318,34 @@ def logged(fn, log):
 def watching(sides, log):
     """Log the placement of each side's per-item functions of the fork
     layers while the block runs; the originals are back afterwards."""
-    patched = [(owner, attr, getattr(owner, attr)) for m in sides
-               for owner, attr in ((m.fluid, "_sweep_point"), (m.packetsim, "run_simulation"),
-                                   (m.fluid, "_spool_csv")) if hasattr(owner, attr)]
-    for owner, attr, original in patched:
-        setattr(owner, attr, logged(original, log))
+    patched = [(owner, attr, wrap, getattr(owner, attr)) for m in sides
+               for owner, attr, wrap in ((m.fluid, "_sweep_point", logged),
+                                         (m.packetsim, "run_simulation", logged),
+                                         (m.fluid, "_spool_csv", logged),
+                                         (m.fluid, "stream_to_worker", caller_logged))
+               if hasattr(owner, attr)]
+    for owner, attr, wrap, original in patched:
+        setattr(owner, attr, wrap(original, log))
     try:
         yield
     finally:
-        for owner, attr, original in patched:
+        for owner, attr, _, original in patched:
             setattr(owner, attr, original)
 
 
 def placements(log) -> str:
     """'start>end' per process in the log, in the order each first finished
-    an item; each process appends its own items in order."""
-    first, last = {}, {}
+    an item; each process appends its own items in order. A process that
+    finished its first item after a `caller` line gets that line's CPU and a
+    colon in front."""
+    first, last, caller = {}, {}, ""
     with open(log) as fh:
-        for pid, start, end in map(str.split, fh):
-            first.setdefault(pid, start)
+        for fields in map(str.split, fh):
+            if fields[0] == "caller":
+                caller = f"{fields[1]}:"
+                continue
+            pid, start, end = fields
+            first.setdefault(pid, caller + start)
             last[pid] = end
     return " ".join(f"{first[pid]}>{last[pid]}" for pid in first) or "none"
 

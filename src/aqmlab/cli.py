@@ -371,6 +371,11 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser, and the parser of each subcommand by name."""
     ap = argparse.ArgumentParser(
         prog="aqmlab",
         description="Fluid-model stability analysis and packet-level "
@@ -459,18 +464,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--profile", choices=("desk", "paper"), default="desk")
     p.set_defaults(func=_cmd_compare)
-    return ap
+    return ap, sub.choices
 
 
 @cache
+def _parsers():
+    """The parsers, built on the first call rather than at import: parsing
+    keeps no state in them, and building them costs more than most commands."""
+    return _build_parsers()
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call rather than at import: parsing
-    keeps no state in it, and building it costs more than most commands."""
-    return build_parser()
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command `argv` (default `sys.argv[1:]`) names; its exit code.
+
+    A call whose first argument names a subcommand is parsed by that
+    subcommand's parser alone, not by the top-level parser and then again by
+    the subcommand's; any other call (no argument, `-h`, an unknown
+    subcommand, an option before the subcommand) by the top-level parser.
+    Help, usage and error messages read as they did with every call parsed
+    twice.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap, subcommands = _parsers()
+    if argv and argv[0] in subcommands:
+        args, extra = subcommands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = ap.parse_args(argv)
     try:
         return args.func(args)
     except (ConvergenceError, DegeneratePointError, IntegrationError,

@@ -215,6 +215,104 @@ def test_option_defaults_are_the_parameter_defaults(argv):
     assert (spec, red, th) == (ProtocolSpec(), RedParams(), ThresholdParams())
 
 
+# -- a subcommand's call is parsed by its own parser, as the top-level one would
+
+_COMMON = ["--c", "120", "--tau", "0.2", "--alpha", "0.1", "--k", "0.7", "--beta", "0.4",
+           "--gamma", "0.01", "--b-min", "10", "--b-max", "500", "--p-max", "0.2",
+           "--qth", "30", "--kappa", "1.1", "--out", "x.csv", "--profile", "paper"]
+_PACKET = ["--rtt-ms", "50", "--red-bmin", "20", "--red-bmax", "60", "--red-pmax", "0.2",
+           "--red-wq", "0.01", "--qth", "25", "--out", "out", "--profile", "paper"]
+_DISPATCHED = [
+    ["equilibrium", "--system", "threshold"],
+    ["equilibrium", "--system", "no-averaging", *_COMMON],
+    ["equilibrium", "--system=with-averaging", "--c=150", "--b-max=400"],
+    ["equilibrium", "--sys", "threshold", "--ta", "0.3", "--prof", "paper", "--b-mi", "5"],
+    ["stability-chart", "--system", "threshold", "--sweep", "c=1:2:2", "--solve", "tau"],
+    ["stability-chart", "--system", "with-averaging", "--sweep", "gamma=0.01:0.05:5",
+     "--solve", "c", *_COMMON],
+    ["stability-chart", "--system=no-averaging", "--sweep=c=100:500:17", "--solve=tau"],
+    ["stability-chart", "--sys", "threshold", "--sw", "qth=10:100:19", "--so", "alpha"],
+    ["hopf-classify"],
+    ["hopf-classify", "--at-tau", "0.2", "--tau-min", "0.01", "--tau-max", "2", *_COMMON],
+    ["hopf-classify", "--at-tau=0.2", "--c=80"],
+    ["hopf-classify", "--at", "0.2", "--tau-mi", "0.01"],
+    ["fluid-sim", "--system", "no-averaging"],
+    ["fluid-sim", "--system", "threshold", "--horizon", "50", "--transient", "20",
+     "--perturb", "1.1", "--steps-per-delay", "400", *_COMMON],
+    ["fluid-sim", "--system=threshold", "--horizon=50"],
+    ["fluid-sim", "--sys", "threshold", "--hor", "50", "--st", "300", "--per", "1.2"],
+    ["bifurcation-diagram", "--sweep", "qth=1:2:2"],
+    ["bifurcation-diagram", "--sweep", "qth=20:60:5", "--horizon", "100", "--transient",
+     "50", "--steps-per-delay", "300", *_COMMON],
+    ["bifurcation-diagram", "--sweep=qth=20:60:5", "--tau=1"],
+    ["bifurcation-diagram", "--sw", "qth=20:60:5", "--tr", "50"],
+    ["packet-sim"],
+    ["packet-sim", "--scenario", "s.txt", "--policy", "threshold", "--seed", "4", *_PACKET],
+    ["packet-sim", "--policy=droptail", "--rtt-ms=20", "--seed=2"],
+    ["packet-sim", "--pol", "threshold", "--rtt", "20", "--red-bmi", "30", "--sc", "s.txt"],
+    ["compare-policies"],
+    ["compare-policies", "--seeds", "4,5", "--mb-per-flow", "20", "--duration", "10",
+     "--overload", "1.2", *_PACKET],
+    ["compare-policies", "--seeds=7", "--rtt-ms=100"],
+    ["compare-policies", "--se", "7,8", "--mb", "5", "--ov", "1.3", "--red-w", "0.002"],
+]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The namespaces main hands its commands, which record them and return 0;
+    main and _parser() share one parser built with the recording commands."""
+    got = []
+
+    def record(args, **kwargs):
+        got.append(args)
+        return 0
+    for name in dir(aqmlab.cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(aqmlab.cli, name, record)
+    parsers = aqmlab.cli._build_parsers()
+    monkeypatch.setattr(aqmlab.cli, "_parsers", lambda: parsers)
+    return got
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED, ids=" ".join)
+def test_a_subcommand_call_parses_as_through_the_top_level_parser(argv, recorded, monkeypatch):
+    top = aqmlab.cli._parser()
+    expected = list(vars(top.parse_args(argv)).items())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a subcommand's call went through the top-level parser")
+    monkeypatch.setattr(top, "parse_known_args", forbidden)
+    for given in (argv, tuple(argv), iter(argv)):
+        assert main(given) == 0
+        assert list(vars(recorded.pop()).items()) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--system", "threshold", "--foo", "1"],
+    ["hopf-classify", "stray", "--c", "80", "stray2"],
+    ["equilibrium", "--c", "100"],
+    ["equilibrium", "--system", "bogus"],
+    ["equilibrium", "--system", "threshold", "--c", "abc"],
+    ["compare-policies", "--seeds", "x"],
+    ["stability-chart", "--system", "threshold", "--sweep", "c=1:2", "--solve", "tau"],
+    ["equilibrum", "--system", "threshold"],
+    [],
+    ["-h"],
+    ["--c", "100", "equilibrium", "--system", "threshold"],
+    ["equilibrium", "-h"],
+    ["packet-sim", "--help"],
+], ids=" ".join)
+def test_help_and_usage_errors_read_as_through_the_top_level_parser(argv, capsys):
+    with pytest.raises(SystemExit) as expected:
+        aqmlab.cli._parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == expected.value.code
+    assert capsys.readouterr() == want
+
+
 def _around(lo, hi, outside):
     """Values inside [lo, hi], the given values just outside the domain,
     and infinity."""

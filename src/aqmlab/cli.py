@@ -370,11 +370,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers():
+def build_parsers():
     """The top-level parser, and the parser of each subcommand by name."""
     ap = argparse.ArgumentParser(
         prog="aqmlab",
@@ -471,11 +467,7 @@ def _build_parsers():
 def _parsers():
     """The parsers, built on the first call rather than at import: parsing
     keeps no state in them, and building them costs more than most commands."""
-    return _build_parsers()
-
-
-def _parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+    return build_parsers()
 
 
 def main(argv=None) -> int:

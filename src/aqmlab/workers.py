@@ -1,12 +1,10 @@
 """Forked worker processes: a map for batches of independent runs, and a
 stream to one writer that consumes what its caller sends while the caller
-computes on. Both fork through `_fork`, which pins each child to one CPU of
-this process's affinity mask (a forked child starts on its parent's CPU,
-where a 2-vCPU VM was seen to leave it, at up to twice the wall time): each
-map worker to its own CPU, the writer to the last CPU of the mask that its
-caller is not on when it forks. Both reap through `_reap`: no child outlives
-the call that made it. With one CPU or no `os.fork`, none is made and the
-caller does the work itself.
+computes on. Both fork through `_fork`, which pins each child to its own CPU
+of this process's affinity mask (a forked child starts on its parent's CPU,
+where a 2-vCPU VM was seen to leave it, at up to twice the wall time), and
+reap through `_reap`: no child outlives the call that made it. With one CPU
+or no `os.fork`, none is made and the caller does the work itself.
 """
 
 from __future__ import annotations
@@ -39,19 +37,15 @@ def map_in_workers(fn, items) -> list:
 
 @contextmanager
 def stream_to_worker(consume):
-    """A writer process that runs `consume(objects)`; the `with` block gets
-    the `send(obj)` function that feeds `objects` (pickled, in order; never
-    None), or None where no writer can run. A block that ends without an
-    exception commits: `objects` ends, and the exit waits for `consume` and
-    raises what it raised, as `map_in_workers` would, or `WorkerError` if the
-    writer died. A block that ends by an exception kills the writer, so
-    `consume` must act on its input only once `objects` ends (were this
-    process to die, `objects` would raise `EOFError` instead).
-
-    The writer is pinned to the last CPU of the mask other than the one this
-    process is on when it forks (`_cpu_now`), or to the last CPU where that
-    is unknown. Only the writer is pinned: the scheduler may still move this
-    process onto the writer's CPU later.
+    """A writer process, pinned to the last CPU of the mask, that runs
+    `consume(objects)`; the `with` block gets the `send(obj)` function that
+    feeds `objects` (pickled, in order; never None), or None where no writer
+    can run. A block that ends without an exception commits: `objects` ends,
+    and the exit waits for `consume` and raises what it raised, as
+    `map_in_workers` would, or `WorkerError` if the writer died. A block that
+    ends by an exception kills the writer, so `consume` must act on its input
+    only once `objects` ends (were this process to die, `objects` would raise
+    `EOFError` instead).
     """
     cpus = _cpus()
     if len(cpus) < 2 or not hasattr(os, "fork"):
@@ -60,12 +54,10 @@ def stream_to_worker(consume):
     import pickle
     import signal
 
-    here = _cpu_now()
-    cpu = [c for c in cpus if c != here][-1]
     feed_r, feed = os.pipe()
     back, back_w = os.pipe()
     try:
-        pid = _fork(cpu, lambda: _consume(consume, feed_r, feed, back, back_w))
+        pid = _fork(cpus[-1], lambda: _consume(consume, feed_r, feed, back, back_w))
     except BaseException:
         os.close(feed)
         os.close(back)
@@ -129,16 +121,6 @@ def _cpus() -> list:
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
     return [None] * (os.cpu_count() or 1)
-
-
-def _cpu_now() -> int | None:
-    """The CPU this process last ran on, field 39 of /proc/self/stat; None
-    where that is unreadable."""
-    try:
-        with open("/proc/self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
 
 
 def _fork(cpu, body) -> int:

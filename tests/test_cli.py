@@ -197,7 +197,7 @@ def test_stability_chart_rejects_names_the_system_lacks(
 
 
 def test_packet_option_defaults_are_the_type_defaults():
-    args = aqmlab.cli.build_parser().parse_args(["packet-sim"])
+    args = aqmlab.cli.build_parsers()[0].parse_args(["packet-sim"])
     assert aqmlab.cli._packet_policy(args, "red") == RedParams(b_max=100.0)
     assert aqmlab.cli._packet_policy(args, "threshold") == ThresholdParams()
 
@@ -210,7 +210,7 @@ def test_packet_option_defaults_are_the_type_defaults():
     ["bifurcation-diagram", "--sweep", "qth=1:2:2"],
 ], ids=lambda argv: argv[0])
 def test_option_defaults_are_the_parameter_defaults(argv):
-    args = aqmlab.cli.build_parser().parse_args(argv)
+    args = aqmlab.cli.build_parsers()[0].parse_args(argv)
     spec, red, th, _ = aqmlab.cli._fluid_params(args)
     assert (spec, red, th) == (ProtocolSpec(), RedParams(), ThresholdParams())
 
@@ -261,7 +261,7 @@ _DISPATCHED = [
 @pytest.fixture
 def recorded(monkeypatch):
     """The namespaces main hands its commands, which record them and return 0;
-    main and _parser() share one parser built with the recording commands."""
+    main and _parsers() share the parsers built with the recording commands."""
     got = []
 
     def record(args, **kwargs):
@@ -270,14 +270,14 @@ def recorded(monkeypatch):
     for name in dir(aqmlab.cli):
         if name.startswith("_cmd_"):
             monkeypatch.setattr(aqmlab.cli, name, record)
-    parsers = aqmlab.cli._build_parsers()
+    parsers = aqmlab.cli.build_parsers()
     monkeypatch.setattr(aqmlab.cli, "_parsers", lambda: parsers)
     return got
 
 
 @pytest.mark.parametrize("argv", _DISPATCHED, ids=" ".join)
 def test_a_subcommand_call_parses_as_through_the_top_level_parser(argv, recorded, monkeypatch):
-    top = aqmlab.cli._parser()
+    top = aqmlab.cli._parsers()[0]
     expected = list(vars(top.parse_args(argv)).items())
 
     def forbidden(*args, **kwargs):
@@ -305,7 +305,7 @@ def test_a_subcommand_call_parses_as_through_the_top_level_parser(argv, recorded
 ], ids=" ".join)
 def test_help_and_usage_errors_read_as_through_the_top_level_parser(argv, capsys):
     with pytest.raises(SystemExit) as expected:
-        aqmlab.cli._parser().parse_args(argv)
+        aqmlab.cli._parsers()[0].parse_args(argv)
     want = capsys.readouterr()
     with pytest.raises(SystemExit) as got:
         main(argv)

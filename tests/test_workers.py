@@ -16,7 +16,6 @@ import pytest
 
 import aqmlab.cli
 import aqmlab.fluid
-import aqmlab.workers
 from aqmlab.cli import main
 from aqmlab.errors import IntegrationError, WorkerError
 from aqmlab.fluid import default_history, threshold_bifurcation_sweep
@@ -249,41 +248,25 @@ def test_stream_with_one_cpu_is_none(monkeypatch):
         assert send is None
 
 
-def _writer_cpus(tmp_path):
+@pytest.mark.skipif(_affinity is None or len(_affinity(0)) < 2, reason="needs two CPUs")
+def test_writer_is_pinned_to_the_last_cpu_of_the_mask(tmp_path):
+    mask = os.sched_getaffinity(0)
     with stream_to_worker(partial(_record, tmp_path / "got")):
         pass
+    _, _, cpus = pickle.loads((tmp_path / "got").read_bytes())
+    assert cpus == {max(mask)} and os.sched_getaffinity(0) == mask
     _no_child_left()
-    return pickle.loads((tmp_path / "got").read_bytes())[2]
 
 
-@pytest.mark.skipif(_affinity is None or len(_affinity(0)) < 2, reason="needs two CPUs")
-def test_writer_is_pinned_to_the_last_cpu_its_caller_is_not_on(monkeypatch, tmp_path):
-    mask, seen = os.sched_getaffinity(0), []
-    cpu_now = aqmlab.workers._cpu_now
-    monkeypatch.setattr(aqmlab.workers, "_cpu_now", lambda: seen.append(cpu_now()) or seen[-1])
-    cpus = _writer_cpus(tmp_path)
-    assert len(seen) == 1 and seen[0] in mask
-    assert cpus == {max(mask - {seen[0]})} and os.sched_getaffinity(0) == mask
-    for here in (min(mask), max(mask)):
-        monkeypatch.setattr(aqmlab.workers, "_cpu_now", lambda: here)
-        assert _writer_cpus(tmp_path) == {max(mask - {here})}
-
-
-@pytest.mark.skipif(_affinity is None or len(_affinity(0)) < 2, reason="needs two CPUs")
-def test_writer_of_a_caller_on_an_unknown_cpu_is_pinned_to_the_last_cpu(monkeypatch, tmp_path):
-    mask = os.sched_getaffinity(0)
-    monkeypatch.setattr(aqmlab.workers, "_cpu_now", lambda: None)
-    assert _writer_cpus(tmp_path) == {max(mask)}
-
-
-def test_cpu_now_reads_this_process_cpu_or_none(monkeypatch):
-    if _affinity is not None and os.path.exists("/proc/self/stat"):
-        assert aqmlab.workers._cpu_now() in _affinity(0)
-
-    def unreadable(*args, **kwargs):
-        raise OSError(errno.ENOENT, "No such file or directory")
-    monkeypatch.setattr(aqmlab.workers, "open", unreadable, raising=False)
-    assert aqmlab.workers._cpu_now() is None
+def test_writer_without_an_affinity_mask_runs_unpinned(monkeypatch, tmp_path):
+    mask = _affinity(0) if _affinity else None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with stream_to_worker(partial(_record, tmp_path / "got")) as send:
+        send(1.5)
+    got, pid, cpus = pickle.loads((tmp_path / "got").read_bytes())
+    assert got == [1.5] and pid != os.getpid() and cpus == mask
+    _no_child_left()
 
 
 def test_writer_error_reaches_caller_at_commit(monkeypatch):
@@ -317,7 +300,7 @@ def test_fluid_sim_csv_is_to_csv_byte_for_byte(system, cpus, monkeypatch, tmp_pa
     # 3.3 delays: three whole delays, then a last chunk of 60 of 200 steps
     argv = ["fluid-sim", "--system", system, *_SIMS[system], "--horizon", "3.3",
             "--transient", "2", "--steps-per-delay", "200"]
-    args = aqmlab.cli.build_parser().parse_args(argv)
+    args = aqmlab.cli.build_parsers()[0].parse_args(argv)
     kind = aqmlab.cli._KINDS[system]
     spec, red, th, net = aqmlab.cli._fluid_params(args)
     traj = aqmlab.fluid.integrate_dde(

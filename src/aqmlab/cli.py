@@ -218,8 +218,8 @@ def _check_run_length(args) -> None:
     """Refuse, before any integration, a --steps-per-delay below the
     integrator's floor, a --horizon that is not positive and finite or whose
     length in seconds (x --tau) or in steps (x --steps-per-delay) overflows,
-    and a --transient that is not finite or leaves fewer post-transient
-    samples than the oscillation metrics need."""
+    and a --transient that is negative, not below --horizon or leaves fewer
+    post-transient samples than the oscillation metrics need."""
     if args.steps_per_delay < MIN_STEPS_PER_DELAY:
         raise ConfigError(f"--steps-per-delay must be at least {MIN_STEPS_PER_DELAY}, "
                           f"got {args.steps_per_delay}")
@@ -227,8 +227,8 @@ def _check_run_length(args) -> None:
         raise ConfigError(f"--horizon must be positive and finite, got {args.horizon!r}")
     if not all(math.isfinite(args.horizon * x) for x in (args.tau, args.steps_per_delay)):
         raise ConfigError(f"--horizon {args.horizon!r} overflows in seconds or in steps")
-    if not math.isfinite(args.transient) or args.transient >= args.horizon:
-        raise ConfigError(f"--transient must be finite and below --horizon "
+    if not 0 <= args.transient < args.horizon:
+        raise ConfigError(f"--transient must be non-negative and below --horizon "
                           f"{args.horizon!r}, got {args.transient!r}")
     kept = post_transient_samples(args.horizon * args.tau, args.transient * args.tau,
                                   args.tau, args.steps_per_delay)
@@ -242,6 +242,8 @@ def _cmd_fluid_sim(args) -> int:
     kind = _KINDS[args.system]
     spec, red, th, net = _fluid_params(args)
     _check_run_length(args)
+    if not 0 < args.perturb < math.inf:
+        raise ConfigError(f"--perturb must be positive and finite, got {args.perturb!r}")
     eq = _equilibrium(kind, spec, red, th, net)
     out = args.out or "trajectory.csv"
     traj = integrate_dde(
@@ -329,11 +331,13 @@ def _cmd_packet_sim(args, replaced_by_scenario=()) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.mb_per_flow is not None and not args.mb_per_flow > 0:
+        raise ConfigError(f"--mb-per-flow must be positive, got {args.mb_per_flow}")
     red, th = _packet_policy(args, "red"), _packet_policy(args, "threshold")
     runs = [
         (name, desk_config(
             pol, args.rtt_ms / 1e3, seed=seed,
-            bytes_to_send=args.mb_per_flow * 1_000_000 if args.mb_per_flow else None,
+            bytes_to_send=args.mb_per_flow * 1_000_000 if args.mb_per_flow is not None else None,
             duration=args.duration, overload=args.overload,
         ))
         for seed in args.seeds
@@ -343,7 +347,7 @@ def _cmd_compare(args) -> int:
     rows = []
     for name, cfg in runs:
         m = results[(config_digest(cfg), cfg.seed)]
-        afct = compute_afct(m) if args.mb_per_flow else None
+        afct = compute_afct(m) if args.mb_per_flow is not None else None
         rows.append(
             (
                 cfg.seed, name, m.loss_pct, m.throughput_bps / 1e6,

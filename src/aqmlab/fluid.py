@@ -39,6 +39,8 @@ from .workers import map_in_workers, stream_to_worker
 _W_FLOOR = 1e-9  # windows are clamped to a tiny positive value, not 0
 MIN_STEPS_PER_DELAY = 200  # RK4 steps per delay; fewer is refused
 MIN_WINDOW_SAMPLES = 8  # post-transient samples the oscillation metrics need
+# an amplitude at or below this (or 1e-12 of the window's level) has no period
+AMPLITUDE_FLOOR = 1e-9
 # A stored step is at most three states, each a float64 in an array: 24 bytes.
 # A run of more than 2**25 steps (33.5 M; 768 MiB of stored states) is refused.
 MAX_STEPS = 2**25
@@ -619,11 +621,7 @@ class OscillationMetrics:
     period: float | None
 
 
-def oscillation_metrics(
-    traj: Trajectory,
-    transient_cut: float,
-    amplitude_floor: float = 1e-9,
-) -> OscillationMetrics:
+def oscillation_metrics(traj: Trajectory, transient_cut: float) -> OscillationMetrics:
     """Peak-to-peak amplitude and period estimate of the window after
     discarding a transient.
 
@@ -641,7 +639,7 @@ def oscillation_metrics(
     hi = max(x)
     amplitude = hi - lo
     period = None
-    if amplitude > max(amplitude_floor, 1e-12 * max(abs(hi), abs(lo))):
+    if amplitude > max(AMPLITUDE_FLOOR, 1e-12 * max(abs(hi), abs(lo))):
         mean = _mean(x)
         up = [i for i, (a, b) in enumerate(pairwise(x)) if a < mean <= b]
         if len(up) >= 2:

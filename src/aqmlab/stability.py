@@ -21,6 +21,12 @@ residual is a function of B, so a Hopf boundary in c or in tau is one
 number B_c, and tau_c = B_c / c. The buffer, counted in packets, does not
 break this: it enters only the integrator's clamps, not the linearisation at
 the equilibrium. A chart of c against tau therefore solves one point.
+
+Each stability condition is a margin: a float that is negative exactly
+where the condition holds, so a NaN margin never certifies stability. The
+exact condition of every system is kappa < kappa_c, and `kappa_critical`
+is the one path to it; `stability_threshold`'s exact margin is its closed
+form for the threshold policy at kappa = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (
     BracketError,
@@ -49,14 +54,6 @@ from .params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
 from .protocols import decrease_rate, increase_rate, threshold_drop_derivative
 
 
-class Condition(str, Enum):
-    SUFFICIENT_NYQUIST = "sufficient-nyquist"
-    SUFFICIENT_SIMPLIFIED = "sufficient-simplified"
-    NEC_SUFF_RATE = "necessary-sufficient-rate"
-    THRESHOLD_NEC_SUFF = "threshold-necessary-sufficient"
-    THRESHOLD_SUFFICIENT = "threshold-sufficient"
-
-
 @dataclass(frozen=True)
 class CharCoefficients:
     """Coefficients a_1 .. a_(n+1) of the characteristic quasi-polynomial
@@ -72,13 +69,6 @@ class CharCoefficients:
     a2: float
     a3: float | None = None
     a4: float | None = None
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    stable: bool
-    margin: float
-    condition_used: Condition
 
 
 @dataclass(frozen=True)
@@ -387,14 +377,14 @@ def count_unstable_roots(kind: FluidSystemKind, coeffs: CharCoefficients, tau: f
 
 @dataclass(frozen=True)
 class SufficientAssessment:
-    """Outcome of the two loop-gain sufficient tests for the averaged system.
+    """The phase crossover omega_c, which always exists (see
+    `sufficient_stable_with_averaging`), and the margins of the two loop-gain
+    sufficient tests for the averaged system: the loop gain at omega_c minus
+    one, and the closed-form max-angle bound."""
 
-    The phase crossover omega_c, and so the Nyquist verdict, always exists
-    (see `sufficient_stable_with_averaging`)."""
-
-    omega_c: float | None
-    nyquist: StabilityVerdict | None
-    simplified: StabilityVerdict
+    omega_c: float
+    nyquist: float
+    simplified: float
 
 
 def sufficient_stable_with_averaging(
@@ -430,8 +420,7 @@ def sufficient_stable_with_averaging(
 
     hi = math.pi / tau
     omega_c = bisect(phase, hi * 1e-9, hi, rtol=1e-14)
-    lhs = a4 * abs(math.sin(omega_c * tau)) / abs(a2 * omega_c - omega_c**3)
-    nyq = StabilityVerdict(lhs < 1.0, lhs - 1.0, Condition.SUFFICIENT_NYQUIST)
+    gain = a4 * abs(math.sin(omega_c * tau)) / abs(a2 * omega_c - omega_c**3)
 
     alpha, k, beta = spec.alpha, spec.k, spec.beta
     w, p = eq.w_star, eq.p_star
@@ -441,35 +430,7 @@ def sufficient_stable_with_averaging(
         math.pi**2 / 4.0
     ) * (1.0 - p)
     # margin < 0 iff den > 0 and num/den < pi/2 (num is always positive)
-    margin = num - 0.5 * math.pi * den
-    simplified = StabilityVerdict(margin < 0.0, margin, Condition.SUFFICIENT_SIMPLIFIED)
-    return SufficientAssessment(omega_c, nyq, simplified)
-
-
-def stability_no_averaging(
-    spec: ProtocolSpec,
-    red: RedParams,
-    net: NetworkParams,
-    eq: Equilibrium | None = None,
-    kappa: float | None = None,
-) -> StabilityVerdict:
-    """Exact local stability of the instantaneous-feedback system.
-
-    The system is stable iff the rate multiplier is below its critical value;
-    the margin is kappa/kappa_c - 1."""
-    if eq is None:
-        eq = equilibrium_no_averaging(spec, red, net)
-    if kappa is None:
-        kappa = net.kappa
-    co = linear_coefficients(FluidSystemKind.NO_AVERAGING, spec, net, eq, red=red)
-    kc = kappa_critical(FluidSystemKind.NO_AVERAGING, co, net.rtt)
-    if kc == 0.0:
-        margin = math.inf
-    elif math.isinf(kc):
-        margin = -1.0
-    else:
-        margin = kappa / kc - 1.0
-    return StabilityVerdict(margin < 0.0, margin, Condition.NEC_SUFF_RATE)
+    return SufficientAssessment(omega_c, gain - 1.0, num - 0.5 * math.pi * den)
 
 
 def no_averaging_condition_lhs(
@@ -498,8 +459,11 @@ def no_averaging_condition_lhs(
 
 @dataclass(frozen=True)
 class ThresholdStability:
-    nec_suff: StabilityVerdict
-    sufficient: StabilityVerdict
+    """Margins of the threshold policy's exact and sufficient conditions, and
+    the sufficient bound a2*tau in protocol constants."""
+
+    exact: float
+    sufficient: float
     param_form_lhs: float
 
 
@@ -515,23 +479,19 @@ def stability_threshold(
     co = linear_coefficients(FluidSystemKind.THRESHOLD, spec, net, eq, th=th)
     a1, a2 = co.a1, co.a2
     tau = net.rtt
-    lhs = tau * math.sqrt(max(a2**2 - a1**2, 0.0))
-    rhs = math.acos(max(-1.0, min(1.0, -a1 / a2)))
-    nec_suff = StabilityVerdict(lhs - rhs < 0.0, lhs - rhs, Condition.THRESHOLD_NEC_SUFF)
-    suff_margin = a2 * tau - 0.5 * math.pi
-    sufficient = StabilityVerdict(
-        suff_margin < 0.0, suff_margin, Condition.THRESHOLD_SUFFICIENT
-    )
+    exact = (tau * math.sqrt(max(a2**2 - a1**2, 0.0))
+             - math.acos(max(-1.0, min(1.0, -a1 / a2))))
+    sufficient = a2 * tau - 0.5 * math.pi
     param_form = spec.alpha * th.q_th * eq.w_star ** (spec.k - 1.0)
     if abs(param_form - a2 * tau) > 1e-9 * max(param_form, a2 * tau):
         raise InternalConsistencyError(
             f"parameter-form bound {param_form} != a2*tau {a2 * tau}"
         )
-    if sufficient.stable and not nec_suff.stable:
+    if sufficient < 0.0 and not exact < 0.0:
         raise InternalConsistencyError(
             "sufficient condition held where the exact condition failed"
         )
-    return ThresholdStability(nec_suff, sufficient, param_form)
+    return ThresholdStability(exact, sufficient, param_form)
 
 
 def transversality(

@@ -429,23 +429,25 @@ _SHORT_FLUID_BAD = [("--horizon", v) for v in ("0", "-1", *_NON_FINITE)] + [
     *[("--steps-per-delay", v) for v in ("199", "0", "-1")], ("--transient", "-1"),
     ("--transient", "5"), ("--transient", "inf"), ("--tau", "0"), ("--tau", "inf"), ("--c", "-1"),
 ]
+_FLUID_SIM_BAD = _SHORT_FLUID_BAD + [("--perturb", v) for v in ("0", "-1", *_NON_FINITE)] + [
+    ("--qth", "0.5"), ("--alpha", "nan"), ("--kappa", "0")]
 _FLUID_SIM = _options(
     _SHORT_FLUID,
     {"--tau": _floats(1e-3, 5.0), "--c": _floats(1.0, 1000.0),
      "--alpha": _floats(1e-3, 10.0), "--gamma": _floats(1e-6, 1.0),
      "--qth": _floats(1.0, 200.0), "--kappa": _floats(1e-3, 100.0),
      "--perturb": _floats(0.5, 2.0)},
-    _SHORT_FLUID_BAD + [("--perturb", v) for v in ("0", "-1", *_NON_FINITE)]
-    + [("--qth", "0.5"), ("--alpha", "nan"), ("--kappa", "0")],
+    _FLUID_SIM_BAD,
 )
+_BIFURCATION_BAD = _SHORT_FLUID_BAD + [("--sweep", v) for v in (
+    "qth=0:10:2", "qth=-1:5:2", "qth=5:5:0", "c=1:2:2", "qth=nan:5:1", "qth=inf:inf:1")]
 _BIFURCATION = _options(
     {**_SHORT_FLUID,
      "--sweep": st.builds("qth={!r}:{!r}:{}".format, st.floats(1.0, 80.0),
                           st.floats(1.0, 80.0), st.integers(1, 3))},
     {"--tau": _floats(0.1, 5.0),
      "--c": _floats(1.0, 1000.0)},
-    _SHORT_FLUID_BAD + [("--sweep", v) for v in (
-        "qth=0:10:2", "qth=-1:5:2", "qth=5:5:0", "c=1:2:2", "qth=nan:5:1", "qth=inf:inf:1")],
+    _BIFURCATION_BAD,
 )
 _PACKET_OPTIONS = {
     "--rtt-ms": _floats(1.0, 300.0), "--red-bmin": _floats(1.0, 10.0),
@@ -456,15 +458,16 @@ _PACKET_BAD = [("--rtt-ms", v) for v in ("0", "-1", *_NON_FINITE)] + [
     ("--red-bmin", "-1"), ("--red-bmax", "0.5"), ("--red-pmax", "1"), ("--red-wq", "0"),
     ("--red-wq", "1.5"), *[("--qth", v) for v in ("0", "-1", *_NON_FINITE)],
 ]
+_COMPARE_BAD = _PACKET_BAD + [("--duration", v) for v in ("0", "-1", *_NON_FINITE)] + [
+    ("--seeds", "x"), ("--seeds", "1,,2"), ("--mb-per-flow", "0"), ("--mb-per-flow", "-1"),
+    *[("--overload", v) for v in ("0", "-1", *_NON_FINITE)],
+]
 _COMPARE = _options(
     {"--duration": _floats(0.2, 2.0), "--seeds": st.sampled_from(("1", "1,2"))},
-    {**_PACKET_OPTIONS, "--mb-per-flow": st.sampled_from(("1", "0")),
-     "--overload": _floats(1.0, 2.0)},
-    _PACKET_BAD + [("--duration", v) for v in ("0", "-1", *_NON_FINITE)] + [
-        ("--seeds", "x"), ("--seeds", "1,,2"), ("--mb-per-flow", "-1"),
-        *[("--overload", v) for v in ("0", "-1", *_NON_FINITE)],
-    ],
+    {**_PACKET_OPTIONS, "--mb-per-flow": st.just("1"), "--overload": _floats(1.0, 2.0)},
+    _COMPARE_BAD,
 )
+_PACKET_SIM_BAD = [("--seed", "x")]
 
 # a scenario for a run of at most 3 s at 10 Mbps with one to three flows,
 # then none or one bad value in place of a valid one, or an unknown key
@@ -477,7 +480,8 @@ _SCENARIO_BAD = [
     ("bogus", "1"),
     *[(key, v) for key in ("capacity_mbps", "duration_s", "sample_interval_s",
                            "flow.0.access_mbps", "flow.0.rtt_ms", "flow.0.start_s")
-      for v in ("0", "-1", "x", *_NON_FINITE)],
+      for v in ("0", "-1", "x", *_NON_FINITE)
+      if (key, v) != ("flow.0.start_s", "0")],  # a flow may start at time 0
 ]
 _SCENARIO = st.tuples(
     st.fixed_dictionaries({
@@ -514,7 +518,7 @@ _SIMULATION_COMMANDS = st.one_of(
     _BIFURCATION.map(lambda options: ["bifurcation-diagram", *options]),
     _COMPARE.map(lambda options: ["compare-policies", *options]),
     st.tuples(_SCENARIO, _options({}, {**_PACKET_OPTIONS, "--seed": st.sampled_from(("0", "3"))},
-                                  [("--seed", "x")]))
+                                  _PACKET_SIM_BAD))
     .map(lambda parts: ["packet-sim", "--scenario", parts[0], *parts[1]]),
 )
 
@@ -536,6 +540,51 @@ def test_simulation_commands_never_end_in_a_traceback(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
         assert code in (0, 1, 2)
+
+
+# a valid, short call of each command; a bad pair from the lists above goes
+# after it, and replaces the value the call sets
+_SHORT_RUN = ["--tau", "1", "--horizon", "4", "--transient", "2", "--steps-per-delay", "200"]
+_VALID_CALLS = {
+    "fluid-sim": ["fluid-sim", "--system", "threshold", *_SHORT_RUN],
+    "bifurcation-diagram": ["bifurcation-diagram", "--sweep", "qth=5:10:2", *_SHORT_RUN],
+    "compare-policies": ["compare-policies", "--duration", "0.2", "--seeds", "1"],
+    "packet-sim": ["packet-sim", "--scenario", "scenario.txt"],  # _VALID_SCENARIO
+}
+_VALID_SCENARIO = {
+    "topology": "dumbbell", "capacity_mbps": "10", "buffer_pkts": "50", "packet_bytes": "1500",
+    "duration_s": "0.2", "seed": "1", "policy": "red", "red.bmin": "5", "red.bmax": "50",
+    "red.pmax": "0.1", "red.wq": "0.002", "sample_interval_s": "0.1",
+    "flow.0.protocol": "compound", "flow.0.access_mbps": "12", "flow.0.rtt_ms": "30",
+    "flow.0.start_s": "0.1", "flow.0.bytes": "100000",
+}
+_EACH_BAD_PAIR = [
+    *(("fluid-sim", pair) for pair in _FLUID_SIM_BAD),
+    *(("bifurcation-diagram", pair) for pair in _BIFURCATION_BAD),
+    *(("compare-policies", pair) for pair in _COMPARE_BAD),
+    *(("packet-sim", pair) for pair in _PACKET_SIM_BAD),
+    *(("scenario", pair) for pair in _SCENARIO_BAD),
+]
+
+
+@pytest.mark.parametrize("command, pair", _EACH_BAD_PAIR,
+                         ids=[f"{c} {k}={v}" for c, (k, v) in _EACH_BAD_PAIR])
+def test_each_listed_bad_value_alone_exits_two(command, pair, tmp_path, monkeypatch, capsys):
+    # the lists feed the property test above, which accepts any exit code
+    # but a traceback; each of their pairs on its own is a usage error
+    monkeypatch.chdir(tmp_path)  # the scenario file and every output
+    entries = dict(_VALID_SCENARIO)
+    if command == "scenario":  # the pair replaces an entry of the file
+        key, value = pair
+        entries[key] = value
+        if key.startswith("threshold."):
+            entries["policy"] = "threshold"  # a scenario reads its policy's keys only
+        command, pair = "packet-sim", ()
+    pathlib.Path("scenario.txt").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OperatingRegionWarning)
+        assert _exit_code([*_VALID_CALLS[command], *pair, "--out", "out"]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 # imports every aqmlab module and runs three commands with numpy blocked

@@ -756,7 +756,8 @@ def test_metrics_bit_identical_to_numpy_oracle(shape, n, seed, level, cut):
     values = [v + 0.0 for v in values]  # no -0.0: min/max may pick either zero
     traj = _synthetic_traj(h, values)
     transient_cut = cut * times[-8]
-    got = oscillation_metrics(traj, transient_cut, amplitude_floor=0.0)
+    with patch.object(aqmlab.fluid, "AMPLITUDE_FLOOR", 0.0):
+        got = oscillation_metrics(traj, transient_cut)
     want = _oscillation_oracle(traj, transient_cut, amplitude_floor=0.0)
     assert _metrics_hex(got) == _metrics_hex(want)
 

@@ -148,14 +148,14 @@ def _equilibrium(kind, spec, red, th, net):
 
 def _cmd_equilibrium(args) -> int:
     eq = _equilibrium(_KINDS[args.system], *_fluid_params(args))
-    print(f"w_star = {eq.w_star:.12g}")
+    lines = [f"w_star = {eq.w_star:.12g}"]
     if eq.q_star is not None:
-        print(f"q_star = {eq.q_star:.12g}")
-    print(f"p_star = {eq.p_star:.12g}")
-    print(f"residual = {eq.residual:.3e}")
-    print(f"in_band = {eq.in_band}")
+        lines.append(f"q_star = {eq.q_star:.12g}")
+    lines += [f"p_star = {eq.p_star:.12g}", f"residual = {eq.residual:.3e}",
+              f"in_band = {eq.in_band}"]
     if eq.wk1_closed_form is not None:
-        print(f"wk1_closed_form = {eq.wk1_closed_form:.12g}")
+        lines.append(f"wk1_closed_form = {eq.wk1_closed_form:.12g}")
+    print("\n".join(lines))
     _write_params_sidecar(args, args.out)
     return 0
 

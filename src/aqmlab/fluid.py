@@ -105,12 +105,18 @@ def _solve_red_equilibrium(spec, red, net):
 
     Solves i(w)(1-p) = d(w) p with w = C*rtt/(1-p) as a bracketed root in p."""
     bdp = net.c_per_flow * net.rtt
+    alpha, expo, beta = spec.alpha, spec.k - 1.0, spec.beta
+    lo, hi = 1e-16, 1.0 - 1e-12
+    # every window of the bracket is bdp/(1-p) >= bdp >= 0: all are > 0 or
+    # none is, so the window check of the law runs once, on the first one
+    w = bdp / (1.0 - lo)
+    if not w > 0:
+        raise DomainError(f"window must be > 0, got {w}")
 
     def g(p):
         w = bdp / (1.0 - p)
-        return increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
+        return alpha * w**expo * (1.0 - p) - beta * w * p
 
-    lo, hi = 1e-16, 1.0 - 1e-12
     if g(lo) <= 0 or g(hi) >= 0:
         raise ConvergenceError("no drop-probability root in (0, 1)")
     p_star = bisect(g, lo, hi, rtol=1e-16)
@@ -150,26 +156,30 @@ def equilibrium_threshold(
 ) -> Equilibrium:
     """Fixed point of the threshold-policy system, i(w)(1-p(w)) = d(w) p(w)."""
     bdp = net.c_per_flow * net.rtt
+    alpha, expo, beta, q_th = spec.alpha, spec.k - 1.0, spec.beta, th.q_th
 
     def g(w):
-        p = threshold_drop_probability(w, net, th)
-        return increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
+        r = w / bdp
+        p = 1.0 if r >= 1.0 else r**q_th
+        return alpha * w**expo * (1.0 - p) - beta * w * p
 
     lo = 1e-9 * bdp
     hi = bdp * (1.0 - 1e-14)  # rounds to bdp itself if bdp is subnormal
+    # hi < bdp only where bdp > 0 is too large for lo to underflow: past this
+    # guard every window of the bracket is > 0, and the law needs no check
     if not hi < bdp or g(lo) <= 0 or g(hi) >= 0:
         raise ConvergenceError("no window root in (0, C*rtt)")
     w_star = bisect(g, lo, hi, rtol=1e-16)
     p_star = threshold_drop_probability(w_star, net, th)
     residual = _window_balance_residual(spec, w_star, p_star)
 
-    alpha, k, beta = spec.alpha, spec.k, spec.beta
+    k = spec.k
     # in logarithms: bdp**q_th overflows for long delays and high q_th
-    log_base = math.log(alpha / beta) + th.q_th * math.log(bdp)
-    wk1_closed = math.exp(log_base * (k - 1.0) / (th.q_th + 2.0 - k))
+    log_base = math.log(alpha / beta) + q_th * math.log(bdp)
+    wk1_closed = math.exp(log_base * (k - 1.0) / (q_th + 2.0 - k))
     # The same rearrangement with (1 - p*) retained is exact algebra, so
     # it must agree with the root; this guards the solver.
-    w_exact = math.exp((log_base + math.log1p(-p_star)) / (th.q_th + 2.0 - k))
+    w_exact = math.exp((log_base + math.log1p(-p_star)) / (q_th + 2.0 - k))
     lhs = w_exact ** (k - 1.0)
     rhs = w_star ** (k - 1.0)
     if abs(lhs - rhs) > 1e-6 * abs(rhs):
@@ -261,6 +271,14 @@ def _spool_csv(path, kind, h, chunks):
 # summed left to right. A call's first k1 comes from its newest node by the
 # operations that gave the previous call's last kn, so a run split into calls
 # has the bits of one call over every step.
+# The equilibrium residuals above (_solve_red_equilibrium, equilibrium_threshold)
+# write the window balance out the same way, with the constants bound once
+# per solve and the window check made once where a window <= 0 can occur: a
+# root takes 10 to 20 residuals, and two or three argument-checked calls in
+# each would take about a third of the solve's time.
+# test_red_residual_is_the_protocols_law and
+# test_threshold_residual_is_the_protocols_law (tests/test_fluid.py) tie them
+# to the protocols functions bit for bit.
 
 
 def _blowup(steps: int, h: float) -> IntegrationError:

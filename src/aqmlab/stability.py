@@ -26,7 +26,8 @@ Each stability condition is a margin: a float that is negative exactly
 where the condition holds, so a NaN margin never certifies stability. The
 exact condition of every system is kappa < kappa_c, and `kappa_critical`
 is the one path to it; `stability_threshold`'s exact margin is its closed
-form for the threshold policy at kappa = 1.
+form for the threshold policy at kappa = 1. `stability_threshold` and
+`sufficient_stable_with_averaging` refuse any other kappa with DomainError.
 """
 
 from __future__ import annotations
@@ -375,6 +376,16 @@ def count_unstable_roots(kind: FluidSystemKind, coeffs: CharCoefficients, tau: f
     return count
 
 
+def _require_unit_kappa(net: NetworkParams, name: str) -> None:
+    """Refuse a rate multiplier that a margin built from `linear_coefficients`
+    would leave out: those coefficients are the ones at kappa = 1."""
+    if net.kappa != 1.0:
+        raise DomainError(
+            f"{name} holds at kappa = 1 only, got kappa = {net.kappa!r}; "
+            "kappa_critical gives the exact condition at any kappa"
+        )
+
+
 @dataclass(frozen=True)
 class SufficientAssessment:
     """The phase crossover omega_c, which always exists (see
@@ -406,7 +417,9 @@ def sufficient_stable_with_averaging(
     at sqrt(a3/a1) and pi at sqrt(a2) to 3 pi/2, so omega tau + arg D - pi
     rises from -pi to a positive value on (0, pi/tau): one bracketed root,
     which lies below sqrt(a2), where the loop gain's denominator is nonzero.
+    Both margins are those at kappa = 1; any other kappa raises DomainError.
     """
+    _require_unit_kappa(net, "sufficient_stable_with_averaging")
     if eq is None:
         eq = equilibrium_with_averaging(spec, red, net)
     co = linear_coefficients(FluidSystemKind.WITH_AVERAGING, spec, net, eq, red=red)
@@ -473,7 +486,9 @@ def stability_threshold(
     th: ThresholdParams,
     eq: Equilibrium | None = None,
 ) -> ThresholdStability:
-    """Exact and sufficient local stability for the threshold-policy system."""
+    """Exact and sufficient local stability for the threshold-policy system,
+    at kappa = 1; any other kappa raises DomainError."""
+    _require_unit_kappa(net, "stability_threshold")
     if eq is None:
         eq = equilibrium_threshold(spec, net, th)
     co = linear_coefficients(FluidSystemKind.THRESHOLD, spec, net, eq, th=th)

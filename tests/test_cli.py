@@ -60,6 +60,45 @@ def test_equilibrium_threshold_reports_closed_form(capsys):
     assert "wk1_closed_form" in out
 
 
+_RED_DEFAULT = (b"w_star = 10.1381940232\nq_star = 118.155148209\n"
+                b"p_star = 0.0136310296417\nresidual = 0.000e+00\nin_band = True\n")
+_RED_OUT_OF_BAND = (b"w_star = 0.00116390363495\nq_star = 5045.70411171\n"
+                    b"p_star = 0.999140822341\nresidual = 7.365e-15\nin_band = False\n")
+_BAND_WARNING = (b"OperatingRegionWarning: equilibrium queue 5.05e+03 pkts lies outside "
+                 b"the affine band (50, 550); linearized results are suspect")
+
+
+@pytest.mark.parametrize("options, stdout, warning", [
+    (["--system", "with-averaging"], _RED_DEFAULT, None),
+    (["--system", "no-averaging"], _RED_DEFAULT, None),
+    (["--system", "threshold"],
+     b"w_star = 7.6826268606\np_star = 0.0191710590621\nresidual = 0.000e+00\n"
+     b"in_band = True\nwk1_closed_form = 0.600472649245\n", None),
+    (["--system", "with-averaging", "--c", "1e-3", "--tau", "1e-3"],
+     _RED_OUT_OF_BAND, _BAND_WARNING),
+    (["--system", "no-averaging", "--c", "1e-3", "--tau", "1e-3"],
+     _RED_OUT_OF_BAND, _BAND_WARNING),
+])
+def test_equilibrium_report_bytes(tmp_path, options, stdout, warning):
+    """The whole `equilibrium` report, byte for byte, as a user's shell gets
+    it. stderr is matched on the warning's text only: Python also prints the
+    warning's source file and line."""
+    src = pathlib.Path(aqmlab.cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from aqmlab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "equilibrium", *options],
+        capture_output=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == stdout
+    if warning is None:
+        assert proc.stderr == b""
+    else:
+        assert proc.stderr.count(warning) == 1
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run(["equilibrium", "--system", "no-averaging", "--bogus", "1"])

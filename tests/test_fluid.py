@@ -9,11 +9,11 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import aqmlab.fluid
-from aqmlab.errors import DomainError, IntegrationError
+from aqmlab.errors import ConvergenceError, DomainError, IntegrationError
 from aqmlab.fluid import (
     Equilibrium,
     FluidSystemKind,
@@ -29,7 +29,7 @@ from aqmlab.fluid import (
     threshold_bifurcation_sweep,
 )
 from aqmlab.params import NetworkParams, ProtocolSpec, RedParams, ThresholdParams
-from aqmlab.protocols import threshold_drop_probability
+from aqmlab.protocols import decrease_rate, increase_rate, threshold_drop_probability
 
 from conftest import solve_red_fixed_point
 from fluid_oracle import ORACLE_KERNELS, History, rhs
@@ -156,6 +156,89 @@ def test_threshold_equilibrium_reno_relation(reno):
     assert eq.p_star / (1.0 - eq.p_star) == pytest.approx(
         2.0 / eq.w_star**2, rel=1e-9
     )
+
+
+class _Residual(Exception):
+    """Carries the residual a solve hands to bisect, and ends the solve."""
+
+
+def _residual_of(solve, *args):
+    """The residual `solve` would root, or None where it has no bracket."""
+    def capture(f, lo, hi, **kwargs):
+        raise _Residual(f)
+
+    with patch.object(aqmlab.fluid, "bisect", capture), warnings.catch_warnings():
+        warnings.simplefilter("ignore", OperatingRegionWarning)
+        try:
+            solve(*args)
+        except _Residual as found:
+            return found.args[0]
+        except ConvergenceError:
+            return None
+    raise AssertionError("the solve returned without calling bisect")
+
+
+_LAWS = dict(
+    alpha=st.floats(0.01, 10.0),
+    k=st.floats(0.0, 0.99),
+    beta=st.floats(0.01, 0.99),
+    c=st.floats(1.0, 1e4),
+    tau=st.floats(1e-3, 10.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LAWS, p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_red_residual_is_the_protocols_law(alpha, k, beta, c, tau, p):
+    """The RED solve writes i(w)(1-p) - d(w)p out; it must give the bits of
+    the protocols functions at w = c*tau/(1-p)."""
+    spec = ProtocolSpec(alpha, k, beta)
+    net = NetworkParams(c, tau)
+    g = _residual_of(equilibrium_with_averaging, spec, RedParams(), net)
+    assume(g is not None)
+    w = net.bdp / (1.0 - p)
+    law = increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
+    assert g(p).hex() == law.hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LAWS, q_th=st.floats(1.0, 200.0), share=st.floats(1e-9, 1.0))
+@example(alpha=0.125, k=0.75, beta=0.5, c=100.0, tau=1.0, q_th=39.0, share=1.0)
+def test_threshold_residual_is_the_protocols_law(alpha, k, beta, c, tau, q_th, share):
+    """The threshold solve writes the law out with (w/(c*tau))^q_th capped at
+    1; it must give the bits of the protocols functions over the solve's
+    bracket, from 1e-9*c*tau up to c*tau, where the cap (share = 1) holds."""
+    spec = ProtocolSpec(alpha, k, beta)
+    net = NetworkParams(c, tau)
+    th = ThresholdParams(q_th)
+    g = _residual_of(equilibrium_threshold, spec, net, th)
+    assume(g is not None)
+    w = net.bdp * share
+    p = threshold_drop_probability(w, net, th)
+    law = increase_rate(spec, w) * (1.0 - p) - decrease_rate(spec, w) * p
+    assert g(w).hex() == law.hex()
+
+
+@pytest.mark.parametrize("scale, red_error, red_message", [
+    # c*tau underflows to 0.0: no window of the RED bracket is positive, and
+    # the threshold bracket (0, 0) is empty
+    (1e-170, DomainError, "window must be > 0, got 0.0"),
+    # c*tau = 1e-320 (subnormal): the RED residual is positive at both ends,
+    # and the threshold bracket's upper end rounds to c*tau
+    (1e-160, ConvergenceError, "no drop-probability root in (0, 1)"),
+])
+def test_equilibrium_failures_keep_type_and_text(
+    compound, red_defaults, scale, red_error, red_message
+):
+    net = NetworkParams(c_per_flow=scale, rtt=scale)
+    for solve in (equilibrium_with_averaging, equilibrium_no_averaging):
+        with pytest.raises(red_error) as exc:
+            solve(compound, red_defaults, net)
+        assert type(exc.value) is red_error and str(exc.value) == red_message
+    with pytest.raises(ConvergenceError) as exc:
+        equilibrium_threshold(compound, net, ThresholdParams())
+    assert type(exc.value) is ConvergenceError
+    assert str(exc.value) == "no window root in (0, C*rtt)"
 
 
 # -- right-hand sides ---------------------------------------------------------

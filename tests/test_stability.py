@@ -589,6 +589,30 @@ def test_threshold_stability_verdicts(compound):
     assert not res40.exact < 0
 
 
+def test_closed_form_margins_refuse_a_rate_multiplier(compound, red_defaults):
+    # the margins are those of linear_coefficients, which leave kappa out: at
+    # kappa = 3 the threshold point below is unstable (kappa_c = 1.285), so
+    # a margin read at kappa = 1 would certify it; both refuse instead
+    th = ThresholdParams(30.0)
+    net = NetworkParams(c_per_flow=100.0, rtt=1.0, kappa=3.0)
+    eq = equilibrium_threshold(compound, net, th)
+    co = linear_coefficients(K.THRESHOLD, compound, net, eq, th=th)
+    assert kappa_critical(K.THRESHOLD, co, net.rtt) == pytest.approx(1.2853, abs=1e-4)
+    with pytest.raises(DomainError, match="kappa = 3.0; kappa_critical gives"):
+        stability_threshold(compound, net, th)
+    averaged = NetworkParams(c_per_flow=100.0, rtt=0.05, kappa=3.0)
+    with pytest.raises(DomainError, match="kappa = 3.0; kappa_critical gives"):
+        sufficient_stable_with_averaging(compound, red_defaults, averaged)
+
+    # at kappa = 1 the margins read as before the refusal
+    res = stability_threshold(compound, NetworkParams(100.0, 1.0), th)
+    assert (res.exact, res.sufficient, res.param_form_lhs) == (
+        -0.35791907236219966, -0.31519605519920346, 1.2556002715956924)
+    sa = sufficient_stable_with_averaging(compound, red_defaults, NetworkParams(100.0, 0.05))
+    assert (sa.omega_c, sa.nyquist, sa.simplified) == (
+        0.1358397196649286, -0.7108087772827231, 3.75501275431671)
+
+
 def test_threshold_delay_independent_case(compound):
     # small enough threshold: a2 < a1 and no crossover exists at any delay
     net = NetworkParams(c_per_flow=100.0, rtt=1.0)
